@@ -5,10 +5,10 @@ Subcommands: ``solve`` (greedy on an unweighted instance), ``solve-weighted``
 series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 (batch runs emitting a metrics CSV).
 
-Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse error,
-4 oracle too large. On failure a machine-readable error JSON is printed.
-Every emitted assignment is re-validated against the instance invariants
-before the report is written.
+Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse or usage
+error, 4 oracle too large. On failure a machine-readable error JSON is
+printed. Every assignment, of either variant, is re-validated against the
+instance invariants before it is reported.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import greedy as greedy_mod
@@ -35,7 +36,7 @@ from .exceptions import (
     Stalled,
     TooLarge,
 )
-from .instance import PlacementInstance, build_feasibility, check_total_capacity, is_feasible
+from .instance import PlacementInstance, build_feasibility, check_total_capacity, validate_assignment
 from .netgraph import METRICS
 
 EXIT_OK = 0
@@ -103,20 +104,35 @@ def _load_unweighted(args) -> tuple[PlacementInstance, str]:
     return inst, ingest.instance_digest(ingest.instance_to_json(inst))
 
 
-def _validate_solution(inst: PlacementInstance, engine) -> None:
-    """Independent re-check of stretch, capacity, and load bookkeeping."""
-    loads: dict[int, int] = {m: 0 for m in engine.load}
-    for i, m in enumerate(engine.mu):
-        if m is None:
-            continue
-        if not is_feasible(m, inst.pairs[i], inst):
-            raise PlacementError(f"validation: pair {inst.pairs[i]} infeasible at {m}")
-        loads[m] = loads.get(m, 0) + 1
-    for m, count in loads.items():
-        if count > inst.capacity:
-            raise PlacementError(f"validation: middlebox {m} load {count} > capacity")
-        if count != engine.load[m]:
-            raise PlacementError(f"validation: load bookkeeping mismatch at {m}")
+def _solve_greedy(inst: PlacementInstance):
+    """Greedy placement, validated: every pair served within capacity."""
+    fs = build_feasibility(inst)
+    check_total_capacity(inst, fs)
+    trace = greedy_mod.greedy_place(inst, fs)
+    engine = trace.engine
+    validate_assignment(
+        [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
+        {i: m for i, m in enumerate(engine.mu) if m is not None}, engine.load,
+        inst.dist, inst.stretch, inst.route_limit,
+        required=range(inst.num_pairs), load_limit=inst.capacity,
+    )
+    return fs, trace
+
+
+def _solve_weighted(winst: weighted.WeightedInstance):
+    """Weighted pipeline, validated: every kept request served, loads <= 2 kappa."""
+    prep, chosen, frac, rounded = weighted.solve_weighted(winst)
+    validate_assignment(
+        [r.nodes for r in winst.requests], [Fraction(r.demand) for r in winst.requests],
+        rounded.assignment, rounded.load, winst.dist, winst.stretch, winst.route_limit,
+        required=prep.kept, load_limit=2 * prep.kappa,
+    )
+    return prep, chosen, frac, rounded
+
+
+def _relative_loads(prep, rounded) -> dict[str, float]:
+    kappa = float(prep.kappa)
+    return {str(u): float(load) / kappa for u, load in sorted(rounded.load.items())}
 
 
 def _csv_text(columns, rows) -> str:
@@ -128,13 +144,14 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _relative_difference_series(inst, fs, trace, limit) -> list[float]:
-    """(phi_opt - phi_greedy) / phi_opt per deployment step of the trace."""
+def _compare_to_oracle(inst, fs, trace, limit):
+    """(optimum, greedy/optimum ratio, per-step (phi_opt - phi_greedy) / phi_opt)."""
+    opt = oracle.exact_min_middleboxes(inst, fs, limit=limit).value
     series = []
     for step in trace.steps:
-        opt = oracle.max_assignment_for_n(inst, fs, step.iteration + 1, limit=limit).value
-        series.append((opt - step.phi_after) / opt if opt else 0.0)
-    return series
+        best = oracle.max_assignment_for_n(inst, fs, step.iteration + 1, limit=limit).value
+        series.append((best - step.phi_after) / best if best else 0.0)
+    return opt, len(trace.steps) / opt if opt else None, series
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +161,10 @@ def _relative_difference_series(inst, fs, trace, limit) -> list[float]:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     inst, digest = _load_unweighted(args)
-    fs = build_feasibility(inst)
-    check_total_capacity(inst, fs)
-    trace = greedy_mod.greedy_place(inst, fs, threads=args.threads)
-    _validate_solution(inst, trace.engine)
-    if not trace.complete:
-        raise PlacementError("validation: solve finished with unserved pairs")
+    fs, trace = _solve_greedy(inst)
     oracle_opt = ratio = rel_series = None
     if args.oracle:
-        result = oracle.exact_min_middleboxes(inst, fs, limit=args.oracle_limit)
-        oracle_opt = result.value
-        ratio = len(trace.steps) / result.value if result.value else None
-        rel_series = _relative_difference_series(inst, fs, trace, args.oracle_limit)
+        oracle_opt, ratio, rel_series = _compare_to_oracle(inst, fs, trace, args.oracle_limit)
     report = {
         "report_version": REPORT_VERSION,
         "algorithm": "greedy",
@@ -204,24 +213,19 @@ def cmd_solve_weighted(args) -> int:
     if not isinstance(winst, weighted.WeightedInstance):
         raise ParseError("expected a weighted instance document")
     digest = ingest.instance_digest(ingest.instance_to_json(winst))
-    prep, chosen, frac, rounded = weighted.solve_weighted(winst)
-    rfs = weighted.build_request_feasibility(
-        winst.requests, winst.dist, winst.candidates,
-        stretch=winst.stretch, route_limit=winst.route_limit,
-    )
-    for j, u in rounded.assignment.items():
-        if u not in rfs.candidates_of[j]:
-            raise PlacementError(f"validation: request {j} infeasible at {u}")
-    kappa = float(prep.kappa)
-    rel_load = {str(u): float(load) / kappa for u, load in sorted(rounded.load.items())}
+    prep, chosen, frac, rounded = _solve_weighted(winst)
+    rel_load = _relative_loads(prep, rounded)
     violations = sum(1 for v in rel_load.values() if v > 1.0)
     oracle_opt = ratio = None
     if args.oracle:
-        rfs_kept = weighted.RequestFeasibility(
-            universe=rfs.universe, candidates_of=rfs.candidates_of,
+        # The oracle sees the kept requests only: a rejected one (demand above
+        # kappa) has no integral placement at all.
+        kept = weighted.RequestFeasibility(
+            universe=prep.universe, candidates_of=[prep.candidates_of[j] for j in prep.kept],
         )
         result = oracle.exact_weighted_min_middleboxes(
-            winst.requests, rfs_kept, winst.capacity, limit=args.oracle_limit,
+            [winst.requests[j] for j in prep.kept], kept, winst.capacity,
+            limit=args.oracle_limit,
         )
         oracle_opt = result.value
         ratio = len(chosen) / result.value if result.value else None
@@ -232,7 +236,7 @@ def cmd_solve_weighted(args) -> int:
         "metric": winst.metric,
         "stretch": winst.stretch,
         "route_limit": winst.route_limit,
-        "capacity": kappa,
+        "capacity": float(prep.kappa),
         "nodes": winst.net.num_nodes,
         "edges": winst.net.num_edges,
         "requests": len(winst.requests),
@@ -268,7 +272,7 @@ def cmd_incremental(args) -> int:
     while not trace.complete:
         if args.budget_steps is not None and n >= args.budget_steps:
             break
-        trace = greedy_mod.incremental_extend(trace, 1, threads=args.threads)
+        trace = greedy_mod.incremental_extend(trace, 1)
         n += 1
         phi_g = trace.engine.num_assigned
         phi_opt = rel = None
@@ -325,58 +329,47 @@ def cmd_gen(args) -> int:
 # bench
 
 
-def _bench_unweighted_row(net_cache, spec) -> list:
-    path, p, stretch, rep, seed, algorithm, opts = spec
+def _bench_row(kind: str, algorithm: str, path: str, p: float, stretch: float, rep: int,
+               seed: int, metric: str, measure) -> list:
+    """One bench CSV row. ``measure(cfg)`` returns (nodes, edges, the eight
+    columns middlebox_count..capacity_violations); a PlacementError becomes an
+    error row and the batch continues."""
     t0 = time.perf_counter()
-    base = [Path(path).stem, "unweighted"]
     try:
-        net = net_cache[path]
         cfg = ingest.ScenarioConfig(topology=path, p=p, stretch=stretch, seed=seed,
-                                    replication=rep, metric=opts["metric"])
-        inst = ingest.generate_unweighted_scenario(cfg, net)
-        fs = build_feasibility(inst)
-        check_total_capacity(inst, fs)
-        trace = greedy_mod.greedy_place(inst, fs, threads=opts["threads"])
-        _validate_solution(inst, trace.engine)
-        opt = ratio = rel_max = None
-        if opts["oracle"]:
-            opt = oracle.exact_min_middleboxes(inst, fs, limit=opts["oracle_limit"]).value
-            ratio = len(trace.steps) / opt if opt else None
-            series = _relative_difference_series(inst, fs, trace, opts["oracle_limit"])
-            rel_max = max(series, default=0.0)
-        return base + [
-            inst.net.num_nodes, inst.net.num_edges, p, stretch, rep, seed, algorithm,
-            "ok", len(trace.steps), trace.engine.num_assigned, inst.num_pairs,
-            opt, ratio, rel_max, None, None, round(time.perf_counter() - t0, 6), None,
-        ]
+                                    replication=rep, metric=metric)
+        nodes, edges, results = measure(cfg)
+        status, error = "ok", None
     except PlacementError as exc:
-        return base + [None, None, p, stretch, rep, seed, algorithm, "error",
-                       None, None, None, None, None, None, None, None,
-                       round(time.perf_counter() - t0, 6), f"{type(exc).__name__}: {exc}"]
+        nodes = edges = None
+        results = [None] * 8
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    return [Path(path).stem, kind, nodes, edges, p, stretch, rep, seed, algorithm, status,
+            *results, round(time.perf_counter() - t0, 6), error]
 
 
-def _bench_weighted_row(parsed_cache, spec) -> list:
-    path, keep, stretch, rep, seed, opts = spec
-    t0 = time.perf_counter()
-    base = [Path(path).stem, "weighted"]
-    try:
-        net, demands = parsed_cache[path]
-        cfg = ingest.ScenarioConfig(topology=path, p=keep, stretch=stretch, seed=seed,
-                                    replication=rep, metric=opts["metric"])
-        winst = ingest.generate_weighted_scenario(cfg, net, demands, keep_probability=keep)
-        prep, chosen, frac, rounded = weighted.solve_weighted(winst)
-        kappa = float(prep.kappa)
-        rel = [float(v) / kappa for v in rounded.load.values()]
-        return base + [
-            net.num_nodes, net.num_edges, keep, stretch, rep, seed, "generalized_greedy",
-            "ok", len(chosen), len(rounded.assignment), prep.num_kept,
-            None, None, None, max(rel, default=0.0), sum(1 for v in rel if v > 1.0),
-            round(time.perf_counter() - t0, 6), None,
-        ]
-    except PlacementError as exc:
-        return base + [None, None, keep, stretch, rep, seed, "generalized_greedy",
-                       "error", None, None, None, None, None, None, None, None,
-                       round(time.perf_counter() - t0, 6), f"{type(exc).__name__}: {exc}"]
+def _measure_greedy(net, oracle_limit, cfg):
+    inst = ingest.generate_unweighted_scenario(cfg, net)
+    fs, trace = _solve_greedy(inst)
+    opt = ratio = rel_max = None
+    if oracle_limit is not None:
+        opt, ratio, series = _compare_to_oracle(inst, fs, trace, oracle_limit)
+        rel_max = max(series, default=0.0)
+    return inst.net.num_nodes, inst.net.num_edges, [
+        len(trace.steps), trace.engine.num_assigned, inst.num_pairs, opt, ratio, rel_max,
+        None, None,
+    ]
+
+
+def _measure_weighted(parsed, cfg):
+    net, demands = parsed
+    winst = ingest.generate_weighted_scenario(cfg, net, demands, keep_probability=cfg.p)
+    prep, chosen, _, rounded = _solve_weighted(winst)
+    rel = _relative_loads(prep, rounded).values()
+    return net.num_nodes, net.num_edges, [
+        len(chosen), len(rounded.assignment), prep.num_kept, None, None, None,
+        max(rel, default=0.0), sum(1 for v in rel if v > 1.0),
+    ]
 
 
 def cmd_bench(args) -> int:
@@ -385,45 +378,35 @@ def cmd_bench(args) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed bench config: {exc}") from exc
     seed = config.get("seed", 0)
+    metric = config.get("metric", "geo")
     stretches = config.get("stretches", "grid")
     if stretches == "grid":
         stretches = ingest.stretch_grid()
-    opts = {
-        "metric": config.get("metric", "geo"),
-        "threads": config.get("threads", 1),
-        "oracle": config.get("oracle", False),
-        "oracle_limit": config.get("oracle_limit", 16),
-    }
+    oracle_limit = config.get("oracle_limit", 16) if config.get("oracle", False) else None
     reps = config.get("replications", 1)
     algorithms = config.get("algorithms", ["greedy"])
-    jobs = []
-    net_cache = {p: ingest.parse_graphml(Path(p).read_text())
-                 for p in config.get("topologies", [])}
+    nets = {p: ingest.parse_graphml(Path(p).read_text())
+            for p in config.get("topologies", [])}
+    parsed = {entry["path"]: ingest.parse_sndlib(Path(entry["path"]).read_text())
+              for entry in config.get("sndlib", [])}
+    rows = []
     for path in config.get("topologies", []):
         for p in config.get("p_values", [0.3]):
             for stretch in stretches:
                 for rep in range(reps):
                     for algorithm in algorithms:
-                        jobs.append(("u", (path, p, stretch, rep, seed, algorithm, opts)))
-    parsed_cache = {entry["path"]: ingest.parse_sndlib(Path(entry["path"]).read_text())
-                    for entry in config.get("sndlib", [])}
+                        rows.append(_bench_row(
+                            "unweighted", algorithm, path, p, stretch, rep, seed, metric,
+                            partial(_measure_greedy, nets[path], oracle_limit),
+                        ))
     for entry in config.get("sndlib", []):
         keep = entry.get("keep_probability", 0.5)
         for stretch in stretches:
             for rep in range(reps):
-                jobs.append(("w", (entry["path"], keep, stretch, rep, seed, opts)))
-
-    def run(job):
-        kind, spec = job
-        if kind == "u":
-            return _bench_unweighted_row(net_cache, spec)
-        return _bench_weighted_row(parsed_cache, spec)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+                rows.append(_bench_row(
+                    "weighted", "generalized_greedy", entry["path"], keep, stretch, rep,
+                    seed, metric, partial(_measure_weighted, parsed[entry["path"]]),
+                ))
     _write_text(args.out, _csv_text(BENCH_COLUMNS, rows))
     return EXIT_OK
 
@@ -432,8 +415,22 @@ def cmd_bench(args) -> int:
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 3 with the JSON error line) instead
+    of exiting 2, which the contract reserves for infeasible instances.
+    Abbreviated long options are not accepted."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mbplace",
         description="Capacitated, stretch-constrained middlebox placement solver",
     )
@@ -448,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pair probability for GraphML inputs")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--replication", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("solve", help="greedy placement on an unweighted instance")
@@ -488,14 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="batch runs over a config file")
     sp.add_argument("config", help="bench config JSON")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, GeoUnavailable, DomainError, FileNotFoundError) as exc:
         _emit_error(exc, EXIT_PARSE)

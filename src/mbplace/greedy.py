@@ -2,16 +2,15 @@
 marginal gain in served pairs.
 
 Submodularity of the assignment function makes the greedy count at most
-``(1 + ln(min(capacity, |P|))) * OPT``. Gains are evaluated on cloned
-snapshots of the live assignment, optionally in parallel across candidates;
-the commit is sequential, so deployed locations are never revisited and
-served pairs never drop out.
+``(1 + ln(min(capacity, |P|))) * OPT``. Gains are evaluated one candidate
+at a time on cloned snapshots of the live assignment, and one location is
+committed per step, so deployed locations are never revisited and served
+pairs never drop out.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .exceptions import Stalled
@@ -44,57 +43,31 @@ class GreedyTrace:
         return self.engine.num_assigned == self.total_pairs
 
 
-def _candidate_order(fs: FeasibilitySets, active) -> list[int]:
-    return [u for u in fs.candidates if u not in active]
+def greedy_step(engine: Assignment):
+    """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
+    Candidates are tried in ascending id. A candidate's gain equals its final
+    load, so it is bounded by min(capacity, |S_m|, free pairs); note it is NOT
+    bounded by the free pairs within S_m alone, since handover paths may end
+    at a free pair of another middlebox. Candidates whose bound cannot beat
+    the running best are skipped, and only a strictly larger gain replaces
+    the best, so ties go to the smallest id.
 
-def _evaluate_chunk(engine: Assignment, candidates, num_free, capacity):
-    """Best (gain, candidate, state) within one ascending-id chunk.
-
-    A candidate's gain equals its final load, so it is bounded by
-    min(capacity, |S_m|, free pairs); note it is NOT bounded by the free
-    pairs within S_m alone, since handover paths may end at a free pair of
-    another middlebox. Candidates whose bound cannot beat the chunk's
-    running best are skipped; ties already lost to a smaller id are skipped
-    too, so the reduction over chunks is exactly the sequential argmax.
+    Raises Stalled when no candidate improves the assignment although free
+    pairs remain (e.g. |P| > capacity * |U|).
     """
+    fs = engine.fs
+    num_free = fs.num_pairs - engine.num_assigned
+    if num_free == 0:
+        raise ValueError("all pairs are already assigned")
     best_gain, best_m, best_state = 0, None, None
-    for m in candidates:
-        bound = min(capacity, len(engine.fs.pairs_of[m]), num_free)
-        if bound <= best_gain:
+    for m in fs.candidates:
+        if m in engine.load or min(engine.capacity, len(fs.pairs_of[m]), num_free) <= best_gain:
             continue
         trial = engine.clone()
         gained = trial.add_middlebox(m)
         if gained > best_gain:
             best_gain, best_m, best_state = gained, m, trial
-    return best_gain, best_m, best_state
-
-
-def greedy_step(engine: Assignment, *, threads: int = 1):
-    """One greedy iteration: returns (chosen, gain) and mutates the engine.
-
-    Raises Stalled when no candidate improves the assignment although free
-    pairs remain (e.g. |P| > capacity * |U|).
-    """
-    candidates = _candidate_order(engine.fs, engine.load)
-    num_free = engine.fs.num_pairs - engine.num_assigned
-    if num_free == 0:
-        raise ValueError("all pairs are already assigned")
-    if threads > 1 and len(candidates) > 1:
-        chunks = [candidates[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(
-                lambda c: _evaluate_chunk(engine, c, num_free, engine.capacity), chunks
-            ))
-    else:
-        results = [_evaluate_chunk(engine, candidates, num_free, engine.capacity)]
-    best_gain, best_m, best_state = 0, None, None
-    for gain, m, state in results:
-        if m is None:
-            continue
-        if gain > best_gain or (gain == best_gain and best_m is not None and m < best_m):
-            best_gain, best_m, best_state = gain, m, state
     if best_m is None:
         raise Stalled(
             f"no candidate can serve any of the {num_free} remaining pairs"
@@ -107,27 +80,25 @@ def greedy_step(engine: Assignment, *, threads: int = 1):
 
 
 def _run(engine: Assignment, total_pairs: int, steps: list[GreedyStep],
-         budget: int | None, threads: int) -> None:
+         budget: int | None) -> None:
     done = 0
     while engine.num_assigned < total_pairs:
         if budget is not None and done >= budget:
             break
-        chosen, gain = greedy_step(engine, threads=threads)
+        chosen, gain = greedy_step(engine)
         steps.append(GreedyStep(len(steps), chosen, gain, engine.num_assigned))
         done += 1
 
 
-def greedy_place(inst: PlacementInstance, fs: FeasibilitySets, *,
-                 threads: int = 1) -> GreedyTrace:
+def greedy_place(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
     """Deploy middleboxes greedily until every pair is served."""
     engine = Assignment(fs, inst.capacity)
     steps: list[GreedyStep] = []
-    _run(engine, inst.num_pairs, steps, None, threads)
+    _run(engine, inst.num_pairs, steps, None)
     return GreedyTrace(steps, engine, inst.num_pairs)
 
 
-def incremental_extend(trace: GreedyTrace, budget: int, *,
-                       threads: int = 1) -> GreedyTrace:
+def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     """Continue a trace by up to ``budget`` further steps.
 
     The input trace is left untouched (its engine is cloned), so earlier
@@ -138,7 +109,7 @@ def incremental_extend(trace: GreedyTrace, budget: int, *,
         raise ValueError("budget must be >= 1")
     engine = trace.engine.clone()
     steps = list(trace.steps)
-    _run(engine, trace.total_pairs, steps, budget, threads)
+    _run(engine, trace.total_pairs, steps, budget)
     return GreedyTrace(steps, engine, trace.total_pairs)
 
 

@@ -4,7 +4,9 @@ A middlebox at ``u`` can serve a pair ``(s, t)`` when the detour through it
 stays within the allowed bound: ``d(s,u) + d(u,t) <= rho * d(s,t)`` in
 stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length mode. All
 downstream algorithms consume only the FeasibilitySets built here, so both
-constraint flavors share every code path.
+constraint flavors share every code path. ``serves`` is the one
+feasibility test for pairs and weighted groups alike, and
+``validate_assignment`` re-checks the solutions of both variants against it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .exceptions import Infeasible, InfeasiblePair
+from .exceptions import Infeasible, InfeasiblePair, PlacementError
 from .netgraph import DistanceMatrix, Network
 
 #: Relative tolerance for feasibility comparisons (geo weights are irrational).
@@ -45,7 +48,7 @@ class PlacementInstance:
     """Unweighted placement instance with unit-demand pairs.
 
     Exactly one of ``stretch`` / ``route_limit`` selects the feasibility
-    predicate. A reserved per-pair stretch field is intentionally absent:
+    bound. A reserved per-pair stretch field is intentionally absent:
     the model is uniform-stretch.
     """
 
@@ -90,17 +93,23 @@ class PlacementInstance:
     def num_pairs(self) -> int:
         return len(self.pairs)
 
-    def bound_for(self, p: Pair) -> float:
-        """Right-hand side of the feasibility inequality for pair p."""
-        if self.stretch is not None:
-            return self.stretch * self.dist.d(p.s, p.t)
-        return self.route_limit
+
+def serves(u: int, nodes, dist: DistanceMatrix, stretch: float | None,
+           route_limit: float | None) -> bool:
+    """True when a middlebox at u keeps every member pair of ``nodes`` within
+    the bound: a pair is the two-node case, and a group is served iff each of
+    its member pairs is (the conservative extension of the pairwise model)."""
+    for a, b in combinations(nodes, 2):
+        via = dist.d(a, u) + dist.d(u, b)
+        bound = route_limit if stretch is None else stretch * dist.d(a, b)
+        if not _leq(via, bound):
+            return False
+    return True
 
 
 def is_feasible(u: int, p: Pair, inst: PlacementInstance) -> bool:
     """True when a middlebox at u may serve p under the instance's bound."""
-    via = inst.dist.d(p.s, u) + inst.dist.d(u, p.t)
-    return _leq(via, inst.bound_for(p))
+    return serves(u, (p.s, p.t), inst.dist, inst.stretch, inst.route_limit)
 
 
 @dataclass
@@ -141,8 +150,10 @@ def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
 
     Raises InfeasiblePair for any pair no candidate can serve.
     """
+    dist, stretch, limit = inst.dist, inst.stretch, inst.route_limit
+    members = [(p.s, p.t) for p in inst.pairs]
     pairs_of = {
-        u: tuple(i for i, p in enumerate(inst.pairs) if is_feasible(u, p, inst))
+        u: tuple(i for i, nodes in enumerate(members) if serves(u, nodes, dist, stretch, limit))
         for u in inst.candidates
     }
     fs = FeasibilitySets(num_pairs=inst.num_pairs, pairs_of=pairs_of)
@@ -168,3 +179,31 @@ def check_total_capacity(inst: PlacementInstance, fs: FeasibilitySets) -> None:
             f"{inst.num_pairs} pairs exceed total capacity "
             f"{inst.capacity} x {len(inst.candidates)} candidates"
         )
+
+
+def validate_assignment(members, demands, assignment: dict, claimed_load: dict,
+                        dist: DistanceMatrix, stretch: float | None,
+                        route_limit: float | None, *, required, load_limit) -> None:
+    """Re-check a solution from the distances, independently of the solver.
+
+    ``members[j]`` and ``demands[j]`` are request j's nodes and demand,
+    ``assignment`` maps a request to its middlebox and ``claimed_load`` is the
+    solver's own per-middlebox load. Raises PlacementError when a request in
+    ``required`` is unserved, a middlebox does not serve a request assigned
+    to it, a recounted load differs from the claimed one, or a load exceeds
+    ``load_limit``.
+    """
+    for j in required:
+        if j not in assignment:
+            raise PlacementError(f"validation: request {j} {members[j]} is not served")
+    loads: dict = {}
+    for j, u in assignment.items():
+        if not serves(u, members[j], dist, stretch, route_limit):
+            raise PlacementError(f"validation: request {j} {members[j]} infeasible at {u}")
+        loads[u] = loads.get(u, 0) + demands[j]
+    for u in sorted(loads.keys() | claimed_load.keys()):
+        load = loads.get(u, 0)
+        if load > load_limit:
+            raise PlacementError(f"validation: middlebox {u} load {load} > {load_limit}")
+        if load != claimed_load.get(u, 0):
+            raise PlacementError(f"validation: load bookkeeping mismatch at {u}")

@@ -6,8 +6,8 @@ paths that start at the new location, so pairs served earlier stay served
 (they may be handed over to another middlebox, never dropped) and the loads
 of untouched middleboxes never change.
 
-Augmenting paths are found by breadth-first search; a layered multi-path
-variant is available as an optional fast path behind the same interface.
+Augmenting paths are found by breadth-first search, one shortest path at a
+time.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class Assignment:
 
     def assigned_pairs(self) -> frozenset[int]:
         return frozenset(i for i, m in enumerate(self.mu) if m is not UNASSIGNED)
-
-    def free_pairs(self) -> list[int]:
-        return [i for i, m in enumerate(self.mu) if m is UNASSIGNED]
 
     def clone(self) -> "Assignment":
         other = Assignment.__new__(Assignment)
@@ -149,7 +146,7 @@ class Assignment:
 
     # -- incremental growth -------------------------------------------------
 
-    def add_middlebox(self, m: int, *, phased: bool = False) -> int:
+    def add_middlebox(self, m: int) -> int:
         """Deploy m and re-maximize; returns the gained number of pairs.
 
         Only paths starting at m are needed: the previous assignment was
@@ -160,8 +157,6 @@ class Assignment:
         if m not in self.fs.pairs_of:
             raise ValueError(f"{m} is not a candidate location")
         self.load[m] = 0
-        if phased:
-            return self._augment_phased(m)
         gained = 0
         while self.load[m] < self.capacity:
             path = self.find_augmenting_path(m)
@@ -170,83 +165,6 @@ class Assignment:
             self.apply_augmenting_path(path)
             gained += 1
         return gained
-
-    # -- layered fast path ---------------------------------------------------
-
-    def _augment_phased(self, m: int) -> int:
-        """Hopcroft-Karp-style phases: per phase, BFS layering then a maximal
-        set of node-disjoint shortest paths from m (disjoint apart from m)."""
-        gained = 0
-        while self.load[m] < self.capacity:
-            dist_mb, target_layer = self._layer_from(m)
-            if target_layer is None:
-                break
-            blocked_pairs: set[int] = set()
-            blocked_mbs: set[int] = set()
-            found_any = False
-            while self.load[m] < self.capacity:
-                path = self._layered_dfs(m, dist_mb, target_layer, blocked_pairs, blocked_mbs)
-                if path is None:
-                    break
-                self.apply_augmenting_path(path)
-                gained += 1
-                found_any = True
-            if not found_any:
-                break
-        return gained
-
-    def _layer_from(self, start: int):
-        """BFS layers over middleboxes; returns (layers, depth of nearest free pair)."""
-        dist_mb = {start: 0}
-        queue = deque([start])
-        target = None
-        while queue:
-            x = queue.popleft()
-            if target is not None and dist_mb[x] >= target:
-                continue
-            for p in self.fs.pairs_of[x]:
-                owner = self.mu[p]
-                if owner is UNASSIGNED:
-                    if target is None:
-                        target = dist_mb[x]
-                elif owner not in dist_mb:
-                    dist_mb[owner] = dist_mb[x] + 1
-                    queue.append(owner)
-        return dist_mb, target
-
-    def _layered_dfs(self, start, dist_mb, target_layer, blocked_pairs, blocked_mbs):
-        stack_mbs: list[int] = []
-        stack_prs: list[int] = []
-
-        def dfs(x: int) -> bool:
-            for p in self.fs.pairs_of[x]:
-                if p in blocked_pairs:
-                    continue
-                owner = self.mu[p]
-                if owner is UNASSIGNED:
-                    if dist_mb[x] == target_layer:
-                        blocked_pairs.add(p)
-                        stack_mbs.append(x)
-                        stack_prs.append(p)
-                        return True
-                    continue
-                if owner in blocked_mbs or dist_mb.get(owner) != dist_mb[x] + 1:
-                    continue
-                if dist_mb[owner] > target_layer:
-                    continue
-                blocked_pairs.add(p)
-                blocked_mbs.add(owner)
-                if dfs(owner):
-                    stack_mbs.append(x)
-                    stack_prs.append(p)
-                    return True
-            return False
-
-        if not dfs(start):
-            return None
-        stack_mbs.reverse()
-        stack_prs.reverse()
-        return AugmentingPath(tuple(stack_mbs), tuple(stack_prs))
 
 
 def phi(M, fs: FeasibilitySets, capacity: int) -> int:

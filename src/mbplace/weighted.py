@@ -14,12 +14,12 @@ to slots, which caps every load at ``2 * capacity``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._flow import FlowNetwork
 from .exceptions import Infeasible, RoundingFailed
-from .instance import _leq
+from .instance import serves
 from .netgraph import DistanceMatrix, Network
 
 ZERO = Fraction(0)
@@ -56,50 +56,25 @@ class Request:
 
 @dataclass
 class RequestFeasibility:
-    """Candidate sets per request and the reverse direction."""
+    """Feasible candidates per request, drawn from the candidate universe."""
 
     universe: tuple[int, ...]
     candidates_of: list[tuple[int, ...]]
-    requests_of: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.requests_of:
-            rev: dict[int, list[int]] = {u: [] for u in self.universe}
-            for j, cands in enumerate(self.candidates_of):
-                for u in cands:
-                    rev[u].append(j)
-            self.requests_of = {u: tuple(js) for u, js in rev.items()}
-
-
-def _serves(u: int, nodes, dist: DistanceMatrix, stretch, route_limit) -> bool:
-    for a_idx, a in enumerate(nodes):
-        for b in nodes[a_idx + 1:]:
-            via = dist.d(a, u) + dist.d(u, b)
-            bound = route_limit if stretch is None else stretch * dist.d(a, b)
-            if not _leq(via, bound):
-                return False
-    return True
 
 
 def build_request_feasibility(requests, dist: DistanceMatrix, candidates, *,
                               stretch: float | None = None,
-                              route_limit: float | None = None,
-                              predicate=None) -> RequestFeasibility:
+                              route_limit: float | None = None) -> RequestFeasibility:
     """Feasible candidate set per request.
 
-    By default a candidate serves a group iff it serves every member pair of
-    the group under the same bound as plain pairs (conservative extension of
-    the pairwise model). Alternative group semantics plug in via
-    ``predicate(u, nodes, dist) -> bool``.
+    A candidate serves a group iff it serves every member pair of the group
+    under the same bound as plain pairs (``instance.serves``).
     """
     if (stretch is None) == (route_limit is None):
         raise ValueError("exactly one of stretch / route_limit must be set")
-    if predicate is None:
-        def predicate(u, nodes, d):
-            return _serves(u, nodes, d, stretch, route_limit)
     universe = tuple(sorted(set(candidates)))
     cands = [
-        tuple(u for u in universe if predicate(u, r.nodes, dist))
+        tuple(u for u in universe if serves(u, r.nodes, dist, stretch, route_limit))
         for r in requests
     ]
     return RequestFeasibility(universe=universe, candidates_of=cands)
@@ -170,9 +145,6 @@ class FractionalAssignment:
     @property
     def objective_float(self) -> float:
         return float(self.objective)
-
-    def served_fraction(self, j: int) -> Fraction:
-        return sum((v for (_, jj), v in self.x.items() if jj == j), ZERO)
 
 
 def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:

@@ -7,7 +7,9 @@ import pytest
 
 from builders import star_instance
 
+from mbplace import greedy, weighted
 from mbplace.cli import BENCH_COLUMNS, INCREMENTAL_COLUMNS, TRACE_COLUMNS, main
+from mbplace.exceptions import Stalled
 from mbplace.ingest import instance_to_json
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +36,28 @@ def star_file(tmp_path):
     inst = star_instance(4, 3, capacity=4, stretch=3.0)
     path = tmp_path / "star.json"
     path.write_text(instance_to_json(inst))
+    return path
+
+
+@pytest.fixture
+def path_file(tmp_path):
+    """Weighted instance on the hop path 0-1-2-3 (kappa 4, stretch 2); its
+    third request has demand 5 > kappa and is rejected."""
+    doc = {
+        "format": "mbplace-instance", "version": 1, "kind": "weighted",
+        "metric": "hops",
+        "nodes": [{"id": i} for i in range(4)],
+        "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]],
+        "candidates": [0, 1, 2, 3], "capacity": 4.0,
+        "stretch": 2.0, "route_limit": None,
+        "requests": [
+            {"kind": "pair", "nodes": [0, 3], "demand": 2.0},
+            {"kind": "pair", "nodes": [1, 2], "demand": 1.0},
+            {"kind": "pair", "nodes": [0, 2], "demand": 5.0},
+        ],
+    }
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -70,18 +94,6 @@ class TestSolve:
         code, out = run(capsys, "solve", str(empty_file))
         assert code == 0
         assert json.loads(out)["middlebox_count"] == 0
-
-    def test_threads_produce_identical_reports(self, star_file, tmp_path, capsys):
-        reports = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"r{threads}.json"
-            code, _ = run(capsys, "solve", str(star_file), "--threads", threads,
-                          "--out", str(out))
-            assert code == 0
-            doc = json.loads(out.read_text())
-            doc.pop("wall_time_s")
-            reports.append(doc)
-        assert reports[0] == reports[1]
 
     def test_trace_csv_columns(self, star_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -179,6 +191,67 @@ class TestSolveWeighted:
         code, out = run(capsys, "solve-weighted", str(star_file))
         assert code == 3
 
+    def test_oracle_sees_kept_requests_only(self, path_file, tmp_path, capsys):
+        # Request 2 exceeds kappa and is rejected; the oracle must not see it.
+        out = tmp_path / "r.json"
+        code, _ = run(capsys, "solve-weighted", str(path_file), "--oracle", "--out", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["kept"] == [0, 1] and report["rejected"] == [2]
+        assert isinstance(report["oracle_optimum"], int)
+        assert report["middlebox_count"] == report["oracle_optimum"] == 1
+
+    def test_request_feasibility_built_once(self, path_file, monkeypatch, capsys):
+        calls = []
+        real = weighted.build_request_feasibility
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weighted, "build_request_feasibility", counting)
+        code, _ = run(capsys, "solve-weighted", str(path_file), "--oracle")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_overloaded_box_fails_validation(self, path_file, tmp_path, monkeypatch, capsys):
+        # Box 1 lies on both kept pairs' shortest paths; 3 + 3 + 3 > 2 * kappa.
+        doc = json.loads(path_file.read_text())
+        doc["requests"] = [{"kind": "pair", "nodes": nodes, "demand": 3.0}
+                           for nodes in ([0, 3], [1, 2], [0, 1])]
+        path_file.write_text(json.dumps(doc))
+
+        def overload(frac, active, prep):
+            return weighted.RoundedSolution((1,), {j: 1 for j in prep.kept},
+                                            {1: sum(prep.demands.values())})
+
+        monkeypatch.setattr(weighted, "round_solution", overload)
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve-weighted", str(path_file), "--out", str(out))
+        assert code == 1
+        err = json.loads(text)
+        assert err["error"] == "PlacementError" and "load 9 > 8" in err["message"]
+        assert not out.exists()
+
+    def test_unserved_request_fails_validation(self, path_file, tmp_path, monkeypatch,
+                                               capsys):
+        real = weighted.round_solution
+
+        def drop_first(frac, active, prep):
+            sol = real(frac, active, prep)
+            j = prep.kept[0]
+            sol.load[sol.assignment.pop(j)] -= prep.demands[j]
+            return sol
+
+        monkeypatch.setattr(weighted, "round_solution", drop_first)
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve-weighted", str(path_file), "--out", str(out))
+        assert code == 1
+        err = json.loads(text)
+        assert err["error"] == "PlacementError" and "not served" in err["message"]
+        assert not out.exists()
+
+
     def test_single_request_fixture_relative_load(self, tmp_path, capsys):
         doc = {
             "format": "mbplace-instance", "version": 1, "kind": "weighted",
@@ -219,6 +292,30 @@ class TestSolveWeighted:
         report = json.loads(out_path.read_text())
         assert len(report["assignment"]) == 2
         assert report["max_relative_load"] <= 2.0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "STAR", "--threads", "2"],
+        ["incremental", "STAR", "--threads", "2"],
+        ["bench", "STAR", "--workers", "4"],
+        ["solve", "STAR", "--trace", "t.csv"],  # no prefix matching of --trace-csv
+        ["solve", "STAR", "--capacity", "two"],
+        ["solve"],
+        [],
+    ])
+    def test_exit_3_with_json_error(self, argv, star_file, capsys):
+        argv = [str(star_file) if a == "STAR" else a for a in argv]
+        code, out = run(capsys, *argv)
+        assert code == 3
+        err = json.loads(out)
+        assert err["error"] == "ParseError" and err["exit_code"] == 3
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--oracle" in capsys.readouterr().out
 
 
 class TestIncremental:
@@ -318,23 +415,53 @@ class TestBench:
             else:
                 assert float(row[by_col["max_relative_load"]]) <= 2.0
 
-    def test_workers_give_identical_csv(self, tmp_path, capsys):
+    def test_two_runs_give_identical_rows(self, tmp_path, capsys):
         config = {
             "seed": 3, "metric": "geo",
             "topologies": [str(DATA / "mini.graphml")],
             "p_values": [0.4], "stretches": [1.5, 2.0], "replications": 2,
+            "sndlib": [{"path": str(DATA / "mini_sndlib.txt"), "keep_probability": 1.0}],
         }
         cfg = tmp_path / "b.json"
         cfg.write_text(json.dumps(config))
         texts = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"out{workers}.csv"
-            code, _ = run(capsys, "bench", str(cfg), "--workers", workers,
-                          "--out", str(out))
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
             assert code == 0
             rows = [r.rsplit(",", 2)[0] for r in out.read_text().splitlines()]
             texts.append(rows)  # strip wall_time / error columns
+        assert len(texts[0]) == 1 + 4 + 4  # header, unweighted and weighted rows
         assert texts[0] == texts[1]
+
+    def test_error_rows_of_both_kinds(self, tmp_path, monkeypatch, capsys):
+        def stalled(inst, fs):
+            raise Stalled("no candidate improves")
+
+        def unserved(frac, active, prep):
+            return weighted.RoundedSolution(tuple(active), {}, {})
+
+        monkeypatch.setattr(greedy, "greedy_place", stalled)
+        monkeypatch.setattr(weighted, "round_solution", unserved)
+        config = {
+            "seed": 2, "metric": "geo",
+            "topologies": [str(DATA / "mini.graphml")],
+            "p_values": [0.4], "stretches": [1.5], "replications": 1,
+            "sndlib": [{"path": str(DATA / "mini_sndlib.txt"), "keep_probability": 1.0}],
+        }
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "e.csv"
+        code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["kind"], r["status"]) for r in rows] == [
+            ("unweighted", "error"), ("weighted", "error")]
+        assert rows[0]["error"].startswith("Stalled: ")
+        assert rows[1]["error"].startswith("PlacementError: validation: ")
+        for row in rows:
+            assert row["p"] and row["stretch"] == "1.5" and row["wall_time_s"]
+            assert not any(row[c] for c in BENCH_COLUMNS[10:18])
 
     def test_row_error_captured_batch_continues(self, tmp_path, capsys):
         config = {

@@ -106,14 +106,6 @@ class TestTraceInvariants:
 
 
 class TestDeterminismAndThreads:
-    def test_threads_do_not_change_anything(self):
-        rng = rng_for(31337)
-        inst, fs = feasible_instance(rng, num_nodes=12, num_pairs=14, capacity=3)
-        t1 = greedy_place(inst, fs, threads=1)
-        t8 = greedy_place(inst, fs, threads=8)
-        assert t1.steps == t8.steps
-        assert t1.engine.mu == t8.engine.mu
-
     def test_identical_instance_identical_trace(self):
         traces = []
         for _ in range(2):

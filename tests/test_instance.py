@@ -2,7 +2,7 @@ import pytest
 
 from builders import coverable_instance, random_instance, rng_for, star_instance
 
-from mbplace.exceptions import Infeasible, InfeasiblePair
+from mbplace.exceptions import Infeasible, InfeasiblePair, PlacementError
 from mbplace.instance import (
     FeasibilitySets,
     Pair,
@@ -10,6 +10,7 @@ from mbplace.instance import (
     build_feasibility,
     check_total_capacity,
     is_feasible,
+    validate_assignment,
 )
 from mbplace.netgraph import Network, compute_apsp
 
@@ -197,3 +198,29 @@ def test_manual_feasibility_sets_compute_reverse_direction():
     assert fs.candidates_of == [(5,), (7,), (5,)]
     assert fs.contains(5, 2) and not fs.contains(7, 2)
     assert fs.edge_count() == 3
+
+
+class TestValidateAssignment:
+    """Path 0-1-2-3 with unit hops at stretch 1: a box serves a pair only on
+    its shortest path."""
+
+    MEMBERS = [(0, 3), (1, 2)]
+
+    def check(self, assignment, claimed, load_limit=1):
+        net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        validate_assignment(self.MEMBERS, [1, 1], assignment, claimed, compute_apsp(net),
+                            1.0, None, required=range(2), load_limit=load_limit)
+
+    def test_valid_solution_passes(self):
+        self.check({0: 1, 1: 2}, {1: 1, 2: 1})
+
+    @pytest.mark.parametrize("assignment, claimed, load_limit, message", [
+        ({0: 1}, {1: 1}, 1, "is not served"),
+        ({0: 1, 1: 0}, {0: 1, 1: 1}, 1, "infeasible at 0"),
+        ({0: 1, 1: 1}, {1: 2}, 1, "load 2 > 1"),
+        ({0: 1, 1: 2}, {1: 1, 2: 2}, 2, "bookkeeping mismatch at 2"),
+        ({0: 1, 1: 2}, {1: 1, 2: 1, 3: 1}, 1, "bookkeeping mismatch at 3"),
+    ])
+    def test_each_violation_raises(self, assignment, claimed, load_limit, message):
+        with pytest.raises(PlacementError, match=message):
+            self.check(assignment, claimed, load_limit)

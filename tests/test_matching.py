@@ -226,21 +226,3 @@ class TestSubmodularityAndProjection:
                     projected = sum(1 for m in state.mu if m in sub)
                     assert projected == phi(sub, fs, inst.capacity)
                 assert prefix >= set(state.load)
-
-
-class TestPhasedFastPath:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_phased_matches_reference_phi(self, seed):
-        rng = rng_for(6000 + seed)
-        inst, fs = coverable_instance(rng, num_nodes=9, num_pairs=8,
-                                      capacity=int(rng.integers(1, 4)))
-        ref = Assignment(fs, inst.capacity)
-        fast = Assignment(fs, inst.capacity)
-        for u in fs.candidates:
-            g1 = ref.add_middlebox(u)
-            g2 = fast.add_middlebox(u, phased=True)
-            assert g1 == g2
-            assert ref.num_assigned == fast.num_assigned
-            assert all(v <= inst.capacity for v in fast.load.values())
-        # both reach the true optimum
-        assert fast.num_assigned == exhaustive_phi(fs.candidates, fs, inst.capacity)

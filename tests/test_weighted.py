@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from builders import random_weighted_problem, rng_for
+from builders import random_connected_network, random_weighted_problem, rng_for
 from oracles import lp_max_fractional, weighted_integral_feasible
 
 from mbplace.exceptions import Infeasible, RoundingFailed
+from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import (
     Request,
@@ -55,11 +56,16 @@ class TestGroupFeasibility:
         assert rfs.candidates_of[1] == (2,)
 
     def test_two_member_group_equals_pair(self):
-        rng = rng_for(8)
-        _, rfs, _, _, dist = random_weighted_problem(rng, num_nodes=7, num_requests=1)
+        # The pair builder and the group builder share one feasibility test.
+        net = random_connected_network(rng_for(8), 7)
+        dist = compute_apsp(net)
         reqs = [Request.pair(0, 3, 1.0), Request.group([0, 3], 1.0)]
-        both = build_request_feasibility(reqs, dist, range(7), stretch=1.4)
-        assert both.candidates_of[0] == both.candidates_of[1]
+        for stretch in (1.0, 1.2, 1.4, 2.0):
+            both = build_request_feasibility(reqs, dist, range(7), stretch=stretch)
+            assert both.candidates_of[0] == both.candidates_of[1]
+            inst = PlacementInstance(net=net, dist=dist, pairs=[Pair(0, 3)],
+                                     candidates=range(7), capacity=1, stretch=stretch)
+            assert build_feasibility(inst).candidates_of == [both.candidates_of[0]]
 
 
 class TestPreprocess:
