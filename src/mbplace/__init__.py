@@ -36,7 +36,7 @@ from .instance import (
     PlacementInstance,
     build_feasibility,
     check_total_capacity,
-    is_feasible,
+    feasible,
 )
 from .matching import Assignment, AugmentingPath, phi
 from .netgraph import DistanceMatrix, Network, Node, compute_apsp, geo_distance

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -94,14 +95,21 @@ def _load_unweighted(args) -> tuple[PlacementInstance, str]:
         overrides["metric"] = args.metric
         overrides["dist"] = ingest.compute_apsp(inst.net, args.metric)
     if overrides:
-        fields = dict(
-            net=inst.net, dist=inst.dist, pairs=inst.pairs, candidates=inst.candidates,
-            capacity=inst.capacity, stretch=inst.stretch, route_limit=inst.route_limit,
-            metric=inst.metric,
-        )
-        fields.update(overrides)
-        inst = PlacementInstance(**fields)
+        inst = dataclasses.replace(inst, **overrides)
     return inst, ingest.instance_digest(ingest.instance_to_json(inst))
+
+
+def _validate_trace(inst: PlacementInstance, trace) -> None:
+    """Re-check a greedy trace's engine: each assigned pair is feasible at
+    its box, loads are within capacity and match a recount, and a complete
+    trace serves every pair."""
+    engine = trace.engine
+    validate_assignment(
+        [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
+        {i: m for i, m in enumerate(engine.mu) if m is not None}, engine.load,
+        inst.dist, inst.stretch, inst.route_limit,
+        required=range(inst.num_pairs) if trace.complete else (), load_limit=inst.capacity,
+    )
 
 
 def _solve_greedy(inst: PlacementInstance):
@@ -109,23 +117,25 @@ def _solve_greedy(inst: PlacementInstance):
     fs = build_feasibility(inst)
     check_total_capacity(inst, fs)
     trace = greedy_mod.greedy_place(inst, fs)
-    engine = trace.engine
-    validate_assignment(
-        [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
-        {i: m for i, m in enumerate(engine.mu) if m is not None}, engine.load,
-        inst.dist, inst.stretch, inst.route_limit,
-        required=range(inst.num_pairs), load_limit=inst.capacity,
-    )
+    _validate_trace(inst, trace)
     return fs, trace
 
 
 def _solve_weighted(winst: weighted.WeightedInstance):
-    """Weighted pipeline, validated: every kept request served, loads <= 2 kappa."""
+    """Weighted pipeline, validated: kept and rejected split the requests by
+    demand against kappa, every kept request is served, loads <= 2 kappa."""
     prep, chosen, frac, rounded = weighted.solve_weighted(winst)
+    demands = [Fraction(r.demand) for r in winst.requests]
+    kappa = Fraction(winst.capacity)
+    if sorted(prep.kept + prep.rejected) != list(range(len(demands))):
+        raise PlacementError("validation: kept and rejected do not partition the requests")
+    if any(demands[j] > kappa for j in prep.kept) or \
+            any(demands[j] <= kappa for j in prep.rejected):
+        raise PlacementError("validation: a request is kept or rejected against its demand")
     validate_assignment(
-        [r.nodes for r in winst.requests], [Fraction(r.demand) for r in winst.requests],
-        rounded.assignment, rounded.load, winst.dist, winst.stretch, winst.route_limit,
-        required=prep.kept, load_limit=2 * prep.kappa,
+        [r.nodes for r in winst.requests], demands, rounded.assignment, rounded.load,
+        winst.dist, winst.stretch, winst.route_limit,
+        required=prep.kept, load_limit=2 * kappa,
     )
     return prep, chosen, frac, rounded
 
@@ -220,11 +230,9 @@ def cmd_solve_weighted(args) -> int:
     if args.oracle:
         # The oracle sees the kept requests only: a rejected one (demand above
         # kappa) has no integral placement at all.
-        kept = weighted.RequestFeasibility(
-            universe=prep.universe, candidates_of=[prep.candidates_of[j] for j in prep.kept],
-        )
         result = oracle.exact_weighted_min_middleboxes(
-            [winst.requests[j] for j in prep.kept], kept, winst.capacity,
+            [winst.requests[j] for j in prep.kept],
+            [prep.fs.candidates_of[j] for j in prep.kept], winst.capacity,
             limit=args.oracle_limit,
         )
         oracle_opt = result.value
@@ -286,6 +294,7 @@ def cmd_incremental(args) -> int:
                 ) from None
             rel = (phi_opt - phi_g) / phi_opt if phi_opt else 0.0
         rows.append([n, phi_g, phi_opt, rel])
+    _validate_trace(inst, trace)
     _write_text(args.out, _csv_text(INCREMENTAL_COLUMNS, rows))
     return EXIT_OK
 

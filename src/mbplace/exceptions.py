@@ -9,8 +9,9 @@ class PlacementError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(PlacementError):
-    """An input value is outside its mathematical domain (e.g. latitude > 90)."""
+class DomainError(PlacementError, ValueError):
+    """An input value is outside its domain (e.g. latitude > 90, a node id
+    outside ``0..n-1``, stretch < 1)."""
 
 
 class GeoUnavailable(PlacementError):

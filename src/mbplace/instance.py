@@ -4,27 +4,24 @@ A middlebox at ``u`` can serve a pair ``(s, t)`` when the detour through it
 stays within the allowed bound: ``d(s,u) + d(u,t) <= rho * d(s,t)`` in
 stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length mode. All
 downstream algorithms consume only the FeasibilitySets built here, so both
-constraint flavors share every code path. ``serves`` is the one
-feasibility test for pairs and weighted groups alike, and
-``validate_assignment`` re-checks the solutions of both variants against it.
+constraint flavors share every code path. ``feasible`` is the one vectorised
+feasibility relation for pairs and weighted groups alike, and both builders
+and ``validate_assignment`` use it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exceptions import Infeasible, InfeasiblePair, PlacementError
+import numpy as np
+
+from .exceptions import DomainError, Infeasible, InfeasiblePair, PlacementError
 from .netgraph import DistanceMatrix, Network
 
 #: Relative tolerance for feasibility comparisons (geo weights are irrational).
 REL_TOL = 1e-9
-
-
-def _leq(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs or math.isclose(lhs, rhs, rel_tol=REL_TOL)
 
 
 @dataclass(frozen=True, order=True)
@@ -63,19 +60,10 @@ class PlacementInstance:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(set(self.candidates)))
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
-        n = self.net.num_nodes
-        if any(not 0 <= u < n for u in self.candidates):
-            raise ValueError("candidate outside node range")
         if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if (self.stretch is None) == (self.route_limit is None):
-            raise ValueError("exactly one of stretch / route_limit must be set")
-        if self.stretch is not None and self.stretch < 1.0:
-            raise ValueError(f"stretch must be >= 1, got {self.stretch}")
-        if self.route_limit is not None and self.route_limit < 0.0:
-            raise ValueError(f"route limit must be >= 0, got {self.route_limit}")
+            raise DomainError(f"capacity must be >= 1, got {self.capacity}")
+        check_domain(self.net.num_nodes, [u for p in self.pairs for u in (p.s, p.t)],
+                     self.candidates, self.stretch, self.route_limit)
         seen: set[Pair] = set()
         deduped: list[Pair] = []
         for p in self.pairs:
@@ -94,30 +82,56 @@ class PlacementInstance:
         return len(self.pairs)
 
 
-def serves(u: int, nodes, dist: DistanceMatrix, stretch: float | None,
-           route_limit: float | None) -> bool:
-    """True when a middlebox at u keeps every member pair of ``nodes`` within
-    the bound: a pair is the two-node case, and a group is served iff each of
-    its member pairs is (the conservative extension of the pairwise model)."""
-    for a, b in combinations(nodes, 2):
-        via = dist.d(a, u) + dist.d(u, b)
-        bound = route_limit if stretch is None else stretch * dist.d(a, b)
-        if not _leq(via, bound):
-            return False
-    return True
+def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
+                 route_limit: float | None) -> None:
+    """Input checks shared by both instance kinds: the candidate set is
+    nonempty, every request node and candidate is a node id in
+    ``0..num_nodes-1``, and exactly one bound is set, with ``stretch >= 1``
+    or ``route_limit >= 0``. Raises DomainError."""
+    if not candidates:
+        raise DomainError("candidate set must be nonempty")
+    for what, ids in (("request node", nodes), ("candidate", candidates)):
+        bad = sorted({u for u in ids if not 0 <= u < num_nodes})
+        if bad:
+            raise DomainError(f"{what} id(s) {bad} outside node range 0..{num_nodes - 1}")
+    if (stretch is None) == (route_limit is None):
+        raise DomainError("exactly one of stretch / route_limit must be set")
+    if stretch is not None and stretch < 1.0:
+        raise DomainError(f"stretch must be >= 1, got {stretch}")
+    if route_limit is not None and route_limit < 0.0:
+        raise DomainError(f"route limit must be >= 0, got {route_limit}")
 
 
-def is_feasible(u: int, p: Pair, inst: PlacementInstance) -> bool:
-    """True when a middlebox at u may serve p under the instance's bound."""
-    return serves(u, (p.s, p.t), inst.dist, inst.stretch, inst.route_limit)
+def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
+             route_limit: float | None) -> np.ndarray:
+    """``ok[j, k]``: a middlebox at ``candidates[k]`` keeps every member pair
+    of ``members[j]`` within the bound. A pair is the two-node case, and a
+    group is served iff each of its member pairs is (the conservative
+    extension of the pairwise model). One numpy column per candidate covers
+    all member pairs."""
+    d = dist.values
+    spans = [list(combinations(nodes, 2)) for nodes in members]
+    counts = np.array([len(s) for s in spans], dtype=np.intp)
+    a, b = np.array([ab for s in spans for ab in s], dtype=np.intp).reshape(-1, 2).T
+    starts = np.cumsum(counts) - counts
+    bound = route_limit if stretch is None else stretch * d[a, b]
+    ok = np.empty((len(spans), len(candidates)), dtype=bool)
+    # Exactly ``via <= bound or math.isclose(via, bound, rel_tol=REL_TOL)``:
+    # distances are >= 0, and isclose is never true for an infinite operand.
+    with np.errstate(invalid="ignore"):
+        for k, u in enumerate(candidates):
+            via = d[a, u] + d[u, b]
+            fits = (via <= bound) | ((via - bound <= REL_TOL * via) & (via < np.inf))
+            ok[:, k] = np.logical_and.reduceat(fits, starts)
+    return ok
 
 
 @dataclass
 class FeasibilitySets:
-    """Both directions of the pair/candidate feasibility relation.
+    """Both directions of the request/candidate feasibility relation.
 
-    ``pairs_of[u]`` lists the pair indices u may serve; ``candidates_of[p]``
-    lists the candidates that may serve pair index p.
+    ``pairs_of[u]`` lists the pair (or weighted request) indices u may serve;
+    ``candidates_of[p]`` lists the candidates that may serve index p.
     """
 
     num_pairs: int
@@ -133,6 +147,17 @@ class FeasibilitySets:
                     rev[p].append(u)
             self.candidates_of = [tuple(sorted(us)) for us in rev]
         self._sets = {u: frozenset(ps) for u, ps in self.pairs_of.items()}
+
+    @classmethod
+    def from_matrix(cls, ok: np.ndarray, candidates) -> "FeasibilitySets":
+        """Both directions of a ``feasible`` matrix over sorted ``candidates``."""
+        cands = np.asarray(candidates, dtype=np.intp)
+        return cls(
+            num_pairs=len(ok),
+            pairs_of={u: tuple(np.flatnonzero(ok[:, k]).tolist())
+                      for k, u in enumerate(candidates)},
+            candidates_of=[tuple(cands[row].tolist()) for row in ok],
+        )
 
     def contains(self, u: int, p: int) -> bool:
         return p in self._sets[u]
@@ -150,13 +175,9 @@ def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
 
     Raises InfeasiblePair for any pair no candidate can serve.
     """
-    dist, stretch, limit = inst.dist, inst.stretch, inst.route_limit
-    members = [(p.s, p.t) for p in inst.pairs]
-    pairs_of = {
-        u: tuple(i for i, nodes in enumerate(members) if serves(u, nodes, dist, stretch, limit))
-        for u in inst.candidates
-    }
-    fs = FeasibilitySets(num_pairs=inst.num_pairs, pairs_of=pairs_of)
+    ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
+                  inst.stretch, inst.route_limit)
+    fs = FeasibilitySets.from_matrix(ok, inst.candidates)
     for i, cands in enumerate(fs.candidates_of):
         if not cands:
             raise InfeasiblePair(inst.pairs[i], "no candidate satisfies the bound")
@@ -196,9 +217,12 @@ def validate_assignment(members, demands, assignment: dict, claimed_load: dict,
     for j in required:
         if j not in assignment:
             raise PlacementError(f"validation: request {j} {members[j]} is not served")
+    boxes = sorted(set(assignment.values()))
+    column = {u: k for k, u in enumerate(boxes)}
+    ok = feasible([members[j] for j in assignment], dist, boxes, stretch, route_limit)
     loads: dict = {}
-    for j, u in assignment.items():
-        if not serves(u, members[j], dist, stretch, route_limit):
+    for row, (j, u) in zip(ok, assignment.items()):
+        if not row[column[u]]:
             raise PlacementError(f"validation: request {j} {members[j]} infeasible at {u}")
         loads[u] = loads.get(u, 0) + demands[j]
     for u in sorted(loads.keys() | claimed_load.keys()):

@@ -37,7 +37,8 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
     """Smallest middlebox set serving every pair, by exhaustive search.
 
     Subsets are enumerated in cardinality-then-lexicographic order; the
-    first witness found is returned. Raises TooLarge beyond ``limit``
+    first witness found is returned (the search of ``max_assignment_for_n``
+    with |P| - 1 as the best so far). Raises TooLarge beyond ``limit``
     candidates and Infeasible when even the full candidate set falls short.
     """
     t0 = time.perf_counter()
@@ -57,35 +58,43 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
         raise Infeasible(
             f"only {full.num_assigned} of {target} pairs coverable with all candidates"
         )
-
-    def search(state: Assignment, start: int, slots: int):
-        nonlocal explored
-        for idx in range(start, len(universe)):
-            if len(universe) - idx < slots:
-                return None
-            trial = state.clone()
-            trial.add_middlebox(universe[idx])
-            explored += 1
-            if slots == 1:
-                if trial.num_assigned == target:
-                    return trial
-            else:
-                # Remaining slots can add at most capacity pairs each.
-                if trial.num_assigned + (slots - 1) * inst.capacity < target:
-                    continue
-                hit = search(trial, idx + 1, slots - 1)
-                if hit is not None:
-                    return hit
-        return None
-
     for k in range(1, len(universe) + 1):
         if k * inst.capacity < target:
             continue
-        hit = search(Assignment(fs, inst.capacity), 0, k)
+        hit, count = _best_of_size(fs, inst.capacity, universe, k, target - 1, target)
+        explored += count
         if hit is not None:
             return ExactResult(k, hit.active, _extract_assignment(hit), explored,
                                time.perf_counter() - t0)
     raise Infeasible("unreachable: full candidate set was verified feasible")
+
+
+def _best_of_size(fs: FeasibilitySets, capacity: int, universe, n: int, floor: int,
+                  cap: int) -> tuple[Assignment | None, int]:
+    """(best n-subset assignment serving more than ``floor`` pairs or None,
+    subsets grown), by branch and bound in lexicographic order; the search
+    stops once the best reaches ``cap``."""
+    best_value, best_state, explored = floor, None, 0
+
+    def search(state: Assignment, start: int, slots: int):
+        nonlocal explored, best_value, best_state
+        if slots == 0:
+            if state.num_assigned > best_value:
+                best_value = state.num_assigned
+                best_state = state
+            return
+        for idx in range(start, len(universe)):
+            if len(universe) - idx < slots or best_value >= cap:
+                return
+            if state.num_assigned + slots * capacity <= best_value:
+                return
+            trial = state.clone()
+            trial.add_middlebox(universe[idx])
+            explored += 1
+            search(trial, idx + 1, slots - 1)
+
+    search(Assignment(fs, capacity), 0, n)
+    return best_state, explored
 
 
 def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
@@ -98,32 +107,12 @@ def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     n = min(n, len(universe))
-    explored = 0
     cap = min(inst.num_pairs, n * inst.capacity)
-    best_value = 0
-    best_state: Assignment | None = Assignment(fs, inst.capacity)
-
-    def search(state: Assignment, start: int, slots: int):
-        nonlocal explored, best_value, best_state
-        if slots == 0:
-            if state.num_assigned > best_value:
-                best_value = state.num_assigned
-                best_state = state
-            return
-        for idx in range(start, len(universe)):
-            if len(universe) - idx < slots or best_value >= cap:
-                return
-            if state.num_assigned + slots * inst.capacity <= best_value:
-                return
-            trial = state.clone()
-            trial.add_middlebox(universe[idx])
-            explored += 1
-            search(trial, idx + 1, slots - 1)
-
+    best, explored = None, 0
     if n > 0:
-        search(Assignment(fs, inst.capacity), 0, n)
-    witness = best_state
-    return ExactResult(best_value, witness.active, _extract_assignment(witness),
+        best, explored = _best_of_size(fs, inst.capacity, universe, n, 0, cap)
+    witness = best or Assignment(fs, inst.capacity)
+    return ExactResult(witness.num_assigned, witness.active, _extract_assignment(witness),
                        explored, time.perf_counter() - t0)
 
 
@@ -157,34 +146,35 @@ def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> 
     return dict(chosen) if place(0) else None
 
 
-def exact_weighted_min_middleboxes(requests, rfs, kappa, limit: int = 12,
+def exact_weighted_min_middleboxes(requests, candidates_of, kappa, limit: int = 12,
                                    request_limit: int = 14) -> ExactResult:
     """Minimum middlebox count for an integral assignment at true capacity.
 
+    ``candidates_of[j]`` lists the feasible locations of ``requests[j]``.
     Unlike the rounded approximation there is no augmentation here: every
     request must fit within ``kappa`` on its middlebox.
     """
     from itertools import combinations
 
     t0 = time.perf_counter()
-    universe = sorted({u for cands in rfs.candidates_of for u in cands})
+    universe = sorted({u for cands in candidates_of for u in cands})
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
-    if len(rfs.candidates_of) > request_limit:
-        raise TooLarge(f"{len(rfs.candidates_of)} requests exceed limit {request_limit}")
+    if len(candidates_of) > request_limit:
+        raise TooLarge(f"{len(candidates_of)} requests exceed limit {request_limit}")
     kappa = Fraction(kappa)
     demands = [Fraction(r.demand) for r in requests]
     members = list(range(len(requests)))
     if not members:
         return ExactResult(0, (), {}, 0, time.perf_counter() - t0)
     for j in members:
-        if demands[j] > kappa or not rfs.candidates_of[j]:
+        if demands[j] > kappa or not candidates_of[j]:
             raise Infeasible(f"request {j} cannot be served by any middlebox")
     explored = 0
     for k in range(1, len(universe) + 1):
         for subset in combinations(universe, k):
             explored += 1
-            allowed = [tuple(u for u in rfs.candidates_of[j] if u in subset)
+            allowed = [tuple(u for u in candidates_of[j] if u in subset)
                        for j in members]
             if any(not a for a in allowed):
                 continue

@@ -8,7 +8,8 @@ a transportation problem with per-unit profit ``1/demand`` on request arcs),
 so objectives are rationals and the ``f(S) > n - 1`` stopping guard needs no
 tolerance. Rounding builds the standard slot graph (one slot per unit of
 fractional load, filled in non-increasing demand order) and matches requests
-to slots, which caps every load at ``2 * capacity``.
+to slots, which caps every load at ``2 * capacity``. The request/candidate
+relation is the pairs' ``FeasibilitySets``, from ``instance.feasible``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._flow import FlowNetwork
-from .exceptions import Infeasible, RoundingFailed
-from .instance import serves
+from .exceptions import DomainError, Infeasible, RoundingFailed
+from .instance import FeasibilitySets, check_domain, feasible
 from .netgraph import DistanceMatrix, Network
 
 ZERO = Fraction(0)
@@ -54,64 +55,55 @@ class Request:
         return cls("group", tuple(sorted(nodes)), demand)
 
 
-@dataclass
-class RequestFeasibility:
-    """Feasible candidates per request, drawn from the candidate universe."""
-
-    universe: tuple[int, ...]
-    candidates_of: list[tuple[int, ...]]
-
-
 def build_request_feasibility(requests, dist: DistanceMatrix, candidates, *,
                               stretch: float | None = None,
-                              route_limit: float | None = None) -> RequestFeasibility:
-    """Feasible candidate set per request.
+                              route_limit: float | None = None) -> FeasibilitySets:
+    """The request/candidate feasibility relation over the sorted candidates.
 
     A candidate serves a group iff it serves every member pair of the group
-    under the same bound as plain pairs (``instance.serves``).
+    under the same bound as plain pairs (``instance.feasible``).
     """
     if (stretch is None) == (route_limit is None):
         raise ValueError("exactly one of stretch / route_limit must be set")
     universe = tuple(sorted(set(candidates)))
-    cands = [
-        tuple(u for u in universe if serves(u, r.nodes, dist, stretch, route_limit))
-        for r in requests
-    ]
-    return RequestFeasibility(universe=universe, candidates_of=cands)
+    ok = feasible([r.nodes for r in requests], dist, universe, stretch, route_limit)
+    return FeasibilitySets.from_matrix(ok, universe)
 
 
 @dataclass
 class Preprocessed:
-    """Requests surviving preprocessing plus the deleted-entry bookkeeping."""
+    """Requests surviving preprocessing, with their feasibility relation."""
 
     requests: list[Request]
     kept: tuple[int, ...]
     rejected: tuple[int, ...]
-    deleted_entries: tuple[tuple[int, int], ...]
     demands: dict[int, Fraction]
-    candidates_of: dict[int, tuple[int, ...]]
-    universe: tuple[int, ...]
+    fs: FeasibilitySets
     kappa: Fraction
 
     @property
     def num_kept(self) -> int:
         return len(self.kept)
 
+    @property
+    def deleted_entries(self) -> tuple[tuple[int, int], ...]:
+        """(candidate, request) entries of kept requests that violate the
+        bound or point at an illegal location: those absent from ``fs``."""
+        return tuple((u, j) for j in self.kept for u in self.fs.candidates
+                     if not self.fs.contains(u, j))
 
-def preprocess(requests, rfs: RequestFeasibility, kappa) -> Preprocessed:
-    """Drop oversized requests and record deleted request-candidate entries.
+
+def preprocess(requests, fs: FeasibilitySets, kappa) -> Preprocessed:
+    """Reject oversized requests and fail fast on uncoverable ones.
 
     Requests with demand above the capacity are rejected (reported, never
-    silently dropped); entries violating the stretch bound or pointing at
-    illegal locations are the (candidate, request) pairs absent from the
-    feasibility sets.
+    silently dropped). Raises Infeasible, naming them, when a kept request
+    has no feasible candidate at all.
     """
     kappa = Fraction(kappa)
     kept: list[int] = []
     rejected: list[int] = []
     demands: dict[int, Fraction] = {}
-    cands: dict[int, tuple[int, ...]] = {}
-    deleted: list[tuple[int, int]] = []
     for j, req in enumerate(requests):
         p = Fraction(req.demand)
         if p > kappa:
@@ -119,17 +111,17 @@ def preprocess(requests, rfs: RequestFeasibility, kappa) -> Preprocessed:
             continue
         kept.append(j)
         demands[j] = p
-        cands[j] = rfs.candidates_of[j]
-        feasible = set(rfs.candidates_of[j])
-        deleted.extend((u, j) for u in rfs.universe if u not in feasible)
+    uncoverable = [j for j in kept if not fs.candidates_of[j]]
+    if uncoverable:
+        named = ", ".join(f"{j} {requests[j].nodes}" for j in uncoverable)
+        raise Infeasible(f"{len(uncoverable)} request(s) have no feasible candidate: {named}",
+                         uncoverable)
     return Preprocessed(
         requests=list(requests),
         kept=tuple(kept),
         rejected=tuple(rejected),
-        deleted_entries=tuple(deleted),
         demands=demands,
-        candidates_of=cands,
-        universe=rfs.universe,
+        fs=fs,
         kappa=kappa,
     )
 
@@ -156,7 +148,7 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     """
     active = tuple(sorted(set(active)))
     active_set = set(active)
-    jobs = [j for j in prep.kept if any(u in active_set for u in prep.candidates_of[j])]
+    jobs = [j for j in prep.kept if any(u in active_set for u in prep.fs.candidates_of[j])]
     if not jobs or not active:
         return FractionalAssignment({}, ZERO, active)
     mb_index = {u: i for i, u in enumerate(active)}
@@ -169,7 +161,7 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
         p = prep.demands[j]
         job_arc[j] = net.add_arc(source, 1 + pos, p, -1 / p)
     for pos, j in enumerate(jobs):
-        for u in prep.candidates_of[j]:
+        for u in prep.fs.candidates_of[j]:
             if u in mb_index:
                 edge_arcs[(u, j)] = net.add_arc(
                     1 + pos, 1 + len(jobs) + mb_index[u], prep.demands[j]
@@ -198,14 +190,15 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     candidate set still leaves the guard unsatisfied.
     """
     n = prep.num_kept
+    universe = prep.fs.candidates
     chosen: list[int] = []
     best_frac = FractionalAssignment({}, ZERO, ())
     current = ZERO
-    while len(chosen) < len(prep.universe) and current <= n - 1:
+    while len(chosen) < len(universe) and current <= n - 1:
         best_gain = None
         best_u = None
         best_candidate_frac = None
-        for u in prep.universe:
+        for u in universe:
             if u in chosen:
                 continue
             frac = solve_fractional(chosen + [u], prep)
@@ -217,7 +210,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
         best_frac = best_candidate_frac
     if current <= n - 1:
         raise Infeasible(
-            f"all {len(prep.universe)} candidates open but fractional objective "
+            f"all {len(universe)} candidates open but fractional objective "
             f"{float(current):.6g} <= {n - 1}"
         )
     return chosen, best_frac
@@ -317,12 +310,10 @@ class WeightedInstance:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(set(self.candidates)))
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
         if not self.capacity > 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if (self.stretch is None) == (self.route_limit is None):
-            raise ValueError("exactly one of stretch / route_limit must be set")
+            raise DomainError(f"capacity must be positive, got {self.capacity}")
+        check_domain(self.net.num_nodes, [u for r in self.requests for u in r.nodes],
+                     self.candidates, self.stretch, self.route_limit)
 
 
 def solve_weighted(winst: WeightedInstance):

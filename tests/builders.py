@@ -6,7 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from mbplace.instance import Pair, PlacementInstance, build_feasibility
+from mbplace.exceptions import Infeasible
+from mbplace.instance import (
+    FeasibilitySets,
+    Pair,
+    PlacementInstance,
+    build_feasibility,
+    feasible,
+)
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import Request, build_request_feasibility, preprocess
 
@@ -85,14 +92,18 @@ def feasible_instance(rng, **kwargs) -> tuple:
 def raw_feasibility(inst):
     """Feasibility sets without the empty-candidate-set error (pairs that no
     candidate can serve simply stay free)."""
-    from mbplace.instance import FeasibilitySets, is_feasible
+    ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
+                  inst.stretch, inst.route_limit)
+    return FeasibilitySets.from_matrix(ok, inst.candidates)
 
+
+def relation_of(candidates_of) -> FeasibilitySets:
+    """Feasibility sets straight from explicit per-request candidate lists."""
+    universe = sorted({u for c in candidates_of for u in c})
     return FeasibilitySets(
-        num_pairs=inst.num_pairs,
-        pairs_of={
-            u: tuple(i for i, p in enumerate(inst.pairs) if is_feasible(u, p, inst))
-            for u in inst.candidates
-        },
+        num_pairs=len(candidates_of),
+        pairs_of={u: tuple(j for j, c in enumerate(candidates_of) if u in c)
+                  for u in universe},
     )
 
 
@@ -189,7 +200,10 @@ def set_cover_instance(universe_size: int, subsets, capacity=None) -> PlacementI
 
 def random_weighted_problem(rng, *, num_nodes=8, num_requests=6, group_prob=0.25,
                             kappa=None, stretch=2.0):
-    """Random weighted instance; returns (requests, rfs, prep, kappa, dist)."""
+    """Random weighted instance; returns (requests, rfs, prep, kappa, dist).
+
+    ``prep`` is None when a kept request has no feasible candidate, which
+    ``preprocess`` rejects as Infeasible."""
     net = random_connected_network(rng, num_nodes)
     dist = compute_apsp(net)
     requests = []
@@ -204,5 +218,17 @@ def random_weighted_problem(rng, *, num_nodes=8, num_requests=6, group_prob=0.25
     if kappa is None:
         kappa = float(rng.uniform(2.5, 6.0))
     rfs = build_request_feasibility(requests, dist, range(num_nodes), stretch=stretch)
-    prep = preprocess(requests, rfs, kappa)
+    try:
+        prep = preprocess(requests, rfs, kappa)
+    except Infeasible:
+        prep = None
     return requests, rfs, prep, kappa, dist
+
+
+def coverable_weighted_problem(rng, **kwargs):
+    """random_weighted_problem, drawn again until every kept request has a
+    feasible candidate (so ``prep`` is not None)."""
+    while True:
+        problem = random_weighted_problem(rng, **kwargs)
+        if problem[2] is not None:
+            return problem

@@ -3,13 +3,15 @@
 Each oracle recomputes a quantity along a completely different route than
 the production code: Floyd-Warshall vs. repeated Dijkstra, exhaustive
 assignment enumeration vs. augmenting paths, networkx max-flow on the
-capacity-clone graph, and scipy's LP solver vs. the flow reduction.
+capacity-clone graph, scipy's LP solver vs. the flow reduction, and a
+scalar ``math.isclose`` loop vs. the vectorised feasibility relation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -140,3 +142,20 @@ def weighted_integral_feasible(members, demands, candidates_of, kappa) -> bool:
         return False
 
     return place(0)
+
+
+def feasible_reference(members, d, candidates, stretch, route_limit) -> np.ndarray:
+    """Scalar feasibility relation: ``ok[j, k]`` iff every member pair (a, b)
+    of request j has ``d[a][u] + d[u][b] <= bound`` or ``math.isclose`` to it
+    at rel_tol 1e-9, for u = candidates[k]; bound is stretch * d[a][b] or the
+    route limit."""
+    ok = np.zeros((len(members), len(candidates)), dtype=bool)
+    for j, nodes in enumerate(members):
+        for k, u in enumerate(candidates):
+            ok[j, k] = True
+            for a, b in combinations(nodes, 2):
+                via = float(d[a][u]) + float(d[u][b])
+                bound = route_limit if stretch is None else stretch * float(d[a][b])
+                if not (via <= bound or math.isclose(via, bound, rel_tol=1e-9)):
+                    ok[j, k] = False
+    return ok

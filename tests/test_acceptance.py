@@ -218,7 +218,10 @@ def _weighted_problem_stream(rng, sndlib_data):
             continue
         rfs = build_request_feasibility(winst.requests, winst.dist, winst.candidates,
                                         stretch=winst.stretch)
-        prep = preprocess(winst.requests, rfs, winst.capacity)
+        try:
+            prep = preprocess(winst.requests, rfs, winst.capacity)
+        except Infeasible:
+            continue
         yield winst.requests, rfs, prep, winst.capacity
 
 
@@ -230,7 +233,7 @@ def test_criterion_5_weighted_bicriteria():
     for requests, rfs, prep, kappa in _weighted_problem_stream(rng, sndlib_data):
         if load_checked >= 200 and oracle_checked >= 100:
             break
-        if any(not prep.candidates_of.get(j) for j in prep.kept):
+        if prep is None:
             continue
         try:
             chosen, frac = generalized_greedy(prep)
@@ -240,10 +243,10 @@ def test_criterion_5_weighted_bicriteria():
         assert set(rounded.assignment) == set(prep.kept)
         assert rounded.max_load() <= 2 * prep.kappa, "2-kappa load bound violated"
         load_checked += 1
-        if len(rfs.universe) <= 12 and len(requests) <= 14 and \
+        if len(rfs.candidates) <= 12 and len(requests) <= 14 and \
                 prep.kept == tuple(range(len(requests))):
             try:
-                opt = exact_weighted_min_middleboxes(requests, rfs, kappa).value
+                opt = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa).value
             except Infeasible:
                 continue
             n = prep.num_kept
@@ -267,10 +270,13 @@ def test_criterion_6_lp_flow_reduction_matches_oracle():
             num_requests=int(rng.integers(1, 7)),
             kappa=float(rng.uniform(1.5, 5.0)),
         )
-        active = [u for u in rfs.universe if rng.random() < 0.7][:4]
+        active = [u for u in rfs.candidates if rng.random() < 0.7][:4]
+        if prep is None:
+            continue
         got = solve_fractional(active, prep).objective_float
         demands = [float(prep.demands.get(j, prep.kappa + 1)) for j in range(len(requests))]
-        cands = [prep.candidates_of.get(j, ()) for j in range(len(requests))]
+        cands = [rfs.candidates_of[j] if j in prep.demands else ()
+                 for j in range(len(requests))]
         want = lp_max_fractional(active, demands, cands, kappa)
         assert got == pytest.approx(want, abs=1e-6), f"flow {got} vs LP {want}"
         checked += 1

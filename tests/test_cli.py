@@ -251,6 +251,45 @@ class TestSolveWeighted:
         assert err["error"] == "PlacementError" and "not served" in err["message"]
         assert not out.exists()
 
+    def test_uncoverable_group_fails_fast(self, tmp_path, capsys):
+        # On the 4-cycle at stretch 1 only 0 and 1 serve pair (0, 1) and only
+        # 2 and 3 serve pair (2, 3), so no node serves the group {0,1,2,3}.
+        doc = {
+            "format": "mbplace-instance", "version": 1, "kind": "weighted",
+            "metric": "hops",
+            "nodes": [{"id": i} for i in range(4)],
+            "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [3, 0, 1.0]],
+            "candidates": [0, 1, 2, 3], "capacity": 4.0,
+            "stretch": 1.0, "route_limit": None,
+            "requests": [
+                {"kind": "pair", "nodes": [0, 1], "demand": 1.0},
+                {"kind": "group", "nodes": [0, 1, 2, 3], "demand": 1.0},
+            ],
+        }
+        f = tmp_path / "c4.json"
+        f.write_text(json.dumps(doc))
+        code, text = run(capsys, "solve-weighted", str(f))
+        assert code == 2
+        err = json.loads(text)
+        assert err["error"] == "Infeasible"
+        assert "1 request(s) have no feasible candidate: 1 (0, 1, 2, 3)" in err["message"]
+
+    def test_dropped_request_fails_validation(self, path_file, tmp_path, monkeypatch,
+                                              capsys):
+        real = weighted.preprocess
+
+        def drop_last_kept(requests, fs, kappa):
+            prep = real(requests, fs, kappa)
+            prep.kept = prep.kept[:-1]
+            return prep
+
+        monkeypatch.setattr(weighted, "preprocess", drop_last_kept)
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve-weighted", str(path_file), "--out", str(out))
+        assert code == 1
+        err = json.loads(text)
+        assert err["error"] == "PlacementError" and "do not partition" in err["message"]
+        assert not out.exists()
 
     def test_single_request_fixture_relative_load(self, tmp_path, capsys):
         doc = {
@@ -292,6 +331,44 @@ class TestSolveWeighted:
         report = json.loads(out_path.read_text())
         assert len(report["assignment"]) == 2
         assert report["max_relative_load"] <= 2.0
+
+
+def _path3(kind: str, **fields) -> dict:
+    """Instance document on the hop path 0-1-2, with ``fields`` overriding."""
+    doc = {
+        "format": "mbplace-instance", "version": 1, "kind": kind, "metric": "hops",
+        "nodes": [{"id": i} for i in range(3)], "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+        "candidates": [0, 1, 2], "capacity": 2 if kind == "unweighted" else 4.0,
+        "stretch": 2.0, "route_limit": None,
+    }
+    if kind == "unweighted":
+        doc["pairs"] = [[0, 2]]
+    else:
+        doc["requests"] = [{"kind": "pair", "nodes": [0, 2], "demand": 1.0}]
+    doc.update(fields)
+    return doc
+
+
+class TestOutOfDomainInput:
+    @pytest.mark.parametrize("command, doc", [
+        ("solve", _path3("unweighted", pairs=[[-1, 1]])),
+        ("solve", _path3("unweighted", pairs=[[0, 9]])),
+        ("solve", _path3("unweighted", candidates=[0, 7])),
+        ("solve-weighted", _path3("weighted", candidates=[0, 7])),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "group", "nodes": [0, 1, 9], "demand": 1.0}])),
+        ("solve-weighted", _path3("weighted", stretch=0.5)),
+    ], ids=["negative-pair-node", "pair-node-9", "candidate-7", "weighted-candidate-7",
+            "weighted-request-node-9", "weighted-stretch-0.5"])
+    def test_exit_3_with_json_error(self, command, doc, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, command, str(f), "--out", str(out))
+        assert code == 3
+        err = json.loads(text)
+        assert err["error"] == "DomainError" and err["exit_code"] == 3
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -341,6 +418,23 @@ class TestIncremental:
         assert code == 0
         rows = out.splitlines()
         assert len(rows) == 3  # header + n=0 + n=1
+
+    def test_corrupted_engine_fails_validation(self, star_file, tmp_path, monkeypatch,
+                                               capsys):
+        real = greedy.incremental_extend
+
+        def overcount(trace, budget):
+            trace = real(trace, budget)
+            trace.engine.load[trace.middleboxes[-1]] += 1
+            return trace
+
+        monkeypatch.setattr(greedy, "incremental_extend", overcount)
+        out = tmp_path / "inc.csv"
+        code, text = run(capsys, "incremental", str(star_file), "--out", str(out))
+        assert code == 1
+        err = json.loads(text)
+        assert err["error"] == "PlacementError" and "mismatch at 0" in err["message"]
+        assert not out.exists()
 
     def test_too_large_guidance(self, tmp_path, capsys):
         inst = star_instance(5, 3, capacity=5, stretch=3.0)
@@ -464,19 +558,28 @@ class TestBench:
             assert not any(row[c] for c in BENCH_COLUMNS[10:18])
 
     def test_row_error_captured_batch_continues(self, tmp_path, capsys):
+        # Two components: at p 1.0 some pair has disconnected endpoints, so
+        # that row fails; the next topology's row must still come out ok.
+        split = tmp_path / "split.graphml"
+        split.write_text(
+            '<graphml><key id="la" for="node" attr.name="Latitude"/>'
+            '<key id="lo" for="node" attr.name="Longitude"/><graph>'
+            + "".join(f'<node id="n{i}"><data key="la">{50 + i}</data>'
+                      f'<data key="lo">{10 + i}</data></node>' for i in range(4))
+            + '<edge source="n0" target="n1"/><edge source="n2" target="n3"/>'
+            '</graph></graphml>')
         config = {
             "seed": 1, "metric": "geo",
-            "topologies": [str(DATA / "mini.graphml")],
-            "p_values": [0.9], "stretches": [1.0], "replications": 1,
+            "topologies": [str(split), str(DATA / "mini.graphml")],
+            "p_values": [1.0], "stretches": [2.0], "replications": 1,
         }
-        # stretch 1.0 with p 0.9 may or may not be feasible; force an error row
-        # with an impossible capacity via many pairs and a tiny candidate set:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "c.csv"
         code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
         assert code == 0
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert len(rows) == 2
-        status = rows[1][BENCH_COLUMNS.index("status")]
-        assert status in ("ok", "error")
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["topology"], r["status"]) for r in rows] == [
+            ("split", "error"), ("mini", "ok")]
+        assert rows[0]["error"].startswith("InfeasiblePair: ")
+        assert rows[1]["assigned"] == rows[1]["total"] and not rows[1]["error"]

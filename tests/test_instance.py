@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
-from builders import coverable_instance, random_instance, rng_for, star_instance
+from builders import (
+    coverable_instance,
+    random_connected_network,
+    random_instance,
+    rng_for,
+    star_instance,
+)
+from oracles import feasible_reference
 
 from mbplace.exceptions import Infeasible, InfeasiblePair, PlacementError
 from mbplace.instance import (
@@ -9,7 +17,7 @@ from mbplace.instance import (
     PlacementInstance,
     build_feasibility,
     check_total_capacity,
-    is_feasible,
+    feasible,
     validate_assignment,
 )
 from mbplace.netgraph import Network, compute_apsp
@@ -55,31 +63,74 @@ def test_parameter_validation():
 
 class TestIsFeasible:
     def test_endpoint_always_feasible(self):
-        inst = simple_instance(stretch=1.0)
-        assert is_feasible(0, Pair(0, 3), inst)
-        assert is_feasible(3, Pair(0, 3), inst)
+        fs = build_feasibility(simple_instance(stretch=1.0))
+        assert fs.contains(0, 0)
+        assert fs.contains(3, 0)
 
     def test_star_center_feasible_exactly_at_cost_ratio(self):
         # Hub detour has stretch exactly c: feasible at rho=c, not below.
-        at = star_instance(4, 4, capacity=10, stretch=4.0)
-        below = star_instance(4, 4, capacity=10, stretch=3.9)
-        for p in at.pairs:
-            assert is_feasible(0, p, at)
-            assert not is_feasible(0, p, below)
+        at = build_feasibility(star_instance(4, 4, capacity=10, stretch=4.0))
+        below = build_feasibility(star_instance(4, 4, capacity=10, stretch=3.9))
+        for i in range(4):
+            assert at.contains(0, i)
+            assert not below.contains(0, i)
 
     def test_matches_direct_inequality_on_random_draws(self):
         rng = rng_for(11)
         hits = 0
         for _ in range(40):
             inst = random_instance(rng, num_nodes=8, num_pairs=5)
+            fs = build_feasibility(inst)
             for _ in range(25):
                 u = int(rng.integers(0, 8))
-                p = inst.pairs[int(rng.integers(0, len(inst.pairs)))]
+                i = int(rng.integers(0, len(inst.pairs)))
+                p = inst.pairs[i]
                 via = inst.dist.d(p.s, u) + inst.dist.d(u, p.t)
                 naive = via <= inst.stretch * inst.dist.d(p.s, p.t) * (1 + 1e-9)
-                assert is_feasible(u, p, inst) == naive
+                assert fs.contains(u, i) == naive
                 hits += 1
         assert hits == 1000
+
+
+class TestFeasibleMatchesScalarReference:
+    """``feasible`` against the scalar ``math.isclose`` loop of tests/oracles.py."""
+
+    @staticmethod
+    def tolerance_gadget():
+        """Edge 0-1 of length 1; node 2 (3) joins both ends with edges of
+        0.75 * (1 + 5e-10) (0.75 * (1 + 2e-9)), so at stretch 1.5 or route
+        limit 1.5 its detour for pair (0, 1) is the bound times 1 + 5e-10
+        (1 + 2e-9); node 4 is isolated (distance inf)."""
+        inside, outside = 0.75 * (1 + 5e-10), 0.75 * (1 + 2e-9)
+        net = Network.from_edges(5, [(0, 1, 1.0), (0, 2, inside), (1, 2, inside),
+                                     (0, 3, outside), (1, 3, outside)])
+        return compute_apsp(net)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stretch, limit", [(1.5, None), (None, 1.5)])
+    def test_tolerance_edges_and_disconnected_candidate(self, stretch, limit):
+        dist = self.tolerance_gadget()
+        members = [(0, 1), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 4), (1, 2, 4)]
+        got = feasible(members, dist, range(5), stretch, limit)
+        assert np.array_equal(got, feasible_reference(members, dist.values, range(5),
+                                                      stretch, limit))
+        # 1 + 5e-10 is within the tolerance, 1 + 2e-9 is not, inf never is.
+        assert got[0].tolist() == [True, True, True, False, False]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pairs_and_groups_in_both_modes(self, seed):
+        rng = rng_for(900 + seed)
+        net = random_connected_network(rng, 9, weights=["uniform", "integer", "dyadic"][seed % 3])
+        dist = compute_apsp(Network.from_edges(10, net.edges))  # node 9 is isolated
+        members = [tuple(rng.choice(10, size=int(rng.integers(2, 5)), replace=False).tolist())
+                   for _ in range(30)]
+        candidates = sorted(rng.choice(10, size=7, replace=False).tolist())
+        for stretch, limit in [(1.0, None), (1.3, None), (2.0, None),
+                               (None, 2.0), (None, float(rng.uniform(1.0, 6.0)))]:
+            got = feasible(members, dist, candidates, stretch, limit)
+            want = feasible_reference(members, dist.values, candidates, stretch, limit)
+            assert np.array_equal(got, want)
 
 
 class TestBuildFeasibility:
@@ -133,17 +184,10 @@ class TestBuildFeasibility:
             wider = PlacementInstance(net=inst.net, dist=inst.dist, pairs=inst.pairs,
                                       candidates=inst.candidates, capacity=inst.capacity,
                                       stretch=1.7)
-            narrow = {u: set(ps) for u, ps in _sets_or_empty(inst).items()}
-            wide = {u: set(ps) for u, ps in _sets_or_empty(wider).items()}
+            narrow = {u: set(ps) for u, ps in build_feasibility(inst).pairs_of.items()}
+            wide = {u: set(ps) for u, ps in build_feasibility(wider).pairs_of.items()}
             for u in narrow:
                 assert narrow[u] <= wide[u]
-
-
-def _sets_or_empty(inst):
-    return {
-        u: tuple(i for i, p in enumerate(inst.pairs) if is_feasible(u, p, inst))
-        for u in inst.candidates
-    }
 
 
 class TestRouteLimitPredicate:

@@ -16,7 +16,6 @@ from mbplace.instance import (
     Pair,
     PlacementInstance,
     build_feasibility,
-    is_feasible,
 )
 from mbplace.matching import phi
 from mbplace.netgraph import Network, compute_apsp
@@ -25,7 +24,7 @@ from mbplace.oracle import (
     exact_weighted_min_middleboxes,
     max_assignment_for_n,
 )
-from mbplace.weighted import Request, RequestFeasibility
+from mbplace.weighted import Request
 
 
 class TestExactMinMiddleboxes:
@@ -75,7 +74,7 @@ class TestExactMinMiddleboxes:
         loads: dict[int, int] = {}
         for p_idx, m in result.witness_assignment.items():
             assert m in result.witness_set
-            assert is_feasible(m, inst.pairs[p_idx], inst)
+            assert fs.contains(m, p_idx)
             loads[m] = loads.get(m, 0) + 1
         assert all(v <= inst.capacity for v in loads.values())
         assert phi(result.witness_set, fs, inst.capacity) == inst.num_pairs
@@ -120,31 +119,23 @@ class TestMaxAssignmentForN:
 
 
 class TestExactWeightedMinMiddleboxes:
-    def _rfs(self, candidates_of):
-        universe = tuple(sorted({u for c in candidates_of for u in c}))
-        return RequestFeasibility(universe=universe, candidates_of=list(candidates_of))
-
     def test_single_request_single_box(self):
         requests = [Request.pair(0, 1, 2.0)]
-        rfs = self._rfs([(3,)])
-        assert exact_weighted_min_middleboxes(requests, rfs, 2.0).value == 1
+        assert exact_weighted_min_middleboxes(requests, [(3,)], 2.0).value == 1
 
     def test_capacity_pigeonhole_needs_second_box(self):
         requests = [Request.pair(0, 1, 2.0), Request.pair(1, 2, 2.0)]
-        one = self._rfs([(3,), (3,)])
         with pytest.raises(Infeasible):
-            exact_weighted_min_middleboxes(requests, one, 2.0)
-        two = self._rfs([(3, 4), (3, 4)])
-        assert exact_weighted_min_middleboxes(requests, two, 2.0).value == 2
+            exact_weighted_min_middleboxes(requests, [(3,), (3,)], 2.0)
+        assert exact_weighted_min_middleboxes(requests, [(3, 4), (3, 4)], 2.0).value == 2
 
     def test_too_large_guards(self):
         requests = [Request.pair(0, 1, 1.0)]
-        wide = self._rfs([tuple(range(20))])
         with pytest.raises(TooLarge):
-            exact_weighted_min_middleboxes(requests, wide, 5.0)
+            exact_weighted_min_middleboxes(requests, [tuple(range(20))], 5.0)
         many = [Request.pair(0, 1, 1.0)] * 15
         with pytest.raises(TooLarge):
-            exact_weighted_min_middleboxes(many, self._rfs([(1,)] * 15), 50.0)
+            exact_weighted_min_middleboxes(many, [(1,)] * 15, 50.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_value_is_minimal_and_witness_feasible(self, seed):
@@ -156,13 +147,13 @@ class TestExactWeightedMinMiddleboxes:
         demands = [r.demand for r in requests]
         if any(not c for c in rfs.candidates_of):
             with pytest.raises(Infeasible):
-                exact_weighted_min_middleboxes(requests, rfs, kappa)
+                exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa)
             return
-        result = exact_weighted_min_middleboxes(requests, rfs, kappa)
+        result = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa)
         assert weighted_integral_feasible(result.witness_set, demands,
                                           rfs.candidates_of, kappa)
         for size in range(1, result.value):
-            for sub in combinations(rfs.universe, size):
+            for sub in combinations(rfs.candidates, size):
                 assert not weighted_integral_feasible(sub, demands,
                                                       rfs.candidates_of, kappa)
 

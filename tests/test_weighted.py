@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from builders import random_connected_network, random_weighted_problem, rng_for
+from builders import (
+    coverable_weighted_problem,
+    random_connected_network,
+    random_weighted_problem,
+    relation_of,
+    rng_for,
+)
 from oracles import lp_max_fractional, weighted_integral_feasible
 
 from mbplace.exceptions import Infeasible, RoundingFailed
@@ -10,7 +16,6 @@ from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import (
     Request,
-    RequestFeasibility,
     build_request_feasibility,
     gain,
     generalized_greedy,
@@ -23,9 +28,7 @@ from mbplace.weighted import (
 def manual_problem(candidates_of, demands, kappa):
     """Preprocessed problem straight from explicit feasibility sets."""
     requests = [Request.pair(0, 1, d) for d in demands]
-    universe = tuple(sorted({u for c in candidates_of for u in c}))
-    rfs = RequestFeasibility(universe=universe, candidates_of=list(candidates_of))
-    return preprocess(requests, rfs, kappa)
+    return preprocess(requests, relation_of(candidates_of), kappa)
 
 
 class TestRequest:
@@ -74,19 +77,26 @@ class TestPreprocess:
         assert prep.kept == (0,)
         assert prep.rejected == (1,)
 
+    def test_uncoverable_kept_request_named_rejected_one_ignored(self):
+        with pytest.raises(Infeasible) as err:
+            manual_problem([(0,), ()], [1.0, 1.0], kappa=2.0)
+        assert err.value.uncoverable == (1,)
+        prep = manual_problem([(0,), ()], [1.0, 5.0], kappa=2.0)
+        assert prep.kept == (0,) and prep.rejected == (1,)
+
     def test_deleted_entry_count_matches_recount(self):
         rng = rng_for(9)
         for _ in range(20):
-            requests, rfs, prep, kappa, _ = random_weighted_problem(rng)
+            requests, rfs, prep, kappa, _ = coverable_weighted_problem(rng)
             expected = sum(
                 1
                 for j in prep.kept
-                for u in rfs.universe
+                for u in rfs.candidates
                 if u not in rfs.candidates_of[j]
             )
             assert len(prep.deleted_entries) == expected
             for u, j in prep.deleted_entries:
-                assert u not in prep.candidates_of[j]
+                assert u not in prep.fs.candidates_of[j]
 
 
 class TestSolveFractional:
@@ -117,15 +127,15 @@ class TestSolveFractional:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_independent_lp_oracle(self, seed):
         rng = rng_for(11_000 + seed)
-        requests, rfs, prep, kappa, _ = random_weighted_problem(
+        requests, rfs, prep, kappa, _ = coverable_weighted_problem(
             rng, num_nodes=6, num_requests=6, kappa=float(rng.uniform(2.0, 5.0)))
-        active = [u for u in rfs.universe if rng.random() < 0.6][:4]
+        active = [u for u in rfs.candidates if rng.random() < 0.6][:4]
         got = solve_fractional(active, prep)
         demands = {j: float(prep.demands[j]) for j in prep.kept}
         want = lp_max_fractional(
             active,
             [demands.get(j, 1.0) for j in range(len(requests))],
-            [prep.candidates_of.get(j, ()) for j in range(len(requests))],
+            [rfs.candidates_of[j] if j in demands else () for j in range(len(requests))],
             kappa,
         )
         assert got.objective_float == pytest.approx(want, abs=1e-6)
@@ -133,13 +143,13 @@ class TestSolveFractional:
     def test_invariants_hold_exactly(self):
         rng = rng_for(13)
         for _ in range(20):
-            _, rfs, prep, _, _ = random_weighted_problem(rng)
-            frac = solve_fractional(rfs.universe, prep)
+            _, rfs, prep, _, _ = coverable_weighted_problem(rng)
+            frac = solve_fractional(rfs.candidates, prep)
             per_request: dict[int, Fraction] = {}
             per_box: dict[int, Fraction] = {}
             for (u, j), v in frac.x.items():
                 assert 0 <= v <= 1
-                assert u in prep.candidates_of[j]
+                assert u in prep.fs.candidates_of[j]
                 per_request[j] = per_request.get(j, Fraction(0)) + v
                 per_box[u] = per_box.get(u, Fraction(0)) + v * prep.demands[j]
             assert all(v <= 1 for v in per_request.values())
@@ -158,8 +168,8 @@ class TestGain:
     def test_monotone_and_diminishing_returns(self):
         rng = rng_for(15)
         for _ in range(12):
-            _, rfs, prep, _, _ = random_weighted_problem(rng, num_requests=5)
-            universe = list(rfs.universe)
+            _, rfs, prep, _, _ = coverable_weighted_problem(rng, num_requests=5)
+            universe = list(rfs.candidates)
             s2 = [u for u in universe if rng.random() < 0.6]
             s1 = [u for u in s2 if rng.random() < 0.6]
             outside = [u for u in universe if u not in s2]
@@ -204,10 +214,10 @@ class TestGeneralizedGreedy:
         rng = rng_for(17_000 + seed)
         requests, rfs, prep, kappa, _ = random_weighted_problem(
             rng, num_nodes=7, num_requests=5, kappa=6.0)
-        if any(not prep.candidates_of.get(j) for j in prep.kept) or not prep.kept:
+        if prep is None or not prep.kept:
             return
         try:
-            opt = exact_weighted_min_middleboxes(requests, rfs, kappa).value
+            opt = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa).value
         except Infeasible:
             return
         chosen, _ = generalized_greedy(prep)
@@ -245,7 +255,7 @@ class TestRounding:
             num_requests=int(rng.integers(2, 8)),
             kappa=float(rng.uniform(2.0, 5.0)),
         )
-        if any(not prep.candidates_of.get(j) for j in prep.kept):
+        if prep is None:
             return
         try:
             chosen, frac = generalized_greedy(prep)
@@ -255,7 +265,7 @@ class TestRounding:
         assert set(rounded.assignment) == set(prep.kept)
         assert rounded.max_load() <= 2 * prep.kappa
         for j, u in rounded.assignment.items():
-            assert u in prep.candidates_of[j]
+            assert u in prep.fs.candidates_of[j]
 
     def test_relaxation_dominates_integral_optimum(self):
         # An integral packing of all kept requests on S is a feasible LP
@@ -265,9 +275,9 @@ class TestRounding:
         while hits < 10:
             requests, rfs, prep, kappa, _ = random_weighted_problem(
                 rng, num_nodes=6, num_requests=4, kappa=4.0)
-            if prep.kept != tuple(range(len(requests))):
+            if prep is None or prep.kept != tuple(range(len(requests))):
                 continue
-            active = list(rfs.universe)[:3]
+            active = list(rfs.candidates)[:3]
             if not weighted_integral_feasible(active, [r.demand for r in requests],
                                               rfs.candidates_of, kappa):
                 continue
