@@ -2,14 +2,18 @@
 marginal gain in served pairs.
 
 Submodularity of the assignment function makes the greedy count at most
-``(1 + ln(min(capacity, |P|))) * OPT``. Gains are evaluated one candidate
-at a time on cloned snapshots of the live assignment, and one location is
-committed per step, so deployed locations are never revisited and served
-pairs never drop out.
+``(1 + ln(min(capacity, |P|))) * OPT``. It also makes a gain measured at an
+earlier step an upper bound on the gain now, so gains are evaluated lazily
+(Minoux's accelerated greedy): candidates wait in a heap keyed on their
+upper bound, and only the top one is re-evaluated, on a cloned snapshot of
+the live assignment, until a candidate whose gain is current stays on top.
+One location is committed per step, so deployed locations are never
+revisited and served pairs never drop out.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -28,11 +32,17 @@ class GreedyStep:
 
 @dataclass
 class GreedyTrace:
-    """Per-iteration record plus the live assignment reached so far."""
+    """Per-iteration record plus the live assignment reached so far.
+
+    ``heap`` holds the undeployed candidates' gain bounds for the next step
+    (see ``candidate_heap``), so a continued trace keeps what earlier steps
+    measured.
+    """
 
     steps: list[GreedyStep]
     engine: Assignment
     total_pairs: int
+    heap: list[tuple[int, int, int]]
 
     @property
     def middleboxes(self) -> list[int]:
@@ -43,79 +53,100 @@ class GreedyTrace:
         return self.engine.num_assigned == self.total_pairs
 
 
-def greedy_step(engine: Assignment):
+def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
+    """Lazy-greedy heap of ``(-bound, id, stamp)`` over the undeployed
+    candidates of ``engine``.
+
+    ``bound`` is an upper bound on the candidate's gain, at first
+    ``min(capacity, |S_m|)`` (not the free pairs of S_m: handover paths may
+    end at a free pair of another middlebox); ``stamp`` is the number of deployed middleboxes
+    when the bound was measured as an actual gain, or -1 if it never was.
+    Candidates with an empty S_m can never gain and are left out.
+    """
+    fs = engine.fs
+    heap = [(-min(engine.capacity, len(fs.pairs_of[m])), m, -1)
+            for m in fs.candidates if m not in engine.load and fs.pairs_of[m]]
+    heapq.heapify(heap)
+    return heap
+
+
+def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = None):
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
-    Candidates are tried in ascending id. A candidate's gain equals its final
-    load, so it is bounded by min(capacity, |S_m|, free pairs); note it is NOT
-    bounded by the free pairs within S_m alone, since handover paths may end
-    at a free pair of another middlebox. Candidates whose bound cannot beat
-    the running best are skipped, and only a strictly larger gain replaces
-    the best, so ties go to the smallest id.
+    Picks the largest gain, ties to the smallest id. ``heap`` comes from
+    ``candidate_heap`` (built afresh when omitted) and is updated in place.
+    The top entry is re-evaluated unless its gain was measured on the
+    current engine; once such an entry is on top, no other candidate can
+    beat it, because every other bound is at most its gain and an equal
+    bound sorts after it by id. A candidate that gains nothing is dropped
+    for good, since its gain can only shrink.
 
     Raises Stalled when no candidate improves the assignment although free
     pairs remain (e.g. |P| > capacity * |U|).
     """
-    fs = engine.fs
-    num_free = fs.num_pairs - engine.num_assigned
+    num_free = engine.fs.num_pairs - engine.num_assigned
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
-    best_gain, best_m, best_state = 0, None, None
-    for m in fs.candidates:
-        if m in engine.load or min(engine.capacity, len(fs.pairs_of[m]), num_free) <= best_gain:
-            continue
+    if heap is None:
+        heap = candidate_heap(engine)
+    step = len(engine.load)
+    best_state = None
+    while heap:
+        neg_bound, m, stamp = heap[0]
+        if stamp == step:
+            heapq.heappop(heap)
+            # Adopt the winning snapshot; identical to replaying its augmentations.
+            engine.mu = best_state.mu
+            engine.load = best_state.load
+            engine.num_assigned = best_state.num_assigned
+            return m, -neg_bound
         trial = engine.clone()
         gained = trial.add_middlebox(m)
-        if gained > best_gain:
-            best_gain, best_m, best_state = gained, m, trial
-    if best_m is None:
-        raise Stalled(
-            f"no candidate can serve any of the {num_free} remaining pairs"
-        )
-    # Adopt the winning snapshot; identical to replaying its augmentations.
-    engine.mu = best_state.mu
-    engine.load = best_state.load
-    engine.num_assigned = best_state.num_assigned
-    return best_m, best_gain
+        if gained == 0:
+            heapq.heappop(heap)
+            continue
+        heapq.heapreplace(heap, (-gained, m, step))
+        if best_state is None or (-gained, m) < best_key:
+            best_key, best_state = (-gained, m), trial
+    raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
 
 
-def _run(engine: Assignment, total_pairs: int, steps: list[GreedyStep],
-         budget: int | None) -> None:
+def _run(trace: GreedyTrace, budget: int | None) -> None:
     done = 0
-    while engine.num_assigned < total_pairs:
+    while not trace.complete:
         if budget is not None and done >= budget:
             break
-        chosen, gain = greedy_step(engine)
-        steps.append(GreedyStep(len(steps), chosen, gain, engine.num_assigned))
+        chosen, gain = greedy_step(trace.engine, trace.heap)
+        trace.steps.append(GreedyStep(len(trace.steps), chosen, gain, trace.engine.num_assigned))
         done += 1
 
 
 def greedy_place(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
     """Deploy middleboxes greedily until every pair is served."""
-    engine = Assignment(fs, inst.capacity)
-    steps: list[GreedyStep] = []
-    _run(engine, inst.num_pairs, steps, None)
-    return GreedyTrace(steps, engine, inst.num_pairs)
+    trace = greedy_prefix(inst, fs)
+    _run(trace, None)
+    return trace
 
 
 def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     """Continue a trace by up to ``budget`` further steps.
 
-    The input trace is left untouched (its engine is cloned), so earlier
-    prefixes stay valid; greedy is history-deterministic, hence extending a
-    prefix reproduces the corresponding slice of the full run.
+    The input trace is left untouched (its engine and heap are copied), so
+    earlier prefixes stay valid; greedy is history-deterministic, hence
+    extending a prefix reproduces the corresponding slice of the full run.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    engine = trace.engine.clone()
-    steps = list(trace.steps)
-    _run(engine, trace.total_pairs, steps, budget)
-    return GreedyTrace(steps, engine, trace.total_pairs)
+    extended = GreedyTrace(list(trace.steps), trace.engine.clone(), trace.total_pairs,
+                           list(trace.heap))
+    _run(extended, budget)
+    return extended
 
 
 def greedy_prefix(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
     """Empty trace to be grown step by step via incremental_extend."""
-    return GreedyTrace([], Assignment(fs, inst.capacity), inst.num_pairs)
+    engine = Assignment(fs, inst.capacity)
+    return GreedyTrace([], engine, inst.num_pairs, candidate_heap(engine))
 
 
 def greedy_approximation_bound(capacity: int, num_pairs: int) -> float:

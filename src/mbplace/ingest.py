@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import Infeasible, MissingEndpoint, NegativeDemand, ParseError
+from .exceptions import DomainError, Infeasible, MissingEndpoint, NegativeDemand, ParseError
 from .instance import Pair, PlacementInstance
 from .netgraph import Network, Node, compute_apsp
 from .weighted import Request, WeightedInstance
@@ -309,15 +309,31 @@ def instance_to_json(inst: PlacementInstance | WeightedInstance,
 
 def instance_from_json(text: str) -> PlacementInstance | WeightedInstance:
     """Load an instance document; distances are recomputed from the stored
-    metric, so the document alone reproduces the full instance."""
+    metric, so the document alone reproduces the full instance.
+
+    A value outside its domain raises DomainError; any other malformed or
+    missing field raises ParseError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed instance JSON: {exc}") from exc
+    try:
+        return _instance_from_doc(doc)
+    except DomainError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"invalid instance document: {type(exc).__name__}: {exc}") from exc
+
+
+def _instance_from_doc(doc) -> PlacementInstance | WeightedInstance:
     if doc.get("format") != INSTANCE_FORMAT:
         raise ParseError(f"not an instance document (format={doc.get('format')!r})")
     if doc.get("version") != INSTANCE_VERSION:
         raise ParseError(f"unsupported instance version {doc.get('version')!r}")
+    kind = doc.get("kind")
+    if kind not in ("unweighted", "weighted"):
+        raise ParseError(f"unknown instance kind {kind!r}, expected 'unweighted' or 'weighted'")
     net = _network_from_obj(doc)
     dist = compute_apsp(net, doc["metric"])
     common = dict(
@@ -325,7 +341,7 @@ def instance_from_json(text: str) -> PlacementInstance | WeightedInstance:
         stretch=doc.get("stretch"), route_limit=doc.get("route_limit"),
         metric=doc["metric"],
     )
-    if doc["kind"] == "weighted":
+    if kind == "weighted":
         requests = [
             Request(r["kind"], tuple(r["nodes"]), r["demand"]) for r in doc["requests"]
         ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -85,15 +86,16 @@ class PlacementInstance:
 def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
                  route_limit: float | None) -> None:
     """Input checks shared by both instance kinds: the candidate set is
-    nonempty, every request node and candidate is a node id in
+    nonempty, every request node and candidate is an integer node id in
     ``0..num_nodes-1``, and exactly one bound is set, with ``stretch >= 1``
     or ``route_limit >= 0``. Raises DomainError."""
     if not candidates:
         raise DomainError("candidate set must be nonempty")
     for what, ids in (("request node", nodes), ("candidate", candidates)):
-        bad = sorted({u for u in ids if not 0 <= u < num_nodes})
+        bad = [u for u in dict.fromkeys(ids)
+               if not isinstance(u, Integral) or isinstance(u, bool) or not 0 <= u < num_nodes]
         if bad:
-            raise DomainError(f"{what} id(s) {bad} outside node range 0..{num_nodes - 1}")
+            raise DomainError(f"{what} id(s) {bad} are not node ids 0..{num_nodes - 1}")
     if (stretch is None) == (route_limit is None):
         raise DomainError("exactly one of stretch / route_limit must be set")
     if stretch is not None and stretch < 1.0:

@@ -6,8 +6,10 @@ paths that start at the new location, so pairs served earlier stay served
 (they may be handed over to another middlebox, never dropped) and the loads
 of untouched middleboxes never change.
 
-Augmenting paths are found by breadth-first search, one shortest path at a
-time.
+Adding a middlebox first takes the free pairs it can serve, in ascending
+pair index up to capacity: these are exactly the length-1 augmenting paths,
+in the order the search would return them. Longer paths (handovers) are then
+found by breadth-first search, one shortest path at a time.
 """
 
 from __future__ import annotations
@@ -139,9 +141,14 @@ class Assignment:
                 raise InvalidPath(
                     f"pair {prs[i]} is not currently assigned to middlebox {mbs[i + 1]}"
                 )
-        for i in range(k):
-            self.mu[prs[i]] = mbs[i]
-        self.load[mbs[0]] += 1
+        self._flip(path)
+
+    def _flip(self, path: AugmentingPath) -> None:
+        """apply_augmenting_path without its checks, for paths this engine
+        has just found itself."""
+        for m, p in zip(path.middleboxes, path.pairs):
+            self.mu[p] = m
+        self.load[path.middleboxes[0]] += 1
         self.num_assigned += 1
 
     # -- incremental growth -------------------------------------------------
@@ -151,18 +158,30 @@ class Assignment:
 
         Only paths starting at m are needed: the previous assignment was
         maximum, so after exhausting them the new one is maximum as well.
+        The free pairs of S_m are taken first, in ascending index: each is
+        the length-1 path the search would return next, since the search
+        scans S_m in that order before any handover. Taking them creates no
+        free pair, so every later path is longer and needs the search.
         """
         if m in self.load:
             raise AlreadyActive(f"middlebox {m} is already deployed")
         if m not in self.fs.pairs_of:
             raise ValueError(f"{m} is not a candidate location")
-        self.load[m] = 0
+        mu, capacity = self.mu, self.capacity
         gained = 0
-        while self.load[m] < self.capacity:
+        for p in self.fs.pairs_of[m]:
+            if gained == capacity:
+                break
+            if mu[p] is UNASSIGNED:
+                mu[p] = m
+                gained += 1
+        self.load[m] = gained
+        self.num_assigned += gained
+        while gained < capacity:
             path = self.find_augmenting_path(m)
             if path is None:
                 break
-            self.apply_augmenting_path(path)
+            self._flip(path)
             gained += 1
         return gained
 

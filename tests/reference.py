@@ -1,0 +1,85 @@
+"""Reference copies of the engine paths that the optimised ones replaced,
+kept for the differential tests in ``test_differential.py``.
+
+``add_middlebox`` takes every augmenting path, the length-1 ones included,
+from the breadth-first search and applies it through the checked
+``Assignment.apply_augmenting_path``. ``greedy_step`` is the eager greedy:
+it evaluates every undeployed candidate in ascending id on a clone of the
+engine. Both work on a ``mbplace.matching.Assignment`` and use only its
+search, its checked apply and ``clone``.
+"""
+
+from __future__ import annotations
+
+from mbplace.exceptions import AlreadyActive, Stalled
+from mbplace.matching import Assignment
+
+
+def add_middlebox(engine: Assignment, m: int) -> int:
+    """Deploy m and re-maximize with BFS paths only; returns the gain."""
+    if m in engine.load:
+        raise AlreadyActive(f"middlebox {m} is already deployed")
+    if m not in engine.fs.pairs_of:
+        raise ValueError(f"{m} is not a candidate location")
+    engine.load[m] = 0
+    gained = 0
+    while engine.load[m] < engine.capacity:
+        path = engine.find_augmenting_path(m)
+        if path is None:
+            break
+        engine.apply_augmenting_path(path)
+        gained += 1
+    return gained
+
+
+def greedy_step(engine: Assignment):
+    """One eager greedy iteration: returns (chosen, gain), mutates the engine.
+
+    Candidates are tried in ascending id, skipping those whose bound
+    min(capacity, |S_m|, free pairs) cannot beat the running best; only a
+    strictly larger gain replaces the best, so ties go to the smallest id.
+    """
+    fs = engine.fs
+    num_free = fs.num_pairs - engine.num_assigned
+    if num_free == 0:
+        raise ValueError("all pairs are already assigned")
+    best_gain, best_m, best_state = 0, None, None
+    for m in fs.candidates:
+        if m in engine.load or min(engine.capacity, len(fs.pairs_of[m]), num_free) <= best_gain:
+            continue
+        trial = engine.clone()
+        gained = add_middlebox(trial, m)
+        if gained > best_gain:
+            best_gain, best_m, best_state = gained, m, trial
+    if best_m is None:
+        raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
+    engine.mu = best_state.mu
+    engine.load = best_state.load
+    engine.num_assigned = best_state.num_assigned
+    return best_m, best_gain
+
+
+def greedy_run(fs, capacity: int):
+    """Eager greedy from an empty engine until every pair is served.
+
+    Returns (states, stalled): ``states[i]`` is (chosen, gain, mu, load)
+    after step i, and ``stalled`` tells whether the next step raised
+    Stalled.
+    """
+    engine = Assignment(fs, capacity)
+    states = []
+    while engine.num_assigned < fs.num_pairs:
+        try:
+            chosen, gain = greedy_step(engine)
+        except Stalled:
+            return states, True
+        states.append((chosen, gain, list(engine.mu), dict(engine.load)))
+    return states, False
+
+
+def phi(M, fs, capacity: int) -> int:
+    """Maximum number of pairs assignable to middlebox set M."""
+    state = Assignment(fs, capacity)
+    for m in sorted(set(M)):
+        add_middlebox(state, m)
+    return state.num_assigned

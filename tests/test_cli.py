@@ -371,6 +371,34 @@ class TestOutOfDomainInput:
         assert not out.exists()
 
 
+class TestMalformedDocument:
+    @pytest.mark.parametrize("command, doc, error", [
+        ("solve", _path3("unweighted", pairs=[[1, 1]]), "ParseError"),
+        ("solve", _path3("unweighted", edges=[[0, 1, 1.0], [1, 2, 1.0], [0, 5, 1.0]]),
+         "ParseError"),
+        ("solve", _path3("unweighted", candidates=[0, 1.5]), "DomainError"),
+        ("solve", _path3("unweighted", pairs=[[0, 1.5]]), "DomainError"),
+        ("solve", _path3("unweighted", pairs="x"), "ParseError"),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "group", "nodes": [0, 1, 1], "demand": 1.0}]), "ParseError"),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 2], "demand": 0}]), "ParseError"),
+        ("solve", {**_path3("unweighted"), "kind": None}, "ParseError"),
+        ("solve", {**_path3("unweighted"), "kind": "graph"}, "ParseError"),
+    ], ids=["pair-same-node", "edge-node-5", "candidate-1.5", "pair-node-1.5",
+            "pairs-not-a-list", "weighted-repeated-node", "weighted-demand-0", "kind-null",
+            "kind-unknown"])
+    def test_exit_3_with_json_error(self, command, doc, error, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, command, str(f), "--out", str(out))
+        assert code == 3
+        err = json.loads(text)
+        assert err["error"] == error and err["exit_code"] == 3
+        assert not out.exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["solve", "STAR", "--threads", "2"],

@@ -1,0 +1,154 @@
+"""Differential tests: the lazy greedy and the engine's length-1 fast path
+against the eager, BFS-only reference copies in ``reference.py``.
+
+Relations are drawn two ways: as arbitrary pair/candidate relations (pairs
+no candidate serves and capacity shortfalls make greedy stall) and as
+feasibility sets of seeded random networks. Every greedy step must choose
+the same middlebox with the same gain and leave the same assignment and
+loads, and a stall must come at the same step.
+"""
+
+from __future__ import annotations
+
+from itertools import cycle
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from builders import coverable_instance, rng_for
+
+from mbplace.exceptions import Infeasible, Stalled
+from mbplace.greedy import greedy_place, greedy_prefix, incremental_extend
+from mbplace.instance import FeasibilitySets
+from mbplace.matching import Assignment, phi
+from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
+
+
+class Sizes(NamedTuple):
+    """The two instance fields greedy and the oracles read."""
+
+    num_pairs: int
+    capacity: int
+
+
+@st.composite
+def relations(draw, max_pairs=30, max_candidates=12):
+    """(FeasibilitySets, capacity) over an arbitrary relation; the pairs from
+    index ``covered`` on have no candidate, so greedy stalls on them."""
+    num_pairs = draw(st.integers(0, max_pairs))
+    covered = draw(st.integers(0, num_pairs))
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=max_candidates, unique=True))
+    pair_ids = st.integers(0, covered - 1) if covered else st.nothing()
+    pairs_of = {u: tuple(draw(st.sets(pair_ids, max_size=covered))) for u in ids}
+    return FeasibilitySets(num_pairs=num_pairs, pairs_of=pairs_of), draw(st.integers(1, 6))
+
+
+@st.composite
+def network_relations(draw, max_nodes=16):
+    """(FeasibilitySets, capacity) of a seeded random network instance."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    num_nodes = draw(st.integers(4, max_nodes))
+    inst, fs = coverable_instance(
+        rng, num_nodes=num_nodes, num_pairs=draw(st.integers(1, 3 * num_nodes)),
+        num_candidates=draw(st.integers(2, num_nodes)), capacity=draw(st.integers(1, 6)),
+        stretch=draw(st.sampled_from([1.1, 1.3, 1.5, 2.0])),
+    )
+    return fs, inst.capacity
+
+
+any_relation = st.one_of(relations(), network_relations())
+
+
+def state(engine: Assignment):
+    return list(engine.mu), dict(engine.load), engine.num_assigned
+
+
+class TestAddMiddlebox:
+    @settings(max_examples=150, deadline=None)
+    @given(any_relation, st.randoms(use_true_random=False))
+    def test_same_gain_and_assignment_after_every_add(self, relation, rnd):
+        fs, capacity = relation
+        order = list(fs.candidates)
+        rnd.shuffle(order)
+        fast, ref = Assignment(fs, capacity), Assignment(fs, capacity)
+        for m in order:
+            assert fast.add_middlebox(m) == reference.add_middlebox(ref, m)
+            assert state(fast) == state(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_relation, st.randoms(use_true_random=False))
+    def test_phi(self, relation, rnd):
+        fs, capacity = relation
+        members = [m for m in fs.candidates if rnd.random() < 0.5]
+        assert phi(members, fs, capacity) == reference.phi(members, fs, capacity)
+
+
+class TestGreedy:
+    @settings(max_examples=150, deadline=None)
+    @given(any_relation)
+    def test_greedy_place(self, relation):
+        fs, capacity = relation
+        states, stalled = reference.greedy_run(fs, capacity)
+        sizes = Sizes(fs.num_pairs, capacity)
+        if stalled:
+            with pytest.raises(Stalled):
+                greedy_place(sizes, fs)
+            return
+        trace = greedy_place(sizes, fs)
+        assert [(s.chosen, s.gain) for s in trace.steps] == [r[:2] for r in states]
+        assert [s.phi_after for s in trace.steps] == [sum(r[3].values()) for r in states]
+        final = states[-1][2:] if states else ([None] * fs.num_pairs, {})
+        assert (trace.engine.mu, trace.engine.load) == final
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_relation, st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    def test_incremental_extend_step_by_step(self, relation, budgets):
+        fs, capacity = relation
+        states, stalled = reference.greedy_run(fs, capacity)
+        trace = greedy_prefix(Sizes(fs.num_pairs, capacity), fs)
+        for budget in cycle(budgets):
+            done = len(trace.steps)
+            if done == len(states):
+                break
+            snapshot = (list(trace.steps), state(trace.engine), list(trace.heap))
+            extended = incremental_extend(trace, min(budget, len(states) - done))
+            assert (trace.steps, state(trace.engine), trace.heap) == snapshot
+            trace = extended
+            k = len(trace.steps)
+            assert [(s.chosen, s.gain) for s in trace.steps] == [r[:2] for r in states[:k]]
+            assert (trace.engine.mu, trace.engine.load) == states[k - 1][2:]
+        assert trace.complete is not stalled
+        if stalled:
+            snapshot = (list(trace.steps), state(trace.engine), list(trace.heap))
+            with pytest.raises(Stalled):
+                incremental_extend(trace, 1)
+            assert (trace.steps, state(trace.engine), trace.heap) == snapshot
+
+
+class TestOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(relations(max_pairs=14, max_candidates=8),
+                     network_relations(max_nodes=8)),
+           st.integers(0, 8))
+    def test_same_value_witness_and_explored(self, relation, n):
+        fs, capacity = relation
+        sizes = Sizes(fs.num_pairs, capacity)
+
+        def run_both():
+            try:
+                exact = exact_min_middleboxes(sizes, fs)
+                exact = (exact.value, exact.witness_set, exact.witness_assignment,
+                         exact.explored)
+            except Infeasible:
+                exact = Infeasible
+            best = max_assignment_for_n(sizes, fs, n)
+            return exact, (best.value, best.witness_set, best.witness_assignment,
+                           best.explored)
+
+        fast = run_both()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Assignment, "add_middlebox", reference.add_middlebox)
+            ref = run_both()
+        assert fast == ref
