@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import greedy as greedy_mod
@@ -76,7 +76,8 @@ def _load_unweighted(args) -> tuple[PlacementInstance, str]:
     if raw.lstrip().startswith("<"):
         net = ingest.parse_graphml(raw)
         cfg = ingest.ScenarioConfig(
-            topology=args.instance, p=args.p, stretch=args.stretch or 1.5,
+            topology=args.instance, p=args.p,
+            stretch=1.5 if args.stretch is None else args.stretch,
             capacity=args.capacity, seed=args.seed, replication=args.replication,
             metric=args.metric or "geo",
         )
@@ -393,7 +394,8 @@ def cmd_bench(args) -> int:
         stretches = ingest.stretch_grid()
     oracle_limit = config.get("oracle_limit", 16) if config.get("oracle", False) else None
     reps = config.get("replications", 1)
-    algorithms = config.get("algorithms", ["greedy"])
+    if config.get("algorithms", ["greedy"]) != ["greedy"]:
+        raise ParseError('bench: "algorithms" must be absent or ["greedy"]')
     nets = {p: ingest.parse_graphml(Path(p).read_text())
             for p in config.get("topologies", [])}
     parsed = {entry["path"]: ingest.parse_sndlib(Path(entry["path"]).read_text())
@@ -403,11 +405,10 @@ def cmd_bench(args) -> int:
         for p in config.get("p_values", [0.3]):
             for stretch in stretches:
                 for rep in range(reps):
-                    for algorithm in algorithms:
-                        rows.append(_bench_row(
-                            "unweighted", algorithm, path, p, stretch, rep, seed, metric,
-                            partial(_measure_greedy, nets[path], oracle_limit),
-                        ))
+                    rows.append(_bench_row(
+                        "unweighted", "greedy", path, p, stretch, rep, seed, metric,
+                        partial(_measure_greedy, nets[path], oracle_limit),
+                    ))
     for entry in config.get("sndlib", []):
         keep = entry.get("keep_probability", 0.5)
         for stretch in stretches:
@@ -438,6 +439,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@cache  # one parser per process: each build leaves ~340 objects for the cycle collector
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="mbplace",

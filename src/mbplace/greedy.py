@@ -3,10 +3,11 @@ marginal gain in served pairs.
 
 Submodularity of the assignment function makes the greedy count at most
 ``(1 + ln(min(capacity, |P|))) * OPT``. It also makes a gain measured at an
-earlier step an upper bound on the gain now, so gains are evaluated lazily
-(Minoux's accelerated greedy): candidates wait in a heap keyed on their
-upper bound, and only the top one is re-evaluated, on a cloned snapshot of
-the live assignment, until a candidate whose gain is current stays on top.
+earlier step an upper bound on the gain now, so ``lazy_pick`` (Minoux's
+accelerated greedy, shared with the weighted generalized greedy) keeps the
+candidates in a heap keyed on their upper bound and re-evaluates only the
+top one, here on a cloned snapshot of the live assignment, until a
+candidate whose gain is current stays on top.
 One location is committed per step, so deployed locations are never
 revisited and served pairs never drop out.
 """
@@ -54,32 +55,44 @@ class GreedyTrace:
 
 
 def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
-    """Lazy-greedy heap of ``(-bound, id, stamp)`` over the undeployed
-    candidates of ``engine``.
-
-    ``bound`` is an upper bound on the candidate's gain, at first
-    ``min(capacity, |S_m|)`` (not the free pairs of S_m: handover paths may
-    end at a free pair of another middlebox); ``stamp`` is the number of deployed middleboxes
-    when the bound was measured as an actual gain, or -1 if it never was.
-    Candidates with an empty S_m can never gain and are left out.
+    """``lazy_pick`` heap over the undeployed candidates of ``engine``,
+    stamped -1. A bound starts at ``min(capacity, |S_m|)``, not at the free
+    pairs of S_m: handover paths may end at a free pair of another
+    middlebox. Candidates with an empty S_m can never gain and are left out.
     """
     fs = engine.fs
-    heap = [(-min(engine.capacity, len(fs.pairs_of[m])), m, -1)
-            for m in fs.candidates if m not in engine.load and fs.pairs_of[m]]
-    heapq.heapify(heap)
-    return heap
+    return sorted((-min(engine.capacity, len(fs.pairs_of[m])), m, -1)
+                  for m in fs.candidates if m not in engine.load and fs.pairs_of[m])
+
+
+def lazy_pick(heap: list, step: int, evaluate):
+    """Pop the largest gain, ties to the smallest id, from a heap of
+    ``(-bound, id, stamp)``: refresh the top entry with ``evaluate(id) ->
+    (gain, state)`` and stamp it ``step``, or drop it for good at gain 0,
+    until a fresh entry is on top (no stale bound of a submodular objective
+    beats it). Returns ``(id, gain, state)``, or None if the heap runs empty.
+    """
+    best = (math.inf,)  # the smallest (-gain, id, state) evaluated in this step
+    while heap:
+        neg_bound, i, stamp = heap[0]
+        if stamp == step:
+            heapq.heappop(heap)
+            return i, -neg_bound, best[2]
+        gained, state = evaluate(i)
+        if gained == 0:
+            heapq.heappop(heap)
+            continue
+        heapq.heapreplace(heap, (-gained, i, step))
+        best = min(best, (-gained, i, state))
+    return None
 
 
 def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = None):
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
-    Picks the largest gain, ties to the smallest id. ``heap`` comes from
+    Picks the largest gain, ties to the smallest id, through ``lazy_pick``
+    with gains measured on clones of the engine. ``heap`` comes from
     ``candidate_heap`` (built afresh when omitted) and is updated in place.
-    The top entry is re-evaluated unless its gain was measured on the
-    current engine; once such an entry is on top, no other candidate can
-    beat it, because every other bound is at most its gain and an equal
-    bound sorts after it by id. A candidate that gains nothing is dropped
-    for good, since its gain can only shrink.
 
     Raises Stalled when no candidate improves the assignment although free
     pairs remain (e.g. |P| > capacity * |U|).
@@ -87,38 +100,26 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     num_free = engine.fs.num_pairs - engine.num_assigned
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
-    if heap is None:
-        heap = candidate_heap(engine)
-    step = len(engine.load)
-    best_state = None
-    while heap:
-        neg_bound, m, stamp = heap[0]
-        if stamp == step:
-            heapq.heappop(heap)
-            # Adopt the winning snapshot; identical to replaying its augmentations.
-            engine.mu = best_state.mu
-            engine.load = best_state.load
-            engine.num_assigned = best_state.num_assigned
-            return m, -neg_bound
+    heap = candidate_heap(engine) if heap is None else heap
+
+    def evaluate(m):
         trial = engine.clone()
-        gained = trial.add_middlebox(m)
-        if gained == 0:
-            heapq.heappop(heap)
-            continue
-        heapq.heapreplace(heap, (-gained, m, step))
-        if best_state is None or (-gained, m) < best_key:
-            best_key, best_state = (-gained, m), trial
-    raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
+        return trial.add_middlebox(m), trial
+
+    picked = lazy_pick(heap, len(engine.load), evaluate)
+    if picked is None:
+        raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
+    m, gained, best = picked
+    # Adopt the winning snapshot; identical to replaying its augmentations.
+    engine.mu, engine.load, engine.num_assigned = best.mu, best.load, best.num_assigned
+    return m, gained
 
 
 def _run(trace: GreedyTrace, budget: int | None) -> None:
-    done = 0
-    while not trace.complete:
-        if budget is not None and done >= budget:
-            break
+    stop = math.inf if budget is None else len(trace.steps) + budget
+    while not trace.complete and len(trace.steps) < stop:
         chosen, gain = greedy_step(trace.engine, trace.heap)
         trace.steps.append(GreedyStep(len(trace.steps), chosen, gain, trace.engine.num_assigned))
-        done += 1
 
 
 def greedy_place(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:

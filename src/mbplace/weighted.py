@@ -1,4 +1,4 @@
-"""Weighted and group requests: fractional LP, generalized greedy, rounding.
+"""Weighted and group requests: fractional LP, lazy generalized greedy, rounding.
 
 Requests carry arbitrary positive demands and may be node pairs or whole
 node groups (a group is served by one location feasible for every member
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from ._flow import FlowNetwork
 from .exceptions import DomainError, Infeasible, RoundingFailed
+from .greedy import lazy_pick
 from .instance import FeasibilitySets, check_domain, feasible
 from .netgraph import DistanceMatrix, Network
 
@@ -184,36 +185,31 @@ def gain(i: int, active, prep: Preprocessed) -> Fraction:
 
 
 def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignment]:
-    """Open locations by maximum fractional gain until ``f(S) > n - 1``.
-
-    Ties break to the smallest node id. Raises Infeasible when the full
-    candidate set still leaves the guard unsatisfied.
+    """Open locations by maximum fractional gain until ``f(S) > n - 1``,
+    ties to the smallest id, through ``greedy.lazy_pick``: f is monotone
+    submodular, and a candidate's gain is at most the number of kept
+    requests it serves (every ``x_j <= 1``). Raises Infeasible when no
+    unopened candidate raises f any further and the guard is still unmet.
     """
     n = prep.num_kept
-    universe = prep.fs.candidates
+    kept = set(prep.kept)
+    bounds = {u: len(kept.intersection(prep.fs.pairs_of[u])) for u in prep.fs.candidates}
+    heap = sorted((-bound, u, -1) for u, bound in bounds.items() if bound)
     chosen: list[int] = []
-    best_frac = FractionalAssignment({}, ZERO, ())
-    current = ZERO
-    while len(chosen) < len(universe) and current <= n - 1:
-        best_gain = None
-        best_u = None
-        best_candidate_frac = None
-        for u in universe:
-            if u in chosen:
-                continue
-            frac = solve_fractional(chosen + [u], prep)
-            g = frac.objective - current
-            if best_gain is None or g > best_gain:
-                best_gain, best_u, best_candidate_frac = g, u, frac
-        chosen.append(best_u)
-        current = best_candidate_frac.objective
-        best_frac = best_candidate_frac
-    if current <= n - 1:
-        raise Infeasible(
-            f"all {len(universe)} candidates open but fractional objective "
-            f"{float(current):.6g} <= {n - 1}"
-        )
-    return chosen, best_frac
+    frac = FractionalAssignment({}, ZERO, ())
+
+    def evaluate(u):
+        trial = solve_fractional(chosen + [u], prep)
+        return trial.objective - frac.objective, trial
+
+    while frac.objective <= n - 1:
+        picked = lazy_pick(heap, len(chosen), evaluate)
+        if picked is None:
+            raise Infeasible(f"no unopened candidate raises the fractional objective "
+                             f"{frac.objective_float:.6g} above {n - 1}")
+        u, _, frac = picked
+        chosen.append(u)
+    return chosen, frac
 
 
 @dataclass

@@ -7,12 +7,17 @@ from the breadth-first search and applies it through the checked
 it evaluates every undeployed candidate in ascending id on a clone of the
 engine. Both work on a ``mbplace.matching.Assignment`` and use only its
 search, its checked apply and ``clone``.
+
+``generalized_greedy`` is the eager weighted greedy: every step solves the
+fractional LP of each unopened candidate, in ascending id, through
+``mbplace.weighted.solve_fractional``.
 """
 
 from __future__ import annotations
 
-from mbplace.exceptions import AlreadyActive, Stalled
+from mbplace.exceptions import AlreadyActive, Infeasible, Stalled
 from mbplace.matching import Assignment
+from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
 
 def add_middlebox(engine: Assignment, m: int) -> int:
@@ -83,3 +88,36 @@ def phi(M, fs, capacity: int) -> int:
     for m in sorted(set(M)):
         add_middlebox(state, m)
     return state.num_assigned
+
+
+def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignment]:
+    """Open locations by maximum fractional gain until ``f(S) > n - 1``.
+
+    Ties break to the smallest node id. Raises Infeasible when the full
+    candidate set still leaves the guard unsatisfied.
+    """
+    n = prep.num_kept
+    universe = prep.fs.candidates
+    chosen: list[int] = []
+    best_frac = FractionalAssignment({}, ZERO, ())
+    current = ZERO
+    while len(chosen) < len(universe) and current <= n - 1:
+        best_gain = None
+        best_u = None
+        best_candidate_frac = None
+        for u in universe:
+            if u in chosen:
+                continue
+            frac = solve_fractional(chosen + [u], prep)
+            g = frac.objective - current
+            if best_gain is None or g > best_gain:
+                best_gain, best_u, best_candidate_frac = g, u, frac
+        chosen.append(best_u)
+        current = best_candidate_frac.objective
+        best_frac = best_candidate_frac
+    if current <= n - 1:
+        raise Infeasible(
+            f"all {len(universe)} candidates open but fractional objective "
+            f"{float(current):.6g} <= {n - 1}"
+        )
+    return chosen, best_frac

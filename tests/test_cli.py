@@ -8,7 +8,7 @@ import pytest
 from builders import star_instance
 
 from mbplace import greedy, weighted
-from mbplace.cli import BENCH_COLUMNS, INCREMENTAL_COLUMNS, TRACE_COLUMNS, main
+from mbplace.cli import BENCH_COLUMNS, INCREMENTAL_COLUMNS, TRACE_COLUMNS, build_parser, main
 from mbplace.exceptions import Stalled
 from mbplace.ingest import instance_to_json
 
@@ -370,6 +370,17 @@ class TestOutOfDomainInput:
         assert err["error"] == "DomainError" and err["exit_code"] == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "incremental"])
+    def test_graphml_stretch_0_exit_3(self, command, tmp_path, capsys):
+        # A stretch of 0 is out of domain, not a request for the GraphML default.
+        out = tmp_path / "r.out"
+        code, text = run(capsys, command, str(DATA / "mini.graphml"), "--stretch", "0",
+                         "--out", str(out))
+        assert code == 3
+        err = json.loads(text)
+        assert err["error"] == "DomainError" and err["exit_code"] == 3
+        assert not out.exists()
+
 
 class TestMalformedDocument:
     @pytest.mark.parametrize("command, doc, error", [
@@ -415,6 +426,9 @@ class TestUsageErrors:
         assert code == 3
         err = json.loads(out)
         assert err["error"] == "ParseError" and err["exit_code"] == 3
+
+    def test_parser_built_once_per_process(self):
+        assert build_parser() is build_parser()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -584,6 +598,18 @@ class TestBench:
         for row in rows:
             assert row["p"] and row["stretch"] == "1.5" and row["wall_time_s"]
             assert not any(row[c] for c in BENCH_COLUMNS[10:18])
+
+    @pytest.mark.parametrize("algorithms", [["greedy", "bogus"], ["bogus"], [], "greedy"])
+    def test_unknown_algorithms_exit_3(self, algorithms, tmp_path, capsys):
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({"topologies": [str(DATA / "mini.graphml")],
+                                   "stretches": [1.5], "algorithms": algorithms}))
+        out = tmp_path / "a.csv"
+        code, text = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 3
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and err["exit_code"] == 3
+        assert not out.exists()
 
     def test_row_error_captured_batch_continues(self, tmp_path, capsys):
         # Two components: at p 1.0 some pair has disconnected endpoints, so

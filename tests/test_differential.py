@@ -1,11 +1,14 @@
-"""Differential tests: the lazy greedy and the engine's length-1 fast path
-against the eager, BFS-only reference copies in ``reference.py``.
+"""Differential tests: the lazy greedy of both variants and the engine's
+length-1 fast path against the eager, BFS-only reference copies in
+``reference.py``.
 
 Relations are drawn two ways: as arbitrary pair/candidate relations (pairs
 no candidate serves and capacity shortfalls make greedy stall) and as
 feasibility sets of seeded random networks. Every greedy step must choose
 the same middlebox with the same gain and leave the same assignment and
-loads, and a stall must come at the same step.
+loads, and a stall must come at the same step. The weighted greedy must
+open the same locations with the same fractional objective and ``x``, and
+fail with Infeasible on the same problems.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from builders import coverable_instance, rng_for
+from builders import coverable_instance, coverable_weighted_problem, rng_for
 
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import greedy_place, greedy_prefix, incremental_extend
 from mbplace.instance import FeasibilitySets
 from mbplace.matching import Assignment, phi
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
+from mbplace.weighted import Request, generalized_greedy, preprocess
 
 
 class Sizes(NamedTuple):
@@ -59,6 +63,36 @@ def network_relations(draw, max_nodes=16):
 
 
 any_relation = st.one_of(relations(), network_relations())
+
+
+@st.composite
+def weighted_relations(draw):
+    """Preprocessed weighted problem over an arbitrary relation.
+
+    Demands and kappa take a few round values, so equal gains are common. A
+    request no candidate serves gets a demand above kappa, so preprocessing
+    rejects it instead of failing; small kappa leaves problems that no
+    candidate set covers (f never exceeds n - 1).
+    """
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
+    served_by = draw(st.lists(st.sets(st.sampled_from(ids), max_size=3),
+                              min_size=1, max_size=10))
+    fs = FeasibilitySets(num_pairs=len(served_by), pairs_of={
+        u: tuple(j for j, us in enumerate(served_by) if u in us) for u in ids})
+    kappa = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    demands = [draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])) if us else 4.0 for us in served_by]
+    return preprocess([Request.pair(0, 1, d) for d in demands], fs, kappa)
+
+
+@st.composite
+def weighted_networks(draw):
+    """Preprocessed weighted problem (pairs and groups) of a seeded random
+    network, covered or not depending on kappa."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    return coverable_weighted_problem(
+        rng, num_nodes=draw(st.integers(4, 9)), num_requests=draw(st.integers(1, 9)),
+        kappa=draw(st.sampled_from([1.5, 2.5, 4.0])), stretch=draw(st.sampled_from([1.2, 2.0])),
+    )[2]
 
 
 def state(engine: Assignment):
@@ -152,3 +186,17 @@ class TestOracles:
             mp.setattr(Assignment, "add_middlebox", reference.add_middlebox)
             ref = run_both()
         assert fast == ref
+
+
+class TestGeneralizedGreedy:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_relations(), weighted_networks()))
+    def test_same_choices_objective_and_x(self, prep):
+        def run(greedy):
+            try:
+                chosen, frac = greedy(prep)
+            except Infeasible:
+                return Infeasible
+            return chosen, frac.objective, frac.x
+
+        assert run(generalized_greedy) == run(reference.generalized_greedy)
