@@ -52,7 +52,6 @@ from .weighted import (
     RoundedSolution,
     WeightedInstance,
     build_request_feasibility,
-    gain,
     generalized_greedy,
     preprocess,
     round_solution,

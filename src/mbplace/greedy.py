@@ -6,8 +6,10 @@ Submodularity of the assignment function makes the greedy count at most
 earlier step an upper bound on the gain now, so ``lazy_pick`` (Minoux's
 accelerated greedy, shared with the weighted generalized greedy) keeps the
 candidates in a heap keyed on their upper bound and re-evaluates only the
-top one, here on a cloned snapshot of the live assignment, until a
-candidate whose gain is current stays on top.
+top one until a candidate whose gain is current stays on top. A gain is
+counted on pair bitsets by ``matching.count_gain``, without touching the
+live assignment; only the winner is deployed through the canonical
+``Assignment.add_middlebox``, whose gain must equal the counted one.
 One location is committed per step, so deployed locations are never
 revisited and served pairs never drop out.
 """
@@ -18,9 +20,9 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .exceptions import Stalled
+from .exceptions import PlacementError, Stalled
 from .instance import FeasibilitySets, PlacementInstance
-from .matching import Assignment
+from .matching import UNASSIGNED, Assignment, count_gain
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ def lazy_pick(heap: list, step: int, evaluate):
     ``(-bound, id, stamp)``: refresh the top entry with ``evaluate(id) ->
     (gain, state)`` and stamp it ``step``, or drop it for good at gain 0,
     until a fresh entry is on top (no stale bound of a submodular objective
-    beats it). Returns ``(id, gain, state)``, or None if the heap runs empty.
+    beats it). Returns ``(id, gain, state)``, or None if the heap runs empty;
+    ``state`` is what ``evaluate`` returned with the winning gain (the
+    weighted greedy's LP solution, None for the unweighted one).
     """
     best = (math.inf,)  # the smallest (-gain, id, state) evaluated in this step
     while heap:
@@ -91,27 +95,35 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
     Picks the largest gain, ties to the smallest id, through ``lazy_pick``
-    with gains measured on clones of the engine. ``heap`` comes from
-    ``candidate_heap`` (built afresh when omitted) and is updated in place.
+    with gains from ``count_gain`` on bitsets of the engine's assignment,
+    built once per step. ``heap`` comes from ``candidate_heap`` (built
+    afresh when omitted) and is updated in place. The winner is deployed by
+    ``engine.add_middlebox``.
 
     Raises Stalled when no candidate improves the assignment although free
-    pairs remain (e.g. |P| > capacity * |U|).
+    pairs remain (e.g. |P| > capacity * |U|), and PlacementError if the
+    deployed gain differs from the counted one.
     """
     num_free = engine.fs.num_pairs - engine.num_assigned
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
     heap = candidate_heap(engine) if heap is None else heap
+    owned = dict.fromkeys(engine.load, 0)
+    free = 0
+    for p, y in enumerate(engine.mu):
+        if y is UNASSIGNED:
+            free |= 1 << p
+        else:
+            owned[y] |= 1 << p
 
-    def evaluate(m):
-        trial = engine.clone()
-        return trial.add_middlebox(m), trial
-
-    picked = lazy_pick(heap, len(engine.load), evaluate)
+    picked = lazy_pick(heap, len(engine.load),
+                       lambda m: (count_gain(engine, m, owned, free), None))
     if picked is None:
         raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
-    m, gained, best = picked
-    # Adopt the winning snapshot; identical to replaying its augmentations.
-    engine.mu, engine.load, engine.num_assigned = best.mu, best.load, best.num_assigned
+    m, gained, _ = picked
+    deployed = engine.add_middlebox(m)
+    if deployed != gained:
+        raise PlacementError(f"middlebox {m} gained {deployed} pairs, {gained} were counted")
     return m, gained
 
 

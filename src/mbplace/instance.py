@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from numbers import Integral
 
@@ -134,6 +135,8 @@ class FeasibilitySets:
 
     ``pairs_of[u]`` lists the pair (or weighted request) indices u may serve;
     ``candidates_of[p]`` lists the candidates that may serve index p.
+    ``masks[u]`` is ``pairs_of[u]`` as a bitset (bit p set iff u may serve p),
+    built on first use.
     """
 
     num_pairs: int
@@ -148,21 +151,28 @@ class FeasibilitySets:
                 for p in ps:
                     rev[p].append(u)
             self.candidates_of = [tuple(sorted(us)) for us in rev]
-        self._sets = {u: frozenset(ps) for u, ps in self.pairs_of.items()}
 
     @classmethod
     def from_matrix(cls, ok: np.ndarray, candidates) -> "FeasibilitySets":
         """Both directions of a ``feasible`` matrix over sorted ``candidates``."""
         cands = np.asarray(candidates, dtype=np.intp)
+        ids = np.arange(len(ok)).astype(object)  # one int per pair, not one per entry
         return cls(
             num_pairs=len(ok),
-            pairs_of={u: tuple(np.flatnonzero(ok[:, k]).tolist())
-                      for k, u in enumerate(candidates)},
+            pairs_of={u: tuple(ids[ok[:, k]]) for k, u in enumerate(candidates)},
             candidates_of=[tuple(cands[row].tolist()) for row in ok],
         )
 
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        bits = np.zeros((len(self.pairs_of), self.num_pairs), dtype=bool)
+        for row, ps in zip(bits, self.pairs_of.values()):
+            row[np.array(ps, dtype=np.intp)] = True
+        rows = np.packbits(bits, axis=1, bitorder="little")
+        return {u: int.from_bytes(row.tobytes(), "little") for u, row in zip(self.pairs_of, rows)}
+
     def contains(self, u: int, p: int) -> bool:
-        return p in self._sets[u]
+        return bool(self.masks[u] >> p & 1)
 
     @property
     def candidates(self) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Capacitated bipartite assignment engine.
+"""Capacitated bipartite assignment engine and the greedy's gain counter.
 
 Maintains a maximum partial assignment of pairs to deployed middleboxes and
 grows it incrementally: adding a middlebox only ever applies augmenting
@@ -9,7 +9,13 @@ of untouched middleboxes never change.
 Adding a middlebox first takes the free pairs it can serve, in ascending
 pair index up to capacity: these are exactly the length-1 augmenting paths,
 in the order the search would return them. Longer paths (handovers) are then
-found by breadth-first search, one shortest path at a time.
+found by breadth-first search, one shortest path at a time. This canonical
+order fixes the reported assignment.
+
+``count_gain`` computes only the number such an addition gains, on pair
+bitsets (``FeasibilitySets.masks``), with any augmenting paths: the gain is
+``phi(M + m) - phi(M)`` whatever paths realise it, so the greedy scores its
+candidates with it and runs the canonical addition for the winner alone.
 """
 
 from __future__ import annotations
@@ -39,10 +45,6 @@ class AugmentingPath:
         if len(self.middleboxes) != len(self.pairs) or not self.pairs:
             raise InvalidPath("path must alternate middlebox/pair and be nonempty")
 
-    @property
-    def num_edges(self) -> int:
-        return 2 * len(self.pairs) - 1
-
 
 class Assignment:
     """Mutable pair -> middlebox assignment with per-middlebox loads."""
@@ -61,9 +63,6 @@ class Assignment:
     @property
     def active(self) -> tuple[int, ...]:
         return tuple(sorted(self.load))
-
-    def free_capacity(self, m: int) -> int:
-        return self.capacity - self.load[m]
 
     def assigned_pairs(self) -> frozenset[int]:
         return frozenset(i for i, m in enumerate(self.mu) if m is not UNASSIGNED)
@@ -124,28 +123,9 @@ class Assignment:
         prs.reverse()
         return AugmentingPath(tuple(mbs), tuple(prs))
 
-    def apply_augmenting_path(self, path: AugmentingPath) -> None:
-        """Flip the path's edges; grows the assignment by exactly one pair."""
-        mbs, prs = path.middleboxes, path.pairs
-        k = len(prs)
-        if mbs[0] not in self.load or self.load[mbs[0]] >= self.capacity:
-            raise InvalidPath("path must start at an active middlebox with free capacity")
-        if self.mu[prs[-1]] is not UNASSIGNED:
-            raise InvalidPath("path must end at a free pair")
-        for i in range(k):
-            if mbs[i] not in self.load:
-                raise InvalidPath(f"middlebox {mbs[i]} is not active")
-            if not self.fs.contains(mbs[i], prs[i]):
-                raise InvalidPath(f"pair {prs[i]} is not feasible for middlebox {mbs[i]}")
-            if i + 1 < k and self.mu[prs[i]] != mbs[i + 1]:
-                raise InvalidPath(
-                    f"pair {prs[i]} is not currently assigned to middlebox {mbs[i + 1]}"
-                )
-        self._flip(path)
-
     def _flip(self, path: AugmentingPath) -> None:
-        """apply_augmenting_path without its checks, for paths this engine
-        has just found itself."""
+        """Apply a path this engine has just found: grows the assignment by
+        exactly one pair."""
         for m, p in zip(path.middleboxes, path.pairs):
             self.mu[p] = m
         self.load[path.middleboxes[0]] += 1
@@ -184,6 +164,57 @@ class Assignment:
             self._flip(path)
             gained += 1
         return gained
+
+
+def count_gain(engine: Assignment, m: int, owned: dict[int, int], free: int) -> int:
+    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is.
+
+    ``owned[y]`` is the bitset of the pairs assigned to deployed box y and
+    ``free`` that of the unassigned pairs; both describe the engine and are
+    only read. The free pairs of S_m count first, up to capacity. Each
+    further pair needs one breadth-first search from m, a level at a time:
+    the boxes of a level reach the pairs of their S_x, a free one ends the
+    search, and the undiscovered owners of the others form the next level,
+    their pairs then counting as visited. The path is flipped on local
+    copies, each box on it passing one pair back to a box of the level
+    before, down to m. Counting stops at capacity or at the first search
+    that fails.
+    """
+    masks = engine.fs.masks
+    capacity = engine.capacity
+    gained = min(capacity, (masks[m] & free).bit_count())
+    if gained == capacity:
+        return gained
+    free &= ~masks[m]
+    owned = dict(owned)
+    while gained < capacity:
+        levels = [[m]]
+        visited = 0
+        while True:
+            reach = 0
+            for x in levels[-1]:
+                reach |= masks[x]
+            if reach & free:
+                break
+            reach &= ~visited
+            level = [y for y, pairs in owned.items() if pairs & reach]
+            if not level:
+                return gained
+            for y in level:
+                visited |= owned[y]
+            levels.append(level)
+        x = next(x for x in levels.pop() if masks[x] & free)
+        bit = masks[x] & free
+        bit &= -bit
+        free ^= bit
+        for level in reversed(levels):
+            z = next(z for z in level if masks[z] & owned[x])
+            via = masks[z] & owned[x]
+            via &= -via
+            owned[x] ^= bit | via
+            x, bit = z, via
+        gained += 1
+    return gained
 
 
 def phi(M, fs: FeasibilitySets, capacity: int) -> int:

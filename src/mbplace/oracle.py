@@ -72,28 +72,27 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
 def _best_of_size(fs: FeasibilitySets, capacity: int, universe, n: int, floor: int,
                   cap: int) -> tuple[Assignment | None, int]:
     """(best n-subset assignment serving more than ``floor`` pairs or None,
-    subsets grown), by branch and bound in lexicographic order; the search
-    stops once the best reaches ``cap``."""
+    subsets grown), by depth-first branch and bound in lexicographic order;
+    the search stops once the best reaches ``cap``. A stack frame is (the
+    state of the subset so far, the next index to branch on, slots left);
+    a frame is done when too few candidates remain to fill its slots or
+    even full boxes in every slot cannot beat the best."""
     best_value, best_state, explored = floor, None, 0
-
-    def search(state: Assignment, start: int, slots: int):
-        nonlocal explored, best_value, best_state
-        if slots == 0:
-            if state.num_assigned > best_value:
-                best_value = state.num_assigned
-                best_state = state
-            return
-        for idx in range(start, len(universe)):
-            if len(universe) - idx < slots or best_value >= cap:
-                return
-            if state.num_assigned + slots * capacity <= best_value:
-                return
-            trial = state.clone()
-            trial.add_middlebox(universe[idx])
-            explored += 1
-            search(trial, idx + 1, slots - 1)
-
-    search(Assignment(fs, capacity), 0, n)
+    stack = [(Assignment(fs, capacity), 0, n)]
+    while stack:
+        state, idx, slots = stack[-1]
+        if (len(universe) - idx < slots or best_value >= cap
+                or state.num_assigned + slots * capacity <= best_value):
+            stack.pop()
+            continue
+        stack[-1] = state, idx + 1, slots
+        trial = state.clone()
+        trial.add_middlebox(universe[idx])
+        explored += 1
+        if slots > 1:
+            stack.append((trial, idx + 1, slots - 1))
+        elif trial.num_assigned > best_value:
+            best_value, best_state = trial.num_assigned, trial
     return best_state, explored
 
 

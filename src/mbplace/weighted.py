@@ -178,12 +178,6 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     return FractionalAssignment(x, -cost, active)
 
 
-def gain(i: int, active, prep: Preprocessed) -> Fraction:
-    """Marginal fractional objective of opening candidate i on top of ``active``."""
-    base = solve_fractional(active, prep).objective
-    return solve_fractional(tuple(active) + (i,), prep).objective - base
-
-
 def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignment]:
     """Open locations by maximum fractional gain until ``f(S) > n - 1``,
     ties to the smallest id, through ``greedy.lazy_pick``: f is monotone
@@ -220,9 +214,6 @@ class RoundedSolution:
     assignment: dict[int, int]
     load: dict[int, Fraction]
 
-    def max_load(self) -> Fraction:
-        return max(self.load.values(), default=ZERO)
-
 
 def _build_slots(frac: FractionalAssignment, prep: Preprocessed):
     """Slot graph: machine i gets ceil(sum_j x_ij) unit slots, filled with its
@@ -253,6 +244,36 @@ def _build_slots(frac: FractionalAssignment, prep: Preprocessed):
     return slot_owner, job_slots
 
 
+def _match_slot(j: int, job_slots, matched_slot: dict, matched_job: dict) -> bool:
+    """Kuhn's augmenting search from request j over the slot graph: a
+    depth-first search, each slot tried at most once, that re-matches the
+    requests on the found path (each to the slot it was reached through).
+    ``stack[i]`` is a request with its untried slots and ``taken[i]`` the
+    slot through which ``stack[i + 1]`` was reached."""
+    banned: set[int] = set()
+    stack = [(j, iter(job_slots.get(j, ())))]
+    taken: list[int] = []
+    while stack:
+        job, slots = stack[-1]
+        slot = next((s for s in slots if s not in banned), None)
+        if slot is None:
+            stack.pop()
+            if taken:
+                taken.pop()
+            continue
+        banned.add(slot)
+        taken.append(slot)
+        if slot in matched_slot:
+            owner = matched_slot[slot]
+            stack.append((owner, iter(job_slots.get(owner, ()))))
+            continue
+        for (job, _), slot in zip(stack, taken):
+            matched_slot[slot] = job
+            matched_job[job] = slot
+        return True
+    return False
+
+
 def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> RoundedSolution:
     """Round a fractional assignment with objective above ``n - 1``.
 
@@ -263,22 +284,10 @@ def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> Ro
     slot_owner, job_slots = _build_slots(frac, prep)
     matched_slot: dict[int, int] = {}
     matched_job: dict[int, int] = {}
-
-    def try_assign(j: int, banned: set[int]) -> bool:
-        for slot in job_slots.get(j, ()):
-            if slot in banned:
-                continue
-            banned.add(slot)
-            if slot not in matched_slot or try_assign(matched_slot[slot], banned):
-                matched_slot[slot] = j
-                matched_job[j] = slot
-                return True
-        return False
-
     for j in prep.kept:
         if j in matched_job:
             continue
-        if not try_assign(j, set()):
+        if not _match_slot(j, job_slots, matched_slot, matched_job):
             raise RoundingFailed(
                 f"request {j} cannot be matched to a slot; fractional objective "
                 f"{frac.objective_float:.6g} must exceed {prep.num_kept - 1}"

@@ -5,6 +5,10 @@ the production code: Floyd-Warshall vs. repeated Dijkstra, exhaustive
 assignment enumeration vs. augmenting paths, networkx max-flow on the
 capacity-clone graph, scipy's LP solver vs. the flow reduction, and a
 scalar ``math.isclose`` loop vs. the vectorised feasibility relation.
+
+The last helpers read a quantity off a solver object for the tests that
+check it: a path's edge count, a middlebox's free capacity, a weighted
+marginal gain and a rounded solution's largest load.
 """
 
 from __future__ import annotations
@@ -159,3 +163,24 @@ def feasible_reference(members, d, candidates, stretch, route_limit) -> np.ndarr
                 if not (via <= bound or math.isclose(via, bound, rel_tol=1e-9)):
                     ok[j, k] = False
     return ok
+
+
+def num_edges(path) -> int:
+    """Edges of an augmenting path (m_0, p_0, ..., p_k): k + 1 new, k released."""
+    return 2 * len(path.pairs) - 1
+
+
+def free_capacity(engine, m: int) -> int:
+    return engine.capacity - engine.load[m]
+
+
+def weighted_gain(i: int, active, prep) -> Fraction:
+    """Marginal fractional objective of opening candidate i on top of ``active``."""
+    from mbplace.weighted import solve_fractional
+
+    base = solve_fractional(active, prep).objective
+    return solve_fractional(tuple(active) + (i,), prep).objective - base
+
+
+def max_load(rounded) -> Fraction:
+    return max(rounded.load.values(), default=Fraction(0))

@@ -3,10 +3,10 @@ kept for the differential tests in ``test_differential.py``.
 
 ``add_middlebox`` takes every augmenting path, the length-1 ones included,
 from the breadth-first search and applies it through the checked
-``Assignment.apply_augmenting_path``. ``greedy_step`` is the eager greedy:
-it evaluates every undeployed candidate in ascending id on a clone of the
+``apply_augmenting_path``. ``greedy_step`` is the eager greedy: it
+evaluates every undeployed candidate in ascending id on a clone of the
 engine. Both work on a ``mbplace.matching.Assignment`` and use only its
-search, its checked apply and ``clone``.
+search, its fields and ``clone``.
 
 ``generalized_greedy`` is the eager weighted greedy: every step solves the
 fractional LP of each unopened candidate, in ascending id, through
@@ -15,9 +15,35 @@ fractional LP of each unopened candidate, in ascending id, through
 
 from __future__ import annotations
 
-from mbplace.exceptions import AlreadyActive, Infeasible, Stalled
-from mbplace.matching import Assignment
+from mbplace.exceptions import AlreadyActive, Infeasible, InvalidPath, Stalled
+from mbplace.matching import UNASSIGNED, Assignment, AugmentingPath
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
+
+
+def apply_augmenting_path(engine: Assignment, path: AugmentingPath) -> None:
+    """Flip the path's edges after checking that it is one: it starts at an
+    active middlebox with free capacity, ends at a free pair, uses feasible
+    edges only, and each inner pair is assigned to the next middlebox.
+    Grows the assignment by exactly one pair; raises InvalidPath otherwise."""
+    mbs, prs = path.middleboxes, path.pairs
+    k = len(prs)
+    if mbs[0] not in engine.load or engine.load[mbs[0]] >= engine.capacity:
+        raise InvalidPath("path must start at an active middlebox with free capacity")
+    if engine.mu[prs[-1]] is not UNASSIGNED:
+        raise InvalidPath("path must end at a free pair")
+    for i in range(k):
+        if mbs[i] not in engine.load:
+            raise InvalidPath(f"middlebox {mbs[i]} is not active")
+        if not engine.fs.contains(mbs[i], prs[i]):
+            raise InvalidPath(f"pair {prs[i]} is not feasible for middlebox {mbs[i]}")
+        if i + 1 < k and engine.mu[prs[i]] != mbs[i + 1]:
+            raise InvalidPath(
+                f"pair {prs[i]} is not currently assigned to middlebox {mbs[i + 1]}"
+            )
+    for m, p in zip(mbs, prs):
+        engine.mu[p] = m
+    engine.load[mbs[0]] += 1
+    engine.num_assigned += 1
 
 
 def add_middlebox(engine: Assignment, m: int) -> int:
@@ -32,7 +58,7 @@ def add_middlebox(engine: Assignment, m: int) -> int:
         path = engine.find_augmenting_path(m)
         if path is None:
             break
-        engine.apply_augmenting_path(path)
+        apply_augmenting_path(engine, path)
         gained += 1
     return gained
 

@@ -1,12 +1,14 @@
-"""Differential tests: the lazy greedy of both variants and the engine's
-length-1 fast path against the eager, BFS-only reference copies in
-``reference.py``.
+"""Differential tests: the lazy greedy of both variants, the engine's
+length-1 fast path and the bitset gain counter against the eager, BFS-only
+reference copies in ``reference.py``.
 
 Relations are drawn two ways: as arbitrary pair/candidate relations (pairs
 no candidate serves and capacity shortfalls make greedy stall) and as
 feasibility sets of seeded random networks. Every greedy step must choose
 the same middlebox with the same gain and leave the same assignment and
-loads, and a stall must come at the same step. The weighted greedy must
+loads, and a stall must come at the same step. After every greedy step the
+counter must give every undeployed candidate the gain the reference would
+deploy it with. The weighted greedy must
 open the same locations with the same fractional objective and ``x``, and
 fail with Infeasible on the same problems.
 """
@@ -23,9 +25,9 @@ import reference
 from builders import coverable_instance, coverable_weighted_problem, rng_for
 
 from mbplace.exceptions import Infeasible, Stalled
-from mbplace.greedy import greedy_place, greedy_prefix, incremental_extend
+from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
 from mbplace.instance import FeasibilitySets
-from mbplace.matching import Assignment, phi
+from mbplace.matching import Assignment, count_gain, phi
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
 from mbplace.weighted import Request, generalized_greedy, preprocess
 
@@ -117,6 +119,56 @@ class TestAddMiddlebox:
         fs, capacity = relation
         members = [m for m in fs.candidates if rnd.random() < 0.5]
         assert phi(members, fs, capacity) == reference.phi(members, fs, capacity)
+
+
+def bitsets(engine: Assignment):
+    """count_gain's ``owned`` and ``free`` for the engine's assignment."""
+    owned = {y: sum(1 << p for p, x in enumerate(engine.mu) if x == y) for y in engine.load}
+    free = sum(1 << p for p, x in enumerate(engine.mu) if x is None)
+    return owned, free
+
+
+class TestCountGain:
+    @settings(max_examples=200, deadline=None)
+    @given(any_relation)
+    def test_every_candidate_after_every_step(self, relation):
+        """Greedy from scratch; before each step and after the last one,
+        count every undeployed candidate (gains of 0 included) on an
+        untouched engine and compare with the reference deployment."""
+        fs, capacity = relation
+        engine = Assignment(fs, capacity)
+        while True:
+            owned, free = bitsets(engine)
+            before = state(engine)
+            for m in fs.candidates:
+                if m not in engine.load:
+                    want = reference.add_middlebox(engine.clone(), m)
+                    assert count_gain(engine, m, owned, free) == want, m
+            assert state(engine) == before
+            if engine.num_assigned == fs.num_pairs:
+                break
+            try:
+                greedy_step(engine)
+            except Stalled:
+                break
+
+    def test_cases(self):
+        """Hand-made cases: handovers, capacity 1, free pairs alone up to
+        capacity, gains of 0 and a stall (pair 6 has no candidate)."""
+        fs = FeasibilitySets(num_pairs=7, pairs_of={
+            10: (1, 2), 11: (0, 3, 4), 12: (0,), 13: (0, 1, 2, 5), 14: ()})
+        for capacity, deployed, want in [
+            (2, (10, 11), {12: 1, 13: 2, 14: 0}),  # 11 hands 0 over, takes 4
+            (1, (13,), {10: 1, 11: 1, 12: 1, 14: 0}),  # 13 hands 0 to 12, takes 1
+            (3, (), {10: 2, 11: 3, 12: 1, 13: 3, 14: 0}),  # free pairs only
+            (2, (10, 11, 13), {12: 0, 14: 0}),  # only pair 6 is left
+        ]:
+            engine = Assignment(fs, capacity)
+            for m in deployed:
+                engine.add_middlebox(m)
+            owned, free = bitsets(engine)
+            assert {m: count_gain(engine, m, owned, free) for m in want} == want
+            assert {m: reference.add_middlebox(engine.clone(), m) for m in want} == want
 
 
 class TestGreedy:

@@ -1,7 +1,8 @@
 import pytest
 
 from builders import coverable_instance, rng_for
-from oracles import exhaustive_phi, maxflow_phi
+from oracles import exhaustive_phi, free_capacity, maxflow_phi, num_edges
+from reference import apply_augmenting_path
 
 from mbplace.exceptions import AlreadyActive, InvalidPath
 from mbplace.instance import FeasibilitySets
@@ -119,7 +120,7 @@ class TestFindAugmentingPath:
         state.load[10] = 0
         path = state.find_augmenting_path(10)
         assert path == AugmentingPath((10,), (1,))
-        assert path.num_edges == 1
+        assert num_edges(path) == 1
 
     def test_three_edge_path_through_assigned_pair(self):
         state = Assignment(fig_scenario(), 2)
@@ -129,7 +130,7 @@ class TestFindAugmentingPath:
         path = state.find_augmenting_path(12)
         assert path.middleboxes == (12, 11)
         assert path.pairs == (0, 4)
-        assert path.num_edges == 3
+        assert num_edges(path) == 3
 
     def test_none_when_engine_already_maximum(self):
         rng = rng_for(71)
@@ -142,7 +143,7 @@ class TestFindAugmentingPath:
                 state.add_middlebox(u)
             assert state.num_assigned == exhaustive_phi(members, fs, inst.capacity)
             for m in state.active:
-                if state.free_capacity(m) > 0:
+                if free_capacity(state, m) > 0:
                     assert state.find_augmenting_path(m) is None
 
     def test_start_without_capacity_rejected(self):
@@ -158,7 +159,7 @@ class TestApplyAugmentingPath:
         fs = fig_scenario()
         state = Assignment(fs, 2)
         state.load[10] = 0
-        state.apply_augmenting_path(AugmentingPath((10,), (1,)))
+        apply_augmenting_path(state, AugmentingPath((10,), (1,)))
         assert state.mu[1] == 10
         assert state.num_assigned == 1
 
@@ -168,14 +169,13 @@ class TestApplyAugmentingPath:
         state.add_middlebox(11)
         state.load[12] = 0
         with pytest.raises(InvalidPath):  # endpoint pair not free
-            state.apply_augmenting_path(AugmentingPath((12,), (0,)))
+            apply_augmenting_path(state, AugmentingPath((12,), (0,)))
         with pytest.raises(InvalidPath):  # infeasible edge
-            state.apply_augmenting_path(AugmentingPath((12,), (3,)))
+            apply_augmenting_path(state, AugmentingPath((12,), (3,)))
         with pytest.raises(InvalidPath):  # broken alternation
-            state.apply_augmenting_path(AugmentingPath((12, 10), (0, 4)))
+            apply_augmenting_path(state, AugmentingPath((12, 10), (0, 4)))
         with pytest.raises(InvalidPath):  # inactive start
-            Assignment(fig_scenario(), 2).apply_augmenting_path(
-                AugmentingPath((10,), (1,)))
+            apply_augmenting_path(Assignment(fig_scenario(), 2), AugmentingPath((10,), (1,)))
 
     def test_no_path_reuses_a_consumed_free_pair(self):
         rng = rng_for(90)
@@ -191,7 +191,7 @@ class TestApplyAugmentingPath:
                         break
                     assert path.pairs[-1] not in consumed
                     consumed.add(path.pairs[-1])
-                    state.apply_augmenting_path(path)
+                    apply_augmenting_path(state, path)
 
 
 class TestSubmodularityAndProjection:

@@ -9,7 +9,7 @@ from builders import (
     relation_of,
     rng_for,
 )
-from oracles import lp_max_fractional, weighted_integral_feasible
+from oracles import lp_max_fractional, max_load, weighted_integral_feasible, weighted_gain
 
 from mbplace.exceptions import Infeasible, RoundingFailed
 from mbplace.instance import Pair, PlacementInstance, build_feasibility
@@ -17,7 +17,6 @@ from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import (
     Request,
     build_request_feasibility,
-    gain,
     generalized_greedy,
     preprocess,
     round_solution,
@@ -159,11 +158,11 @@ class TestSolveFractional:
 class TestGain:
     def test_zero_when_all_entries_deleted(self):
         prep = manual_problem([(3,)], [1.0], kappa=2.0)
-        assert gain(4, [3], prep) == 0  # 4 serves nothing
+        assert weighted_gain(4, [3], prep) == 0  # 4 serves nothing
 
     def test_first_box_gain_is_f_of_singleton(self):
         prep = manual_problem([(3,), (3, 4)], [1.0, 1.5], kappa=2.0)
-        assert gain(3, [], prep) == solve_fractional([3], prep).objective
+        assert weighted_gain(3, [], prep) == solve_fractional([3], prep).objective
 
     def test_monotone_and_diminishing_returns(self):
         rng = rng_for(15)
@@ -176,7 +175,7 @@ class TestGain:
             if not outside:
                 continue
             i = outside[int(rng.integers(0, len(outside)))]
-            g1, g2 = gain(i, s1, prep), gain(i, s2, prep)
+            g1, g2 = weighted_gain(i, s1, prep), weighted_gain(i, s2, prep)
             assert g1 >= g2 >= 0
             assert solve_fractional(s1, prep).objective <= \
                 solve_fractional(s2, prep).objective
@@ -238,7 +237,7 @@ class TestRounding:
         chosen, frac = generalized_greedy(prep)
         rounded = round_solution(frac, chosen, prep)
         assert set(rounded.assignment) == {0, 1, 2}
-        assert rounded.max_load() <= prep.kappa
+        assert max_load(rounded) <= prep.kappa
 
     def test_rounding_failed_when_precondition_violated(self):
         prep = manual_problem([(1,), (1,)], [2.0, 2.0], kappa=2.0)
@@ -263,7 +262,7 @@ class TestRounding:
             return
         rounded = round_solution(frac, chosen, prep)
         assert set(rounded.assignment) == set(prep.kept)
-        assert rounded.max_load() <= 2 * prep.kappa
+        assert max_load(rounded) <= 2 * prep.kappa
         for j, u in rounded.assignment.items():
             assert u in prep.fs.candidates_of[j]
 
