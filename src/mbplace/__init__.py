@@ -38,7 +38,7 @@ from .instance import (
     check_total_capacity,
     feasible,
 )
-from .matching import Assignment, AugmentingPath, phi
+from .matching import Assignment, phi
 from .netgraph import DistanceMatrix, Network, Node, compute_apsp, geo_distance
 from .oracle import (
     ExactResult,

@@ -7,8 +7,8 @@ earlier step an upper bound on the gain now, so ``lazy_pick`` (Minoux's
 accelerated greedy, shared with the weighted generalized greedy) keeps the
 candidates in a heap keyed on their upper bound and re-evaluates only the
 top one until a candidate whose gain is current stays on top. A gain is
-counted on pair bitsets by ``matching.count_gain``, without touching the
-live assignment; only the winner is deployed through the canonical
+counted by ``matching.count_gain``, the engine's grow loop run on copies
+of its pair bitsets; only the winner is deployed through the canonical
 ``Assignment.add_middlebox``, whose gain must equal the counted one.
 One location is committed per step, so deployed locations are never
 revisited and served pairs never drop out.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .exceptions import PlacementError, Stalled
 from .instance import FeasibilitySets, PlacementInstance
-from .matching import UNASSIGNED, Assignment, count_gain
+from .matching import Assignment, count_gain
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,9 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
     Picks the largest gain, ties to the smallest id, through ``lazy_pick``
-    with gains from ``count_gain`` on bitsets of the engine's assignment,
-    built once per step. ``heap`` comes from ``candidate_heap`` (built
-    afresh when omitted) and is updated in place. The winner is deployed by
-    ``engine.add_middlebox``.
+    with gains from ``count_gain``. ``heap`` comes from ``candidate_heap``
+    (built afresh when omitted) and is updated in place. The winner is
+    deployed by ``engine.add_middlebox``.
 
     Raises Stalled when no candidate improves the assignment although free
     pairs remain (e.g. |P| > capacity * |U|), and PlacementError if the
@@ -108,16 +107,7 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
     heap = candidate_heap(engine) if heap is None else heap
-    owned = dict.fromkeys(engine.load, 0)
-    free = 0
-    for p, y in enumerate(engine.mu):
-        if y is UNASSIGNED:
-            free |= 1 << p
-        else:
-            owned[y] |= 1 << p
-
-    picked = lazy_pick(heap, len(engine.load),
-                       lambda m: (count_gain(engine, m, owned, free), None))
+    picked = lazy_pick(heap, len(engine.load), lambda m: (count_gain(engine, m), None))
     if picked is None:
         raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
     m, gained, _ = picked

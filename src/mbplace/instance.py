@@ -129,6 +129,13 @@ def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
     return ok
 
 
+def _ascending(ps) -> tuple[int, ...]:
+    """``ps`` as an ascending tuple; a tuple already ascending is kept as it
+    is, so the builders' tuples are not held twice."""
+    sorted_ps = tuple(sorted(ps))
+    return ps if sorted_ps == ps else sorted_ps
+
+
 @dataclass
 class FeasibilitySets:
     """Both directions of the request/candidate feasibility relation.
@@ -144,7 +151,7 @@ class FeasibilitySets:
     candidates_of: list[tuple[int, ...]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.pairs_of = {u: tuple(sorted(ps)) for u, ps in sorted(self.pairs_of.items())}
+        self.pairs_of = {u: _ascending(ps) for u, ps in sorted(self.pairs_of.items())}
         if not self.candidates_of:
             rev: list[list[int]] = [[] for _ in range(self.num_pairs)]
             for u, ps in self.pairs_of.items():

@@ -1,4 +1,4 @@
-"""Capacitated bipartite assignment engine and the greedy's gain counter.
+"""Capacitated bipartite assignment engine.
 
 Maintains a maximum partial assignment of pairs to deployed middleboxes and
 grows it incrementally: adding a middlebox only ever applies augmenting
@@ -6,55 +6,67 @@ paths that start at the new location, so pairs served earlier stay served
 (they may be handed over to another middlebox, never dropped) and the loads
 of untouched middleboxes never change.
 
-Adding a middlebox first takes the free pairs it can serve, in ascending
-pair index up to capacity: these are exactly the length-1 augmenting paths,
-in the order the search would return them. Longer paths (handovers) are then
-found by breadth-first search, one shortest path at a time. This canonical
-order fixes the reported assignment.
+The state is held on pair bitsets, one Python int each: ``owned[y]`` has
+bit p set iff pair p is assigned to box y, ``free`` has the unassigned
+pairs, and ``FeasibilitySets.masks[x]`` is S_x. One grow loop adds a box:
+it takes the lowest free pairs of S_m up to capacity (the length-1 paths),
+then one level-by-level search and one flip per further pair. Deployment
+runs it on the engine; ``count_gain`` runs it on copies, so the greedy can
+score a candidate without touching the engine.
 
-``count_gain`` computes only the number such an addition gains, on pair
-bitsets (``FeasibilitySets.masks``), with any augmenting paths: the gain is
-``phi(M + m) - phi(M)`` whatever paths realise it, so the greedy scores its
-candidates with it and runs the canonical addition for the winner alone.
+Deployment sorts each level of the search into breadth-first discovery
+order, which makes the flip apply exactly the path a pair-by-pair
+breadth-first search in ascending pair index would return. This canonical
+order fixes the reported assignment. Counting skips the sort: the gain is
+``phi(M + m) - phi(M)`` whatever paths realise it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from .exceptions import AlreadyActive, InvalidPath
+from .exceptions import AlreadyActive
 from .instance import FeasibilitySets
 
 UNASSIGNED = None
 
 
-@dataclass(frozen=True)
-class AugmentingPath:
-    """Alternating path (m_0, p_0, m_1, p_1, ..., p_k).
+def _lowest(bits: int, k: int) -> int:
+    """The ``k`` lowest set bits of ``bits``, or all of them if it has fewer."""
+    if bits.bit_count() <= k:
+        return bits
+    lo, hi = 0, bits.bit_length()  # below lo fewer than k bits, below hi at least k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (bits & ((1 << mid) - 1)).bit_count() < k:
+            lo = mid
+        else:
+            hi = mid
+    return bits & ((1 << hi) - 1)
 
-    ``middleboxes[i] -- pairs[i]`` are the new assignment edges and
-    ``pairs[i] -- middleboxes[i+1]`` the released ones; the final pair is
-    free before application.
-    """
 
-    middleboxes: tuple[int, ...]
-    pairs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.middleboxes) != len(self.pairs) or not self.pairs:
-            raise InvalidPath("path must alternate middlebox/pair and be nonempty")
+def _discovered_by(prev: list[int], masks: dict[int, int], pairs: int) -> tuple[int, int]:
+    """(position in ``prev`` of the first box whose S_x meets ``pairs``, the
+    lowest pair of that meet as a bit): where a breadth-first search finds
+    the owner of ``pairs``."""
+    for i, x in enumerate(prev):
+        hit = masks[x] & pairs
+        if hit:
+            return i, hit & -hit
 
 
 class Assignment:
-    """Mutable pair -> middlebox assignment with per-middlebox loads."""
+    """Mutable pair -> middlebox assignment on pair bitsets.
+
+    ``load`` and ``num_assigned`` are kept as counts of their own, so a
+    recount of the assignment can check them.
+    """
 
     def __init__(self, fs: FeasibilitySets, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.fs = fs
         self.capacity = capacity
-        self.mu: list[int | None] = [UNASSIGNED] * fs.num_pairs
+        self.owned: dict[int, int] = {}
+        self.free = (1 << fs.num_pairs) - 1
         self.load: dict[int, int] = {}
         self.num_assigned = 0
 
@@ -64,157 +76,127 @@ class Assignment:
     def active(self) -> tuple[int, ...]:
         return tuple(sorted(self.load))
 
-    def assigned_pairs(self) -> frozenset[int]:
-        return frozenset(i for i, m in enumerate(self.mu) if m is not UNASSIGNED)
+    @property
+    def mu(self) -> list[int | None]:
+        """``mu[p]``: the box pair p is assigned to, or None (a fresh list)."""
+        mu: list[int | None] = [UNASSIGNED] * self.fs.num_pairs
+        for y, pairs in self.owned.items():
+            bits = f"{pairs:b}"[::-1]
+            p = bits.find("1")
+            while p >= 0:
+                mu[p] = y
+                p = bits.find("1", p + 1)
+        return mu
 
     def clone(self) -> "Assignment":
         other = Assignment.__new__(Assignment)
         other.fs = self.fs
         other.capacity = self.capacity
-        other.mu = list(self.mu)
+        other.owned = dict(self.owned)
+        other.free = self.free
         other.load = dict(self.load)
         other.num_assigned = self.num_assigned
         return other
 
     # -- augmenting-path machinery ----------------------------------------
 
-    def find_augmenting_path(self, start: int) -> AugmentingPath | None:
-        """Shortest augmenting path from ``start`` to a free pair, or None.
+    def find_augmenting_path(self, start: int, owned: dict[int, int], free: int,
+                             _ordered: bool = False) -> list[list[int]] | None:
+        """Levels of a shortest augmenting path from ``start`` over the
+        assignment ``owned``/``free``, or None if there is none.
 
-        BFS layers guarantee shortest; neighbors are explored in ascending
-        pair index, which makes the returned path deterministic.
+        Level 0 is ``[start]``; the boxes of a level reach the pairs of their
+        S_x, and the owners of those not yet visited form the next level,
+        their pairs then counting as visited. The search stops at the first
+        level that reaches a free pair. With ``_ordered`` the levels found
+        are sorted, from the first on, into breadth-first discovery order:
+        box y by the position of the first box x of the level before whose
+        S_x meets ``owned[y]``, then by the lowest pair of that meet.
         """
-        if start not in self.load:
-            raise ValueError(f"start {start} is not an active middlebox")
-        if self.load[start] >= self.capacity:
-            raise ValueError(f"start {start} has no free capacity")
-        parent_of_pair: dict[int, int] = {}
-        parent_of_mb: dict[int, int] = {}
-        queue = deque([start])
-        seen_mb = {start}
-        while queue:
-            x = queue.popleft()
-            for p in self.fs.pairs_of[x]:
-                if p in parent_of_pair:
-                    continue
-                parent_of_pair[p] = x
-                owner = self.mu[p]
-                if owner is UNASSIGNED:
-                    return self._reconstruct(start, p, parent_of_pair, parent_of_mb)
-                if owner not in seen_mb:
-                    seen_mb.add(owner)
-                    parent_of_mb[owner] = p
-                    queue.append(owner)
-        return None
-
-    @staticmethod
-    def _reconstruct(start, free_pair, parent_of_pair, parent_of_mb) -> AugmentingPath:
-        mbs: list[int] = []
-        prs: list[int] = []
-        p = free_pair
-        while True:
-            x = parent_of_pair[p]
-            mbs.append(x)
-            prs.append(p)
-            if x == start:
-                break
-            p = parent_of_mb[x]
-        mbs.reverse()
-        prs.reverse()
-        return AugmentingPath(tuple(mbs), tuple(prs))
-
-    def _flip(self, path: AugmentingPath) -> None:
-        """Apply a path this engine has just found: grows the assignment by
-        exactly one pair."""
-        for m, p in zip(path.middleboxes, path.pairs):
-            self.mu[p] = m
-        self.load[path.middleboxes[0]] += 1
-        self.num_assigned += 1
-
-    # -- incremental growth -------------------------------------------------
-
-    def add_middlebox(self, m: int) -> int:
-        """Deploy m and re-maximize; returns the gained number of pairs.
-
-        Only paths starting at m are needed: the previous assignment was
-        maximum, so after exhausting them the new one is maximum as well.
-        The free pairs of S_m are taken first, in ascending index: each is
-        the length-1 path the search would return next, since the search
-        scans S_m in that order before any handover. Taking them creates no
-        free pair, so every later path is longer and needs the search.
-        """
-        if m in self.load:
-            raise AlreadyActive(f"middlebox {m} is already deployed")
-        if m not in self.fs.pairs_of:
-            raise ValueError(f"{m} is not a candidate location")
-        mu, capacity = self.mu, self.capacity
-        gained = 0
-        for p in self.fs.pairs_of[m]:
-            if gained == capacity:
-                break
-            if mu[p] is UNASSIGNED:
-                mu[p] = m
-                gained += 1
-        self.load[m] = gained
-        self.num_assigned += gained
-        while gained < capacity:
-            path = self.find_augmenting_path(m)
-            if path is None:
-                break
-            self._flip(path)
-            gained += 1
-        return gained
-
-
-def count_gain(engine: Assignment, m: int, owned: dict[int, int], free: int) -> int:
-    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is.
-
-    ``owned[y]`` is the bitset of the pairs assigned to deployed box y and
-    ``free`` that of the unassigned pairs; both describe the engine and are
-    only read. The free pairs of S_m count first, up to capacity. Each
-    further pair needs one breadth-first search from m, a level at a time:
-    the boxes of a level reach the pairs of their S_x, a free one ends the
-    search, and the undiscovered owners of the others form the next level,
-    their pairs then counting as visited. The path is flipped on local
-    copies, each box on it passing one pair back to a box of the level
-    before, down to m. Counting stops at capacity or at the first search
-    that fails.
-    """
-    masks = engine.fs.masks
-    capacity = engine.capacity
-    gained = min(capacity, (masks[m] & free).bit_count())
-    if gained == capacity:
-        return gained
-    free &= ~masks[m]
-    owned = dict(owned)
-    while gained < capacity:
-        levels = [[m]]
-        visited = 0
+        masks = self.fs.masks
+        levels = [[start]]
+        visited = owned[start]
         while True:
             reach = 0
             for x in levels[-1]:
                 reach |= masks[x]
             if reach & free:
-                break
+                if _ordered:
+                    for prev, level in zip(levels, levels[1:]):
+                        level.sort(key=lambda y: _discovered_by(prev, masks, owned[y]))
+                return levels
             reach &= ~visited
             level = [y for y, pairs in owned.items() if pairs & reach]
             if not level:
-                return gained
+                return None
             for y in level:
                 visited |= owned[y]
             levels.append(level)
-        x = next(x for x in levels.pop() if masks[x] & free)
+
+    def _flip(self, levels: list[list[int]], owned: dict[int, int], free: int) -> int:
+        """Apply the path the levels hold and return the new ``free``.
+
+        The first box of the last level that reaches a free pair takes its
+        lowest one; walking back, each box on the path takes the lowest pair
+        of the first box of the level before that reaches it, down to the
+        start, which ends with one pair more.
+        """
+        masks = self.fs.masks
+        x = next(x for x in levels[-1] if masks[x] & free)
         bit = masks[x] & free
         bit &= -bit
         free ^= bit
-        for level in reversed(levels):
+        for level in reversed(levels[:-1]):
             z = next(z for z in level if masks[z] & owned[x])
             via = masks[z] & owned[x]
             via &= -via
             owned[x] ^= bit | via
             x, bit = z, via
-        gained += 1
-    return gained
+        owned[x] |= bit
+        return free
+
+    def _grow(self, m: int, owned: dict[int, int], free: int, ordered: bool) -> tuple[int, int]:
+        """Open m on ``owned``/``free`` (``owned`` is updated in place) and
+        re-maximize; returns the gain and the new ``free``.
+
+        Only paths starting at m are needed: the previous assignment was
+        maximum, so after exhausting them the new one is maximum as well.
+        The lowest free pairs of S_m come first, up to capacity: each is the
+        length-1 path the search would return next. Taking them creates no
+        free pair, so every later path is a handover, one search and one
+        flip each, until capacity or the first search that fails.
+        """
+        take = _lowest(self.fs.masks[m] & free, self.capacity)
+        owned[m] = take
+        free ^= take
+        gained = take.bit_count()
+        while gained < self.capacity:
+            levels = self.find_augmenting_path(m, owned, free, ordered)
+            if levels is None:
+                break
+            free = self._flip(levels, owned, free)
+            gained += 1
+        return gained, free
+
+    # -- incremental growth -------------------------------------------------
+
+    def add_middlebox(self, m: int) -> int:
+        """Deploy m and re-maximize along the canonical paths; returns the
+        gained number of pairs."""
+        if m in self.load:
+            raise AlreadyActive(f"middlebox {m} is already deployed")
+        if m not in self.fs.pairs_of:
+            raise ValueError(f"{m} is not a candidate location")
+        gained, self.free = self._grow(m, self.owned, self.free, True)
+        self.load[m] = gained
+        self.num_assigned += gained
+        return gained
+
+
+def count_gain(engine: Assignment, m: int) -> int:
+    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is:
+    the grow loop on copies, with levels left unsorted."""
+    return engine._grow(m, dict(engine.owned), engine.free, False)[0]
 
 
 def phi(M, fs: FeasibilitySets, capacity: int) -> int:

@@ -116,33 +116,41 @@ def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
 
 
 def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> dict | None:
-    """Exhaustive assignment search with residual-capacity branch and bound.
+    """Exhaustive assignment search with a residual-capacity bound.
 
     ``members`` are request indices sorted by descending demand so the
-    hardest requests branch first.
+    hardest requests branch first. The search fails at once when the
+    candidates' total capacity cannot hold the total demand; placing a
+    request lowers the capacity left and the demand left alike, so that
+    bound is the same at every depth and is checked once. Depth-first on an
+    explicit stack: ``stack[k]`` is the index of the next candidate to try
+    for the k-th request.
     """
     residual = {m: kappa for m in {u for j in members for u in candidates_of[j]}}
+    if len(residual) * kappa < sum(demands[j] for j in members):
+        return None
     order = sorted(members, key=lambda j: (-demands[j], j))
     chosen: dict[int, int] = {}
-
-    def place(k: int) -> bool:
+    stack = [0]
+    while stack:
+        k = len(stack) - 1
         if k == len(order):
-            return True
-        remaining = sum(demands[j] for j in order[k:])
-        if sum(residual.values()) < remaining:
-            return False
-        j = order[k]
-        for u in candidates_of[j]:
-            if u in residual and residual[u] >= demands[j]:
-                residual[u] -= demands[j]
-                chosen[j] = u
-                if place(k + 1):
-                    return True
-                residual[u] += demands[j]
-                del chosen[j]
-        return False
-
-    return dict(chosen) if place(0) else None
+            return dict(chosen)
+        j, i = order[k], stack[k]
+        us = candidates_of[j]
+        while i < len(us) and not (us[i] in residual and residual[us[i]] >= demands[j]):
+            i += 1
+        if i == len(us):
+            stack.pop()
+            if stack:  # undo the choice of the request before
+                q = order[k - 1]
+                residual[chosen.pop(q)] += demands[q]
+            continue
+        residual[us[i]] -= demands[j]
+        chosen[j] = us[i]
+        stack[k] = i + 1
+        stack.append(0)
+    return None
 
 
 def exact_weighted_min_middleboxes(requests, candidates_of, kappa, limit: int = 12,

@@ -7,8 +7,9 @@ capacity-clone graph, scipy's LP solver vs. the flow reduction, and a
 scalar ``math.isclose`` loop vs. the vectorised feasibility relation.
 
 The last helpers read a quantity off a solver object for the tests that
-check it: a path's edge count, a middlebox's free capacity, a weighted
-marginal gain and a rounded solution's largest load.
+check it: a path's edge count, a middlebox's free capacity, an engine's
+served pairs, a weighted marginal gain and a rounded solution's largest
+load.
 """
 
 from __future__ import annotations
@@ -172,6 +173,11 @@ def num_edges(path) -> int:
 
 def free_capacity(engine, m: int) -> int:
     return engine.capacity - engine.load[m]
+
+
+def assigned_pairs(engine) -> frozenset[int]:
+    """The pairs an engine serves."""
+    return frozenset(p for p, m in enumerate(engine.mu) if m is not None)
 
 
 def weighted_gain(i: int, active, prep) -> Fraction:

@@ -1,12 +1,14 @@
 """Reference copies of the engine paths that the optimised ones replaced,
 kept for the differential tests in ``test_differential.py``.
 
-``add_middlebox`` takes every augmenting path, the length-1 ones included,
-from the breadth-first search and applies it through the checked
+``Assignment`` is the list-based engine: ``mu[p]`` is the box of pair p or
+None, and ``find_augmenting_path`` is a breadth-first search over the pairs
+of each box in ascending index that returns an ``AugmentingPath``.
+Its ``add_middlebox`` takes every augmenting path, the length-1 ones
+included, from that search and applies it through the checked
 ``apply_augmenting_path``. ``greedy_step`` is the eager greedy: it
 evaluates every undeployed candidate in ascending id on a clone of the
-engine. Both work on a ``mbplace.matching.Assignment`` and use only its
-search, its fields and ``clone``.
+engine.
 
 ``generalized_greedy`` is the eager weighted greedy: every step solves the
 fractional LP of each unopened candidate, in ascending id, through
@@ -15,9 +17,114 @@ fractional LP of each unopened candidate, in ascending id, through
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
+
 from mbplace.exceptions import AlreadyActive, Infeasible, InvalidPath, Stalled
-from mbplace.matching import UNASSIGNED, Assignment, AugmentingPath
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
+
+UNASSIGNED = None
+
+
+@dataclass(frozen=True)
+class AugmentingPath:
+    """Alternating path (m_0, p_0, m_1, p_1, ..., p_k).
+
+    ``middleboxes[i] -- pairs[i]`` are the new assignment edges and
+    ``pairs[i] -- middleboxes[i+1]`` the released ones; the final pair is
+    free before application.
+    """
+
+    middleboxes: tuple[int, ...]
+    pairs: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.middleboxes) != len(self.pairs) or not self.pairs:
+            raise InvalidPath("path must alternate middlebox/pair and be nonempty")
+
+
+class Assignment:
+    """List-based pair -> middlebox assignment with per-middlebox loads."""
+
+    def __init__(self, fs, capacity: int, mu=None, load=None):
+        self.fs = fs
+        self.capacity = capacity
+        self.mu: list[int | None] = [UNASSIGNED] * fs.num_pairs if mu is None else list(mu)
+        self.load: dict[int, int] = {} if load is None else dict(load)
+        self.num_assigned = sum(m is not UNASSIGNED for m in self.mu)
+
+    @classmethod
+    def of(cls, engine) -> "Assignment":
+        """A reference engine holding the assignment of ``engine``."""
+        return cls(engine.fs, engine.capacity, engine.mu, engine.load)
+
+    @property
+    def active(self) -> tuple[int, ...]:
+        return tuple(sorted(self.load))
+
+    def clone(self) -> "Assignment":
+        return Assignment(self.fs, self.capacity, self.mu, self.load)
+
+    def add_middlebox(self, m: int) -> int:
+        """Deploy m and re-maximize with BFS paths only; returns the gain."""
+        if m in self.load:
+            raise AlreadyActive(f"middlebox {m} is already deployed")
+        if m not in self.fs.pairs_of:
+            raise ValueError(f"{m} is not a candidate location")
+        self.load[m] = 0
+        gained = 0
+        while self.load[m] < self.capacity:
+            path = self.find_augmenting_path(m)
+            if path is None:
+                break
+            apply_augmenting_path(self, path)
+            gained += 1
+        return gained
+
+    def find_augmenting_path(self, start: int) -> AugmentingPath | None:
+        """Shortest augmenting path from ``start`` to a free pair, or None.
+
+        Neighbors are explored in ascending pair index, which makes the
+        returned path deterministic.
+        """
+        if start not in self.load:
+            raise ValueError(f"start {start} is not an active middlebox")
+        if self.load[start] >= self.capacity:
+            raise ValueError(f"start {start} has no free capacity")
+        parent_of_pair: dict[int, int] = {}
+        parent_of_mb: dict[int, int] = {}
+        queue = deque([start])
+        seen_mb = {start}
+        while queue:
+            x = queue.popleft()
+            for p in self.fs.pairs_of[x]:
+                if p in parent_of_pair:
+                    continue
+                parent_of_pair[p] = x
+                owner = self.mu[p]
+                if owner is UNASSIGNED:
+                    return _reconstruct(start, p, parent_of_pair, parent_of_mb)
+                if owner not in seen_mb:
+                    seen_mb.add(owner)
+                    parent_of_mb[owner] = p
+                    queue.append(owner)
+        return None
+
+
+def _reconstruct(start, free_pair, parent_of_pair, parent_of_mb) -> AugmentingPath:
+    mbs: list[int] = []
+    prs: list[int] = []
+    p = free_pair
+    while True:
+        x = parent_of_pair[p]
+        mbs.append(x)
+        prs.append(p)
+        if x == start:
+            break
+        p = parent_of_mb[x]
+    mbs.reverse()
+    prs.reverse()
+    return AugmentingPath(tuple(mbs), tuple(prs))
 
 
 def apply_augmenting_path(engine: Assignment, path: AugmentingPath) -> None:
@@ -46,23 +153,6 @@ def apply_augmenting_path(engine: Assignment, path: AugmentingPath) -> None:
     engine.num_assigned += 1
 
 
-def add_middlebox(engine: Assignment, m: int) -> int:
-    """Deploy m and re-maximize with BFS paths only; returns the gain."""
-    if m in engine.load:
-        raise AlreadyActive(f"middlebox {m} is already deployed")
-    if m not in engine.fs.pairs_of:
-        raise ValueError(f"{m} is not a candidate location")
-    engine.load[m] = 0
-    gained = 0
-    while engine.load[m] < engine.capacity:
-        path = engine.find_augmenting_path(m)
-        if path is None:
-            break
-        apply_augmenting_path(engine, path)
-        gained += 1
-    return gained
-
-
 def greedy_step(engine: Assignment):
     """One eager greedy iteration: returns (chosen, gain), mutates the engine.
 
@@ -79,7 +169,7 @@ def greedy_step(engine: Assignment):
         if m in engine.load or min(engine.capacity, len(fs.pairs_of[m]), num_free) <= best_gain:
             continue
         trial = engine.clone()
-        gained = add_middlebox(trial, m)
+        gained = trial.add_middlebox(m)
         if gained > best_gain:
             best_gain, best_m, best_state = gained, m, trial
     if best_m is None:
@@ -112,7 +202,7 @@ def phi(M, fs, capacity: int) -> int:
     """Maximum number of pairs assignable to middlebox set M."""
     state = Assignment(fs, capacity)
     for m in sorted(set(M)):
-        add_middlebox(state, m)
+        state.add_middlebox(m)
     return state.num_assigned
 
 

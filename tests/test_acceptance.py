@@ -19,7 +19,7 @@ from builders import (
     star_instance,
     star_instance_nodes,
 )
-from oracles import exhaustive_phi, lp_max_fractional, max_load
+from oracles import assigned_pairs, exhaustive_phi, lp_max_fractional, max_load
 
 from mbplace.exceptions import Infeasible
 from mbplace.greedy import greedy_place, greedy_prefix, incremental_extend, greedy_approximation_bound
@@ -167,7 +167,7 @@ def test_criterion_4_incremental_no_preemption_and_projection():
         prefixes = []
         while not trace.complete:
             trace = incremental_extend(trace, 1)
-            pairs = trace.engine.assigned_pairs()
+            pairs = assigned_pairs(trace.engine)
             boxes = frozenset(trace.engine.load)
             assert prev_pairs <= pairs and prev_boxes < boxes
             prev_pairs, prev_boxes = pairs, boxes
@@ -183,7 +183,7 @@ def test_criterion_4_incremental_no_preemption_and_projection():
         order = [u for u in fs.candidates if rng.random() < 0.7]
         for u in order:
             state.add_middlebox(u)
-            pairs = state.assigned_pairs()
+            pairs = assigned_pairs(state)
             assert prev <= pairs
             prev = pairs
         for j in range(1, len(order) + 1):

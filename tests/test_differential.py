@@ -1,6 +1,6 @@
-"""Differential tests: the lazy greedy of both variants, the engine's
-length-1 fast path and the bitset gain counter against the eager, BFS-only
-reference copies in ``reference.py``.
+"""Differential tests: the lazy greedy of both variants, the bitset engine
+and its gain counter against the eager greedy and the list-based, BFS-only
+reference engine in ``reference.py``.
 
 Relations are drawn two ways: as arbitrary pair/candidate relations (pairs
 no candidate serves and capacity shortfalls make greedy stall) and as
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from builders import coverable_instance, coverable_weighted_problem, rng_for
 
+from mbplace import oracle
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
 from mbplace.instance import FeasibilitySets
@@ -108,9 +109,9 @@ class TestAddMiddlebox:
         fs, capacity = relation
         order = list(fs.candidates)
         rnd.shuffle(order)
-        fast, ref = Assignment(fs, capacity), Assignment(fs, capacity)
+        fast, ref = Assignment(fs, capacity), reference.Assignment(fs, capacity)
         for m in order:
-            assert fast.add_middlebox(m) == reference.add_middlebox(ref, m)
+            assert fast.add_middlebox(m) == ref.add_middlebox(m)
             assert state(fast) == state(ref)
 
     @settings(max_examples=100, deadline=None)
@@ -121,30 +122,23 @@ class TestAddMiddlebox:
         assert phi(members, fs, capacity) == reference.phi(members, fs, capacity)
 
 
-def bitsets(engine: Assignment):
-    """count_gain's ``owned`` and ``free`` for the engine's assignment."""
-    owned = {y: sum(1 << p for p, x in enumerate(engine.mu) if x == y) for y in engine.load}
-    free = sum(1 << p for p, x in enumerate(engine.mu) if x is None)
-    return owned, free
-
-
 class TestCountGain:
     @settings(max_examples=200, deadline=None)
     @given(any_relation)
     def test_every_candidate_after_every_step(self, relation):
         """Greedy from scratch; before each step and after the last one,
         count every undeployed candidate (gains of 0 included) on an
-        untouched engine and compare with the reference deployment."""
+        untouched engine and compare with the reference deployment on a
+        reference engine holding the same assignment."""
         fs, capacity = relation
         engine = Assignment(fs, capacity)
         while True:
-            owned, free = bitsets(engine)
-            before = state(engine)
+            before = state(engine), dict(engine.owned), engine.free
             for m in fs.candidates:
                 if m not in engine.load:
-                    want = reference.add_middlebox(engine.clone(), m)
-                    assert count_gain(engine, m, owned, free) == want, m
-            assert state(engine) == before
+                    want = reference.Assignment.of(engine).add_middlebox(m)
+                    assert count_gain(engine, m) == want, m
+            assert (state(engine), engine.owned, engine.free) == before
             if engine.num_assigned == fs.num_pairs:
                 break
             try:
@@ -166,9 +160,8 @@ class TestCountGain:
             engine = Assignment(fs, capacity)
             for m in deployed:
                 engine.add_middlebox(m)
-            owned, free = bitsets(engine)
-            assert {m: count_gain(engine, m, owned, free) for m in want} == want
-            assert {m: reference.add_middlebox(engine.clone(), m) for m in want} == want
+            assert {m: count_gain(engine, m) for m in want} == want
+            assert {m: reference.Assignment.of(engine).add_middlebox(m) for m in want} == want
 
 
 class TestGreedy:
@@ -235,7 +228,7 @@ class TestOracles:
 
         fast = run_both()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Assignment, "add_middlebox", reference.add_middlebox)
+            mp.setattr(oracle, "Assignment", reference.Assignment)
             ref = run_both()
         assert fast == ref
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from builders import coverable_instance, feasible_instance, rng_for, set_cover_instance, star_instance
+from oracles import assigned_pairs
 
 from mbplace.exceptions import Stalled
 from mbplace.greedy import (
@@ -99,7 +100,7 @@ class TestTraceInvariants:
         while not trace.complete:
             trace = incremental_extend(trace, 1)
             boxes = set(trace.engine.load)
-            pairs = trace.engine.assigned_pairs()
+            pairs = assigned_pairs(trace.engine)
             assert prev_boxes < boxes
             assert prev_pairs <= pairs
             prev_boxes, prev_pairs = boxes, pairs

@@ -244,6 +244,15 @@ def test_manual_feasibility_sets_compute_reverse_direction():
     assert fs.edge_count() == 3
 
 
+def test_pairs_of_sorted_and_ascending_tuples_kept():
+    ascending = (0, 2, 3)
+    fs = FeasibilitySets(num_pairs=4, pairs_of={7: [3, 1], 5: ascending, 6: (2, 0, 1), 8: {3, 0}})
+    assert fs.pairs_of == {5: (0, 2, 3), 6: (0, 1, 2), 7: (1, 3), 8: (0, 3)}
+    assert list(fs.pairs_of) == [5, 6, 7, 8]
+    assert fs.pairs_of[5] is ascending
+    assert fs.candidates_of == [(5, 6, 8), (6, 7), (5, 6), (5, 7, 8)]
+
+
 class TestValidateAssignment:
     """Path 0-1-2-3 with unit hops at stretch 1: a box serves a pair only on
     its shortest path."""

@@ -1,12 +1,13 @@
 import pytest
 
+import reference
 from builders import coverable_instance, rng_for
-from oracles import exhaustive_phi, free_capacity, maxflow_phi, num_edges
-from reference import apply_augmenting_path
+from oracles import assigned_pairs, exhaustive_phi, free_capacity, maxflow_phi, num_edges
+from reference import AugmentingPath, apply_augmenting_path
 
 from mbplace.exceptions import AlreadyActive, InvalidPath
 from mbplace.instance import FeasibilitySets
-from mbplace.matching import Assignment, AugmentingPath, phi
+from mbplace.matching import Assignment, phi
 
 
 def fig_scenario():
@@ -79,11 +80,11 @@ class TestAddMiddlebox:
         assert state.add_middlebox(10) == 2
         assert state.add_middlebox(11) == 2
         assert state.mu[0] == 11
-        served_before = state.assigned_pairs()
+        served_before = assigned_pairs(state)
         assert state.add_middlebox(12) == 1
         assert state.mu[0] == 12          # handover
         assert state.mu[4] == 11          # freed capacity reused
-        assert served_before <= state.assigned_pairs()
+        assert served_before <= assigned_pairs(state)
         assert all(load <= 2 for load in state.load.values())
 
     def test_gain_matches_stateless_phi_on_500_increments(self):
@@ -113,17 +114,82 @@ class TestAddMiddlebox:
                     assert state.load[m] == v
 
 
+class TestLevelSearch:
+    """The engine's one search: levels of a shortest augmenting path on the
+    pair bitsets, applied by the engine's one flip."""
+
+    def test_direct_free_pair(self):
+        state = Assignment(fig_scenario(), 2)
+        state.owned[10] = 0
+        levels = state.find_augmenting_path(10, state.owned, state.free)
+        assert levels == [[10]]
+        state.free = state._flip(levels, state.owned, state.free)
+        assert state.mu == [None, 10, None, None, None]
+        assert state.free == 0b11101
+
+    def test_three_edge_handover(self):
+        state = Assignment(fig_scenario(), 2)
+        state.add_middlebox(10)
+        state.add_middlebox(11)
+        assert state.mu == [11, 10, 10, 11, None]
+        state.owned[12] = 0
+        for ordered in (False, True):
+            assert state.find_augmenting_path(12, state.owned, state.free, ordered) == [[12], [11]]
+        state.free = state._flip([[12], [11]], state.owned, state.free)
+        assert state.mu == [12, 10, 10, 11, 11]  # 11 hands pair 0 over, takes the free pair 4
+        assert state.free == 0
+
+    def test_deploy_orders_levels_by_discovery(self):
+        # Boxes 0..3 own pairs 0..3 and pairs 4, 5 are free. From box 4, box 1
+        # (via pair 1) comes before box 2 (via pair 2); box 1 then finds box 3
+        # (via pair 3) before box 2 finds box 0 (via pair 0), so box 3 leads
+        # the last level even though its pair is the higher one.
+        fs = FeasibilitySets(num_pairs=6, pairs_of={
+            0: (0, 5), 1: (1, 3), 2: (0, 2), 3: (3, 4), 4: (1, 2)})
+        state = Assignment(fs, 1)
+        for m in range(4):
+            state.add_middlebox(m)
+        assert state.mu == [0, 1, 2, 3, None, None]
+        state.owned[4] = 0
+        assert state.find_augmenting_path(4, state.owned, state.free, True) == [[4], [1, 2], [3, 0]]
+        del state.owned[4]
+        assert state.add_middlebox(4) == 1
+        assert state.mu == [0, 4, 2, 1, 3, None]
+        ref = reference.Assignment(fs, 1)
+        for m in range(5):
+            ref.add_middlebox(m)
+        assert ref.mu == state.mu
+
+    def test_none_at_maximum(self):
+        rng = rng_for(71)
+        for _ in range(20):
+            inst, fs = coverable_instance(rng, num_nodes=7, num_pairs=6,
+                                          capacity=int(rng.integers(1, 3)))
+            members = list(fs.candidates)[:5]
+            state = Assignment(fs, inst.capacity)
+            for u in members:
+                state.add_middlebox(u)
+            assert state.num_assigned == exhaustive_phi(members, fs, inst.capacity)
+            for m in state.active:
+                if free_capacity(state, m) > 0:
+                    for ordered in (False, True):
+                        assert state.find_augmenting_path(m, state.owned, state.free,
+                                                          ordered) is None
+
+
 class TestFindAugmentingPath:
+    """The reference engine's breadth-first search."""
+
     def test_direct_free_pair_single_edge(self):
         fs = fig_scenario()
-        state = Assignment(fs, 2)
+        state = reference.Assignment(fs, 2)
         state.load[10] = 0
         path = state.find_augmenting_path(10)
         assert path == AugmentingPath((10,), (1,))
         assert num_edges(path) == 1
 
     def test_three_edge_path_through_assigned_pair(self):
-        state = Assignment(fig_scenario(), 2)
+        state = reference.Assignment(fig_scenario(), 2)
         state.add_middlebox(10)
         state.add_middlebox(11)
         state.load[12] = 0
@@ -138,7 +204,7 @@ class TestFindAugmentingPath:
             inst, fs = coverable_instance(rng, num_nodes=7, num_pairs=6,
                                           capacity=int(rng.integers(1, 3)))
             members = list(fs.candidates)[:5]
-            state = Assignment(fs, inst.capacity)
+            state = reference.Assignment(fs, inst.capacity)
             for u in members:
                 state.add_middlebox(u)
             assert state.num_assigned == exhaustive_phi(members, fs, inst.capacity)
@@ -148,23 +214,25 @@ class TestFindAugmentingPath:
 
     def test_start_without_capacity_rejected(self):
         fs = FeasibilitySets(num_pairs=1, pairs_of={0: (0,)})
-        state = Assignment(fs, 1)
+        state = reference.Assignment(fs, 1)
         state.add_middlebox(0)
         with pytest.raises(ValueError):
             state.find_augmenting_path(0)
 
 
 class TestApplyAugmentingPath:
+    """The reference engine's checked flip."""
+
     def test_single_edge_application(self):
         fs = fig_scenario()
-        state = Assignment(fs, 2)
+        state = reference.Assignment(fs, 2)
         state.load[10] = 0
         apply_augmenting_path(state, AugmentingPath((10,), (1,)))
         assert state.mu[1] == 10
         assert state.num_assigned == 1
 
     def test_invalid_paths_rejected(self):
-        state = Assignment(fig_scenario(), 2)
+        state = reference.Assignment(fig_scenario(), 2)
         state.add_middlebox(10)
         state.add_middlebox(11)
         state.load[12] = 0
@@ -175,13 +243,14 @@ class TestApplyAugmentingPath:
         with pytest.raises(InvalidPath):  # broken alternation
             apply_augmenting_path(state, AugmentingPath((12, 10), (0, 4)))
         with pytest.raises(InvalidPath):  # inactive start
-            apply_augmenting_path(Assignment(fig_scenario(), 2), AugmentingPath((10,), (1,)))
+            apply_augmenting_path(reference.Assignment(fig_scenario(), 2),
+                                  AugmentingPath((10,), (1,)))
 
     def test_no_path_reuses_a_consumed_free_pair(self):
         rng = rng_for(90)
         for _ in range(20):
             inst, fs = coverable_instance(rng, num_nodes=8, num_pairs=6, capacity=2)
-            state = Assignment(fs, inst.capacity)
+            state = reference.Assignment(fs, inst.capacity)
             consumed = set()
             for u in fs.candidates:
                 state.load[u] = 0
