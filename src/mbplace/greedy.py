@@ -62,9 +62,8 @@ def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
     pairs of S_m: handover paths may end at a free pair of another
     middlebox. Candidates with an empty S_m can never gain and are left out.
     """
-    fs = engine.fs
-    return sorted((-min(engine.capacity, len(fs.pairs_of[m])), m, -1)
-                  for m in fs.candidates if m not in engine.load and fs.pairs_of[m])
+    return sorted((-min(engine.capacity, mask.bit_count()), m, -1)
+                  for m, mask in engine.fs.masks.items() if m not in engine.load and mask)
 
 
 def lazy_pick(heap: list, step: int, evaluate):

@@ -6,13 +6,14 @@ stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length mode. All
 downstream algorithms consume only the FeasibilitySets built here, so both
 constraint flavors share every code path. ``feasible`` is the one vectorised
 feasibility relation for pairs and weighted groups alike, and both builders
-and ``validate_assignment`` use it.
+and ``validate_assignment`` use it. ``FeasibilitySets`` stores that relation
+once, as one pair bitset per candidate packed straight from the matrix.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from numbers import Integral
@@ -62,8 +63,8 @@ class PlacementInstance:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(set(self.candidates)))
-        if self.capacity < 1:
-            raise DomainError(f"capacity must be >= 1, got {self.capacity}")
+        if not _is_int(self.capacity) or self.capacity < 1:
+            raise DomainError(f"capacity must be an integer >= 1, got {self.capacity!r}")
         check_domain(self.net.num_nodes, [u for p in self.pairs for u in (p.s, p.t)],
                      self.candidates, self.stretch, self.route_limit)
         seen: set[Pair] = set()
@@ -84,24 +85,28 @@ class PlacementInstance:
         return len(self.pairs)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
                  route_limit: float | None) -> None:
     """Input checks shared by both instance kinds: the candidate set is
     nonempty, every request node and candidate is an integer node id in
     ``0..num_nodes-1``, and exactly one bound is set, with ``stretch >= 1``
-    or ``route_limit >= 0``. Raises DomainError."""
+    or ``route_limit >= 0`` (NaN fails; infinity means no bound). Raises
+    DomainError."""
     if not candidates:
         raise DomainError("candidate set must be nonempty")
     for what, ids in (("request node", nodes), ("candidate", candidates)):
-        bad = [u for u in dict.fromkeys(ids)
-               if not isinstance(u, Integral) or isinstance(u, bool) or not 0 <= u < num_nodes]
+        bad = [u for u in dict.fromkeys(ids) if not _is_int(u) or not 0 <= u < num_nodes]
         if bad:
             raise DomainError(f"{what} id(s) {bad} are not node ids 0..{num_nodes - 1}")
     if (stretch is None) == (route_limit is None):
         raise DomainError("exactly one of stretch / route_limit must be set")
-    if stretch is not None and stretch < 1.0:
+    if stretch is not None and not stretch >= 1.0:
         raise DomainError(f"stretch must be >= 1, got {stretch}")
-    if route_limit is not None and route_limit < 0.0:
+    if route_limit is not None and not route_limit >= 0.0:
         raise DomainError(f"route limit must be >= 0, got {route_limit}")
 
 
@@ -129,77 +134,68 @@ def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
     return ok
 
 
-def _ascending(ps) -> tuple[int, ...]:
-    """``ps`` as an ascending tuple; a tuple already ascending is kept as it
-    is, so the builders' tuples are not held twice."""
-    sorted_ps = tuple(sorted(ps))
-    return ps if sorted_ps == ps else sorted_ps
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [p for p, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
 
 
 @dataclass
 class FeasibilitySets:
-    """Both directions of the request/candidate feasibility relation.
+    """The request/candidate feasibility relation, held once as bitsets.
 
-    ``pairs_of[u]`` lists the pair (or weighted request) indices u may serve;
-    ``candidates_of[p]`` lists the candidates that may serve index p.
-    ``masks[u]`` is ``pairs_of[u]`` as a bitset (bit p set iff u may serve p),
-    built on first use.
+    ``masks[u]`` is S_u as one Python int: bit p is set iff candidate u may
+    serve pair (or weighted request) p. Its keys are the candidates in
+    ascending order. ``candidates_of[p]``, the candidates that may serve p,
+    is derived from ``masks`` on first use.
     """
 
     num_pairs: int
-    pairs_of: dict[int, tuple[int, ...]]
-    candidates_of: list[tuple[int, ...]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.pairs_of = {u: _ascending(ps) for u, ps in sorted(self.pairs_of.items())}
-        if not self.candidates_of:
-            rev: list[list[int]] = [[] for _ in range(self.num_pairs)]
-            for u, ps in self.pairs_of.items():
-                for p in ps:
-                    rev[p].append(u)
-            self.candidates_of = [tuple(sorted(us)) for us in rev]
+    masks: dict[int, int]
 
     @classmethod
     def from_matrix(cls, ok: np.ndarray, candidates) -> "FeasibilitySets":
-        """Both directions of a ``feasible`` matrix over sorted ``candidates``."""
-        cands = np.asarray(candidates, dtype=np.intp)
-        ids = np.arange(len(ok)).astype(object)  # one int per pair, not one per entry
-        return cls(
-            num_pairs=len(ok),
-            pairs_of={u: tuple(ids[ok[:, k]]) for k, u in enumerate(candidates)},
-            candidates_of=[tuple(cands[row].tolist()) for row in ok],
-        )
+        """The relation of a ``feasible`` matrix over sorted ``candidates``."""
+        rows = np.packbits(ok.T, axis=1, bitorder="little")
+        return cls(len(ok), {u: int.from_bytes(row.tobytes(), "little")
+                             for u, row in zip(candidates, rows)})
 
     @cached_property
-    def masks(self) -> dict[int, int]:
-        bits = np.zeros((len(self.pairs_of), self.num_pairs), dtype=bool)
-        for row, ps in zip(bits, self.pairs_of.values()):
-            row[np.array(ps, dtype=np.intp)] = True
-        rows = np.packbits(bits, axis=1, bitorder="little")
-        return {u: int.from_bytes(row.tobytes(), "little") for u, row in zip(self.pairs_of, rows)}
+    def candidates_of(self) -> list[tuple[int, ...]]:
+        rev: list[list[int]] = [[] for _ in range(self.num_pairs)]
+        for u, mask in self.masks.items():
+            for p in _members(mask):
+                rev[p].append(u)
+        return [tuple(us) for us in rev]
+
+    def uncovered(self) -> list[int]:
+        """The indices no candidate may serve, ascending."""
+        covered = 0
+        for mask in self.masks.values():
+            covered |= mask
+        return _members(~covered & ((1 << self.num_pairs) - 1))
 
     def contains(self, u: int, p: int) -> bool:
         return bool(self.masks[u] >> p & 1)
 
     @property
     def candidates(self) -> tuple[int, ...]:
-        return tuple(self.pairs_of)
+        return tuple(self.masks)
 
     def edge_count(self) -> int:
-        return sum(len(ps) for ps in self.pairs_of.values())
+        return sum(mask.bit_count() for mask in self.masks.values())
 
 
 def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
-    """Precompute S_u / C_p from the distance matrix.
+    """Precompute every S_u from the distance matrix.
 
     Raises InfeasiblePair for any pair no candidate can serve.
     """
     ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
                   inst.stretch, inst.route_limit)
     fs = FeasibilitySets.from_matrix(ok, inst.candidates)
-    for i, cands in enumerate(fs.candidates_of):
-        if not cands:
-            raise InfeasiblePair(inst.pairs[i], "no candidate satisfies the bound")
+    missing = fs.uncovered()
+    if missing:
+        raise InfeasiblePair(inst.pairs[missing[0]], "no candidate satisfies the bound")
     return fs
 
 
@@ -209,7 +205,7 @@ def check_total_capacity(inst: PlacementInstance, fs: FeasibilitySets) -> None:
     Necessary but not sufficient: pigeonhole on total capacity plus empty
     candidate sets. Raises Infeasible listing the uncoverable pairs.
     """
-    uncoverable = [inst.pairs[i] for i, c in enumerate(fs.candidates_of) if not c]
+    uncoverable = [inst.pairs[i] for i in fs.uncovered()]
     if uncoverable:
         raise Infeasible(
             f"{len(uncoverable)} pair(s) have no feasible candidate", uncoverable

@@ -185,7 +185,7 @@ class Assignment:
         gained number of pairs."""
         if m in self.load:
             raise AlreadyActive(f"middlebox {m} is already deployed")
-        if m not in self.fs.pairs_of:
+        if m not in self.fs.masks:
             raise ValueError(f"{m} is not a candidate location")
         gained, self.free = self._grow(m, self.owned, self.free, True)
         self.load[m] = gained

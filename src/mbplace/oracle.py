@@ -11,12 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exceptions import Infeasible, TooLarge
 from .instance import FeasibilitySets, PlacementInstance
 from .matching import Assignment
 
 DEFAULT_LIMIT = 16
+#: Most requests ``exact_weighted_min_middleboxes`` enumerates.
+WEIGHTED_REQUEST_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -153,22 +156,20 @@ def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> 
     return None
 
 
-def exact_weighted_min_middleboxes(requests, candidates_of, kappa, limit: int = 12,
-                                   request_limit: int = 14) -> ExactResult:
+def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
+                                   limit: int = 12) -> ExactResult:
     """Minimum middlebox count for an integral assignment at true capacity.
 
     ``candidates_of[j]`` lists the feasible locations of ``requests[j]``.
     Unlike the rounded approximation there is no augmentation here: every
     request must fit within ``kappa`` on its middlebox.
     """
-    from itertools import combinations
-
     t0 = time.perf_counter()
     universe = sorted({u for cands in candidates_of for u in cands})
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
-    if len(candidates_of) > request_limit:
-        raise TooLarge(f"{len(candidates_of)} requests exceed limit {request_limit}")
+    if len(candidates_of) > WEIGHTED_REQUEST_LIMIT:
+        raise TooLarge(f"{len(candidates_of)} requests exceed limit {WEIGHTED_REQUEST_LIMIT}")
     kappa = Fraction(kappa)
     demands = [Fraction(r.demand) for r in requests]
     members = list(range(len(requests)))

@@ -44,8 +44,8 @@ class Request:
             raise ValueError("pair request needs exactly two nodes")
         if self.kind == "group" and len(self.nodes) < 2:
             raise ValueError("group request needs at least two nodes")
-        if not self.demand > 0:
-            raise ValueError(f"demand must be positive, got {self.demand}")
+        if not 0 < self.demand < math.inf:
+            raise ValueError(f"demand must be positive and finite, got {self.demand}")
 
     @classmethod
     def pair(cls, s: int, t: int, demand: float) -> "Request":
@@ -86,13 +86,6 @@ class Preprocessed:
     def num_kept(self) -> int:
         return len(self.kept)
 
-    @property
-    def deleted_entries(self) -> tuple[tuple[int, int], ...]:
-        """(candidate, request) entries of kept requests that violate the
-        bound or point at an illegal location: those absent from ``fs``."""
-        return tuple((u, j) for j in self.kept for u in self.fs.candidates
-                     if not self.fs.contains(u, j))
-
 
 def preprocess(requests, fs: FeasibilitySets, kappa) -> Preprocessed:
     """Reject oversized requests and fail fast on uncoverable ones.
@@ -112,7 +105,7 @@ def preprocess(requests, fs: FeasibilitySets, kappa) -> Preprocessed:
             continue
         kept.append(j)
         demands[j] = p
-    uncoverable = [j for j in kept if not fs.candidates_of[j]]
+    uncoverable = [j for j in fs.uncovered() if j in demands]
     if uncoverable:
         named = ", ".join(f"{j} {requests[j].nodes}" for j in uncoverable)
         raise Infeasible(f"{len(uncoverable)} request(s) have no feasible candidate: {named}",
@@ -148,26 +141,25 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     profit equals the LP optimum.
     """
     active = tuple(sorted(set(active)))
-    active_set = set(active)
-    jobs = [j for j in prep.kept if any(u in active_set for u in prep.fs.candidates_of[j])]
-    if not jobs or not active:
+    boxes = {u: prep.fs.masks.get(u, 0) for u in active}
+    touched = 0
+    for mask in boxes.values():
+        touched |= mask
+    jobs = [j for j in prep.kept if touched >> j & 1]
+    if not jobs:
         return FractionalAssignment({}, ZERO, active)
-    mb_index = {u: i for i, u in enumerate(active)}
     num_nodes = 2 + len(jobs) + len(active)
     source, sink = 0, num_nodes - 1
     net = FlowNetwork(num_nodes)
-    job_arc: dict[int, int] = {}
     edge_arcs: dict[tuple[int, int], int] = {}
     for pos, j in enumerate(jobs):
         p = prep.demands[j]
-        job_arc[j] = net.add_arc(source, 1 + pos, p, -1 / p)
+        net.add_arc(source, 1 + pos, p, -1 / p)
     for pos, j in enumerate(jobs):
-        for u in prep.fs.candidates_of[j]:
-            if u in mb_index:
-                edge_arcs[(u, j)] = net.add_arc(
-                    1 + pos, 1 + len(jobs) + mb_index[u], prep.demands[j]
-                )
-    for u, i in mb_index.items():
+        for i, (u, mask) in enumerate(boxes.items()):
+            if mask >> j & 1:
+                edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, prep.demands[j])
+    for i in range(len(active)):
         net.add_arc(1 + len(jobs) + i, sink, prep.kappa)
     _, cost = net.min_cost_max_flow(source, sink)
     x = {}
@@ -186,8 +178,8 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     unopened candidate raises f any further and the guard is still unmet.
     """
     n = prep.num_kept
-    kept = set(prep.kept)
-    bounds = {u: len(kept.intersection(prep.fs.pairs_of[u])) for u in prep.fs.candidates}
+    kept = sum(1 << j for j in prep.kept)
+    bounds = {u: (mask & kept).bit_count() for u, mask in prep.fs.masks.items()}
     heap = sorted((-bound, u, -1) for u, bound in bounds.items() if bound)
     chosen: list[int] = []
     frac = FractionalAssignment({}, ZERO, ())
@@ -315,8 +307,8 @@ class WeightedInstance:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(set(self.candidates)))
-        if not self.capacity > 0:
-            raise DomainError(f"capacity must be positive, got {self.capacity}")
+        if not 0 < self.capacity < math.inf:
+            raise DomainError(f"capacity must be positive and finite, got {self.capacity}")
         check_domain(self.net.num_nodes, [u for r in self.requests for u in r.nodes],
                      self.candidates, self.stretch, self.route_limit)
 

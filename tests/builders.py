@@ -97,14 +97,23 @@ def raw_feasibility(inst):
     return FeasibilitySets.from_matrix(ok, inst.candidates)
 
 
+def relation(num_pairs: int, pairs_of) -> FeasibilitySets:
+    """Feasibility sets from explicit per-candidate pair lists ``{u: pairs}``."""
+    return FeasibilitySets(num_pairs, {u: sum(1 << p for p in set(ps))
+                                       for u, ps in sorted(pairs_of.items())})
+
+
 def relation_of(candidates_of) -> FeasibilitySets:
     """Feasibility sets straight from explicit per-request candidate lists."""
     universe = sorted({u for c in candidates_of for u in c})
-    return FeasibilitySets(
-        num_pairs=len(candidates_of),
-        pairs_of={u: tuple(j for j, c in enumerate(candidates_of) if u in c)
-                  for u in universe},
-    )
+    return relation(len(candidates_of), {
+        u: [j for j, c in enumerate(candidates_of) if u in c] for u in universe})
+
+
+def pairs_of(fs: FeasibilitySets) -> dict[int, tuple[int, ...]]:
+    """``{u: S_u}`` of a relation, each S_u as an ascending tuple."""
+    return {u: tuple(p for p in range(fs.num_pairs) if mask >> p & 1)
+            for u, mask in fs.masks.items()}
 
 
 def star_instance(num_pairs: int, c: int, *, capacity: int, stretch: float) -> PlacementInstance:

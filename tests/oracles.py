@@ -8,8 +8,8 @@ scalar ``math.isclose`` loop vs. the vectorised feasibility relation.
 
 The last helpers read a quantity off a solver object for the tests that
 check it: a path's edge count, a middlebox's free capacity, an engine's
-served pairs, a weighted marginal gain and a rounded solution's largest
-load.
+served pairs, a weighted marginal gain, a weighted problem's deleted
+entries and a rounded solution's largest load.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ def maxflow_phi(members, fs, capacity: int) -> int:
     for m in members:
         for c in range(capacity):
             g.add_edge("s", ("clone", m, c), capacity=1)
-            for p in fs.pairs_of[m]:
-                g.add_edge(("clone", m, c), ("pair", p), capacity=1)
+            for p in range(fs.num_pairs):
+                if fs.contains(m, p):
+                    g.add_edge(("clone", m, c), ("pair", p), capacity=1)
     for p in range(fs.num_pairs):
         g.add_edge(("pair", p), "t", capacity=1)
     if "s" not in g or "t" not in g:
@@ -186,6 +187,13 @@ def weighted_gain(i: int, active, prep) -> Fraction:
 
     base = solve_fractional(active, prep).objective
     return solve_fractional(tuple(active) + (i,), prep).objective - base
+
+
+def deleted_entries(prep) -> tuple[tuple[int, int], ...]:
+    """(candidate, request) entries of kept requests that violate the bound or
+    point at an illegal location: those absent from ``prep.fs``."""
+    return tuple((u, j) for j in prep.kept for u in prep.fs.candidates
+                 if not prep.fs.contains(u, j))
 
 
 def max_load(rounded) -> Fraction:

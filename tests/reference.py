@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from builders import pairs_of
 from mbplace.exceptions import AlreadyActive, Infeasible, InvalidPath, Stalled
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
@@ -48,6 +49,7 @@ class Assignment:
 
     def __init__(self, fs, capacity: int, mu=None, load=None):
         self.fs = fs
+        self.pairs_of = pairs_of(fs)
         self.capacity = capacity
         self.mu: list[int | None] = [UNASSIGNED] * fs.num_pairs if mu is None else list(mu)
         self.load: dict[int, int] = {} if load is None else dict(load)
@@ -69,7 +71,7 @@ class Assignment:
         """Deploy m and re-maximize with BFS paths only; returns the gain."""
         if m in self.load:
             raise AlreadyActive(f"middlebox {m} is already deployed")
-        if m not in self.fs.pairs_of:
+        if m not in self.pairs_of:
             raise ValueError(f"{m} is not a candidate location")
         self.load[m] = 0
         gained = 0
@@ -97,7 +99,7 @@ class Assignment:
         seen_mb = {start}
         while queue:
             x = queue.popleft()
-            for p in self.fs.pairs_of[x]:
+            for p in self.pairs_of[x]:
                 if p in parent_of_pair:
                     continue
                 parent_of_pair[p] = x
@@ -166,7 +168,7 @@ def greedy_step(engine: Assignment):
         raise ValueError("all pairs are already assigned")
     best_gain, best_m, best_state = 0, None, None
     for m in fs.candidates:
-        if m in engine.load or min(engine.capacity, len(fs.pairs_of[m]), num_free) <= best_gain:
+        if m in engine.load or min(engine.capacity, len(engine.pairs_of[m]), num_free) <= best_gain:
             continue
         trial = engine.clone()
         gained = trial.add_middlebox(m)

@@ -358,8 +358,14 @@ class TestOutOfDomainInput:
         ("solve-weighted", _path3("weighted", requests=[
             {"kind": "group", "nodes": [0, 1, 9], "demand": 1.0}])),
         ("solve-weighted", _path3("weighted", stretch=0.5)),
+        ("solve", _path3("unweighted", stretch=math.nan)),
+        ("solve", _path3("unweighted", stretch=None, route_limit=math.nan)),
+        ("solve", _path3("unweighted", capacity=1.5)),
+        ("solve", _path3("unweighted", capacity=True)),
+        ("solve-weighted", _path3("weighted", capacity=math.inf)),
     ], ids=["negative-pair-node", "pair-node-9", "candidate-7", "weighted-candidate-7",
-            "weighted-request-node-9", "weighted-stretch-0.5"])
+            "weighted-request-node-9", "weighted-stretch-0.5", "stretch-nan", "route-limit-nan",
+            "capacity-1.5", "capacity-true", "weighted-capacity-inf"])
     def test_exit_3_with_json_error(self, command, doc, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
@@ -381,6 +387,15 @@ class TestOutOfDomainInput:
         assert err["error"] == "DomainError" and err["exit_code"] == 3
         assert not out.exists()
 
+    def test_graphml_stretch_nan_exit_3(self, tmp_path, capsys):
+        # NaN fails every comparison, so it must not pass as a bound of 1 or more.
+        out = tmp_path / "r.out"
+        code, text = run(capsys, "solve", str(DATA / "mini.graphml"), "--stretch", "nan",
+                         "--out", str(out))
+        assert code == 3
+        assert json.loads(text)["error"] == "DomainError"
+        assert not out.exists()
+
 
 class TestMalformedDocument:
     @pytest.mark.parametrize("command, doc, error", [
@@ -394,10 +409,12 @@ class TestMalformedDocument:
             {"kind": "group", "nodes": [0, 1, 1], "demand": 1.0}]), "ParseError"),
         ("solve-weighted", _path3("weighted", requests=[
             {"kind": "pair", "nodes": [0, 2], "demand": 0}]), "ParseError"),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 2], "demand": math.inf}]), "ParseError"),
         ("solve", {**_path3("unweighted"), "kind": None}, "ParseError"),
         ("solve", {**_path3("unweighted"), "kind": "graph"}, "ParseError"),
     ], ids=["pair-same-node", "edge-node-5", "candidate-1.5", "pair-node-1.5",
-            "pairs-not-a-list", "weighted-repeated-node", "weighted-demand-0", "kind-null",
+            "pairs-not-a-list", "weighted-repeated-node", "weighted-demand-0", "weighted-demand-inf", "kind-null",
             "kind-unknown"])
     def test_exit_3_with_json_error(self, command, doc, error, tmp_path, capsys):
         f = tmp_path / "bad.json"

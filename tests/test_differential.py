@@ -22,12 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from builders import coverable_instance, coverable_weighted_problem, rng_for
+from builders import coverable_instance, coverable_weighted_problem, relation, rng_for
 
 from mbplace import oracle
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
-from mbplace.instance import FeasibilitySets
 from mbplace.matching import Assignment, count_gain, phi
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
 from mbplace.weighted import Request, generalized_greedy, preprocess
@@ -49,7 +48,7 @@ def relations(draw, max_pairs=30, max_candidates=12):
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=max_candidates, unique=True))
     pair_ids = st.integers(0, covered - 1) if covered else st.nothing()
     pairs_of = {u: tuple(draw(st.sets(pair_ids, max_size=covered))) for u in ids}
-    return FeasibilitySets(num_pairs=num_pairs, pairs_of=pairs_of), draw(st.integers(1, 6))
+    return relation(num_pairs, pairs_of), draw(st.integers(1, 6))
 
 
 @st.composite
@@ -80,7 +79,7 @@ def weighted_relations(draw):
     ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
     served_by = draw(st.lists(st.sets(st.sampled_from(ids), max_size=3),
                               min_size=1, max_size=10))
-    fs = FeasibilitySets(num_pairs=len(served_by), pairs_of={
+    fs = relation(len(served_by), {
         u: tuple(j for j, us in enumerate(served_by) if u in us) for u in ids})
     kappa = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     demands = [draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])) if us else 4.0 for us in served_by]
@@ -149,7 +148,7 @@ class TestCountGain:
     def test_cases(self):
         """Hand-made cases: handovers, capacity 1, free pairs alone up to
         capacity, gains of 0 and a stall (pair 6 has no candidate)."""
-        fs = FeasibilitySets(num_pairs=7, pairs_of={
+        fs = relation(7, {
             10: (1, 2), 11: (0, 3, 4), 12: (0,), 13: (0, 1, 2, 5), 14: ()})
         for capacity, deployed, want in [
             (2, (10, 11), {12: 1, 13: 2, 14: 0}),  # 11 hands 0 over, takes 4

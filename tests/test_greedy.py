@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from builders import coverable_instance, feasible_instance, rng_for, set_cover_instance, star_instance
+from builders import (
+    coverable_instance,
+    feasible_instance,
+    relation,
+    rng_for,
+    set_cover_instance,
+    star_instance,
+)
 from oracles import assigned_pairs
 
 from mbplace.exceptions import Stalled
@@ -13,7 +20,7 @@ from mbplace.greedy import (
     incremental_extend,
     greedy_approximation_bound,
 )
-from mbplace.instance import FeasibilitySets, Pair, PlacementInstance, build_feasibility
+from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.matching import Assignment, phi
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.oracle import exact_min_middleboxes
@@ -36,7 +43,7 @@ def test_empty_pairs_zero_iterations():
 
 
 def test_stalled_when_capacity_exhausted():
-    fs = FeasibilitySets(num_pairs=3, pairs_of={0: (0, 1, 2)})
+    fs = relation(3, {0: (0, 1, 2)})
     net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     inst = PlacementInstance(net=net, dist=compute_apsp(net),
                              pairs=[Pair(0, 1), Pair(1, 2), Pair(2, 3)],
@@ -47,19 +54,19 @@ def test_stalled_when_capacity_exhausted():
 
 class TestGreedyStep:
     def test_single_candidate_gain_is_capacity_cap(self):
-        fs = FeasibilitySets(num_pairs=5, pairs_of={7: (0, 1, 2, 3, 4)})
+        fs = relation(5, {7: (0, 1, 2, 3, 4)})
         engine = Assignment(fs, 3)
         chosen, gain = greedy_step(engine)
         assert (chosen, gain) == (7, 3)
 
     def test_argmax_over_two_candidates(self):
-        fs = FeasibilitySets(num_pairs=5, pairs_of={1: (0, 1, 2), 2: (3, 4)})
+        fs = relation(5, {1: (0, 1, 2), 2: (3, 4)})
         engine = Assignment(fs, 5)
         chosen, gain = greedy_step(engine)
         assert (chosen, gain) == (1, 3)
 
     def test_tie_breaks_to_smallest_node_id(self):
-        fs = FeasibilitySets(num_pairs=4, pairs_of={4: (0, 1), 2: (2, 3), 9: (2, 3)})
+        fs = relation(4, {4: (0, 1), 2: (2, 3), 9: (2, 3)})
         engine = Assignment(fs, 5)
         chosen, gain = greedy_step(engine)
         assert (chosen, gain) == (2, 2)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from builders import (
     coverable_instance,
+    pairs_of,
     random_connected_network,
     random_instance,
+    relation,
     rng_for,
     star_instance,
 )
@@ -157,7 +161,7 @@ class TestBuildFeasibility:
                 if inst.dist.d(p.s, u) + inst.dist.d(u, p.t)
                 <= inst.stretch * inst.dist.d(p.s, p.t) * (1 + 1e-9)
             )
-            assert fs.pairs_of[u] == expected
+            assert pairs_of(fs)[u] == expected
 
     def test_raises_when_pair_uncoverable(self):
         net = Network.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -171,9 +175,9 @@ class TestBuildFeasibility:
         rng = rng_for(31)
         for _ in range(25):
             inst, fs = coverable_instance(rng, num_nodes=9, num_pairs=6)
-            assert sum(len(v) for v in fs.pairs_of.values()) == \
+            assert sum(len(v) for v in pairs_of(fs).values()) == \
                 sum(len(c) for c in fs.candidates_of)
-            for u, ps in fs.pairs_of.items():
+            for u, ps in pairs_of(fs).items():
                 for p in ps:
                     assert u in fs.candidates_of[p]
 
@@ -184,10 +188,10 @@ class TestBuildFeasibility:
             wider = PlacementInstance(net=inst.net, dist=inst.dist, pairs=inst.pairs,
                                       candidates=inst.candidates, capacity=inst.capacity,
                                       stretch=1.7)
-            narrow = {u: set(ps) for u, ps in build_feasibility(inst).pairs_of.items()}
-            wide = {u: set(ps) for u, ps in build_feasibility(wider).pairs_of.items()}
+            narrow = build_feasibility(inst).masks
+            wide = build_feasibility(wider).masks
             for u in narrow:
-                assert narrow[u] <= wide[u]
+                assert narrow[u] & ~wide[u] == 0
 
 
 class TestRouteLimitPredicate:
@@ -231,26 +235,40 @@ class TestTotalCapacityCheck:
         inst = PlacementInstance(net=net, dist=compute_apsp(net),
                                  pairs=[Pair(0, 1), Pair(0, 2)], candidates=(0,),
                                  capacity=2, stretch=2.0)
-        fs = FeasibilitySets(num_pairs=2, pairs_of={0: (0,)})
+        fs = relation(2, {0: (0,)})
         with pytest.raises(Infeasible) as err:
             check_total_capacity(inst, fs)
         assert err.value.uncoverable == (Pair(0, 2),)
 
 
 def test_manual_feasibility_sets_compute_reverse_direction():
-    fs = FeasibilitySets(num_pairs=3, pairs_of={5: (0, 2), 7: (1,)})
+    fs = relation(3, {5: (0, 2), 7: (1,)})
     assert fs.candidates_of == [(5,), (7,), (5,)]
     assert fs.contains(5, 2) and not fs.contains(7, 2)
     assert fs.edge_count() == 3
 
 
-def test_pairs_of_sorted_and_ascending_tuples_kept():
-    ascending = (0, 2, 3)
-    fs = FeasibilitySets(num_pairs=4, pairs_of={7: [3, 1], 5: ascending, 6: (2, 0, 1), 8: {3, 0}})
-    assert fs.pairs_of == {5: (0, 2, 3), 6: (0, 1, 2), 7: (1, 3), 8: (0, 3)}
-    assert list(fs.pairs_of) == [5, 6, 7, 8]
-    assert fs.pairs_of[5] is ascending
-    assert fs.candidates_of == [(5, 6, 8), (6, 7), (5, 6), (5, 7, 8)]
+@st.composite
+def matrices(draw):
+    """A bool ``feasible`` matrix with its sorted candidates; the sizes reach
+    0 pairs, 0 candidates and bitsets longer than one machine word."""
+    candidates = sorted(draw(st.sets(st.integers(0, 60), max_size=8)))
+    shape = (draw(st.integers(0, 140)), len(candidates))
+    return draw(arrays(bool, shape)), candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_relation_matches_its_matrix(case):
+    ok, candidates = case
+    fs = FeasibilitySets.from_matrix(ok, candidates)
+    assert fs.num_pairs == len(ok)
+    assert list(fs.masks) == candidates
+    for k, u in enumerate(candidates):
+        assert fs.masks[u] == sum(1 << p for p in np.flatnonzero(ok[:, k]).tolist())
+    assert fs.candidates_of == [tuple(u for u, hit in zip(candidates, row) if hit) for row in ok]
+    assert fs.uncovered() == np.flatnonzero(~ok.any(axis=1)).tolist()
+    assert fs.edge_count() == int(ok.sum())
 
 
 class TestValidateAssignment:

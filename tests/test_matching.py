@@ -1,19 +1,18 @@
 import pytest
 
 import reference
-from builders import coverable_instance, rng_for
+from builders import coverable_instance, relation, rng_for
 from oracles import assigned_pairs, exhaustive_phi, free_capacity, maxflow_phi, num_edges
 from reference import AugmentingPath, apply_augmenting_path
 
 from mbplace.exceptions import AlreadyActive, InvalidPath
-from mbplace.instance import FeasibilitySets
 from mbplace.matching import Assignment, phi
 
 
 def fig_scenario():
     """Structural analogue of the greedy/augmenting figures: 3 candidates,
     5 pairs, capacity 2; the third middlebox can only gain via a handover."""
-    fs = FeasibilitySets(num_pairs=5, pairs_of={10: (1, 2), 11: (0, 3, 4), 12: (0,)})
+    fs = relation(5, {10: (1, 2), 11: (0, 3, 4), 12: (0,)})
     return fs
 
 
@@ -23,7 +22,7 @@ class TestPhi:
         assert phi([], fs, 2) == 0
 
     def test_capacity_caps_single_middlebox(self):
-        fs = FeasibilitySets(num_pairs=3, pairs_of={0: (0, 1, 2)})
+        fs = relation(3, {0: (0, 1, 2)})
         assert phi([0], fs, 2) == 2
 
     @pytest.mark.parametrize("seed", range(30))
@@ -56,7 +55,7 @@ class TestPhi:
 
 class TestAddMiddlebox:
     def test_no_incident_edges_gains_nothing(self):
-        fs = FeasibilitySets(num_pairs=2, pairs_of={0: (0, 1), 1: ()})
+        fs = relation(2, {0: (0, 1), 1: ()})
         state = Assignment(fs, 2)
         state.add_middlebox(0)
         before = list(state.mu)
@@ -144,7 +143,7 @@ class TestLevelSearch:
         # (via pair 1) comes before box 2 (via pair 2); box 1 then finds box 3
         # (via pair 3) before box 2 finds box 0 (via pair 0), so box 3 leads
         # the last level even though its pair is the higher one.
-        fs = FeasibilitySets(num_pairs=6, pairs_of={
+        fs = relation(6, {
             0: (0, 5), 1: (1, 3), 2: (0, 2), 3: (3, 4), 4: (1, 2)})
         state = Assignment(fs, 1)
         for m in range(4):
@@ -213,7 +212,7 @@ class TestFindAugmentingPath:
                     assert state.find_augmenting_path(m) is None
 
     def test_start_without_capacity_rejected(self):
-        fs = FeasibilitySets(num_pairs=1, pairs_of={0: (0,)})
+        fs = relation(1, {0: (0,)})
         state = reference.Assignment(fs, 1)
         state.add_middlebox(0)
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from oracles import weighted_integral_feasible
 
 from mbplace.exceptions import Infeasible, TooLarge
 from mbplace.instance import (
-    FeasibilitySets,
     Pair,
     PlacementInstance,
     build_feasibility,

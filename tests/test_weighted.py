@@ -9,7 +9,13 @@ from builders import (
     relation_of,
     rng_for,
 )
-from oracles import lp_max_fractional, max_load, weighted_integral_feasible, weighted_gain
+from oracles import (
+    deleted_entries,
+    lp_max_fractional,
+    max_load,
+    weighted_gain,
+    weighted_integral_feasible,
+)
 
 from mbplace.exceptions import Infeasible, RoundingFailed
 from mbplace.instance import Pair, PlacementInstance, build_feasibility
@@ -93,8 +99,8 @@ class TestPreprocess:
                 for u in rfs.candidates
                 if u not in rfs.candidates_of[j]
             )
-            assert len(prep.deleted_entries) == expected
-            for u, j in prep.deleted_entries:
+            assert len(deleted_entries(prep)) == expected
+            for u, j in deleted_entries(prep):
                 assert u not in prep.fs.candidates_of[j]
 
 
