@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from .exceptions import DomainError, Infeasible, InfeasiblePair, PlacementError
-from .netgraph import DistanceMatrix, Network
+from .netgraph import DistanceMatrix, Network, is_number
 
 #: Relative tolerance for feasibility comparisons (geo weights are irrational).
 REL_TOL = 1e-9
@@ -94,8 +94,8 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
     """Input checks shared by both instance kinds: the candidate set is
     nonempty, every request node and candidate is an integer node id in
     ``0..num_nodes-1``, and exactly one bound is set, with ``stretch >= 1``
-    or ``route_limit >= 0`` (NaN fails; infinity means no bound). Raises
-    DomainError."""
+    or ``route_limit >= 0`` (NaN and bools fail; infinity means no bound).
+    Raises DomainError."""
     if not candidates:
         raise DomainError("candidate set must be nonempty")
     for what, ids in (("request node", nodes), ("candidate", candidates)):
@@ -104,10 +104,10 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
             raise DomainError(f"{what} id(s) {bad} are not node ids 0..{num_nodes - 1}")
     if (stretch is None) == (route_limit is None):
         raise DomainError("exactly one of stretch / route_limit must be set")
-    if stretch is not None and not stretch >= 1.0:
-        raise DomainError(f"stretch must be >= 1, got {stretch}")
-    if route_limit is not None and not route_limit >= 0.0:
-        raise DomainError(f"route limit must be >= 0, got {route_limit}")
+    if stretch is not None and not (is_number(stretch) and stretch >= 1.0):
+        raise DomainError(f"stretch must be a number >= 1, got {stretch!r}")
+    if route_limit is not None and not (is_number(route_limit) and route_limit >= 0.0):
+        raise DomainError(f"route limit must be a number >= 0, got {route_limit!r}")
 
 
 def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,

@@ -2,24 +2,34 @@
 
 Nodes are dense integers ``0..n-1``. Graphs are undirected with nonnegative
 edge weights; parallel edges collapse to the minimum weight and self-loops
-are dropped. Distances are computed by one Dijkstra run per source (the
-graphs of interest are sparse ISP topologies) and mirrored so the resulting
-matrix is exactly symmetric.
+are dropped. Distances come from one Bellman-Ford relaxation over every
+source at once: each round folds, for every source row still changing, the
+minimum of ``d(s,u) + w(u,v)`` over the edges into ``v``, and the matrix is
+mirrored so it is exactly symmetric. The rows hold the same floats a
+Dijkstra run per source gives, since both are the least left-to-right sum
+over all walks (the weights are nonnegative and float rounding is
+monotone).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .exceptions import DomainError, GeoUnavailable
+from .exceptions import DomainError, GeoUnavailable, PlacementError
 
 EARTH_RADIUS_KM = 6371.0
 
 METRICS = ("weight", "hops", "geo")
+
+
+def is_number(x) -> bool:
+    """A real number that is not a bool (a JSON ``true`` loads as one)."""
+    # float and int first: they skip the slower abstract-class check.
+    return isinstance(x, (float, int, Real)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -42,15 +52,19 @@ class Network:
         for i, node in enumerate(self.nodes):
             if node.id != i:
                 raise ValueError(f"node ids must be dense 0..n-1, got {node.id} at {i}")
+            if not (node.lat is None or is_number(node.lat)) or \
+                    not (node.lon is None or is_number(node.lon)):
+                raise DomainError(f"node {i}: coordinates must be numbers, "
+                                  f"got ({node.lat!r}, {node.lon!r})")
         n = len(self.nodes)
         canonical: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown node")
+            if not is_number(w) or not w >= 0:
+                raise DomainError(f"edge ({u},{v}) weight must be a number >= 0, got {w!r}")
             if u == v:
                 continue
-            if w < 0:
-                raise ValueError(f"negative edge weight {w} on ({u},{v})")
             key = (u, v) if u < v else (v, u)
             w = float(w)
             if key not in canonical or w < canonical[key]:
@@ -70,16 +84,6 @@ class Network:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def adjacency(self, weights: dict[tuple[int, int], float] | None = None):
-        """Adjacency lists as ``[(neighbor, weight), ...]`` per node."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.num_nodes)]
-        for u, v, w in self.edges:
-            if weights is not None:
-                w = weights[(u, v)]
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -121,24 +125,6 @@ def geo_distance(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def _dijkstra(adj, source: int, n: int) -> np.ndarray:
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    done = [False] * n
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = du + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def compute_apsp(net: Network, metric: str = "weight") -> DistanceMatrix:
     """All-pairs shortest paths under the chosen metric.
 
@@ -152,26 +138,55 @@ def compute_apsp(net: Network, metric: str = "weight") -> DistanceMatrix:
     n = net.num_nodes
     if n == 0:
         raise ValueError("network is empty")
-    weights = None
     if metric == "hops":
-        weights = {(u, v): 1.0 for u, v, _ in net.edges}
+        weights = [1.0] * net.num_edges
     elif metric == "geo":
         for node in net.nodes:
             if not node.has_coords:
                 raise GeoUnavailable(f"node {node.id} ({node.label!r}) has no coordinates")
-        weights = {
-            (u, v): geo_distance(
-                (net.nodes[u].lat, net.nodes[u].lon),
-                (net.nodes[v].lat, net.nodes[v].lon),
-            )
+        weights = [
+            geo_distance((net.nodes[u].lat, net.nodes[u].lon),
+                         (net.nodes[v].lat, net.nodes[v].lon))
             for u, v, _ in net.edges
-        }
-    adj = net.adjacency(weights)
-    mat = np.empty((n, n))
-    for s in range(n):
-        mat[s] = _dijkstra(adj, s, n)
-    # Mirror the upper triangle so d(u,v) == d(v,u) holds bit-exactly.
-    iu = np.triu_indices(n, k=1)
-    mat[(iu[1], iu[0])] = mat[iu]
+        ]
+    else:
+        weights = [w for _, _, w in net.edges]
+    mat = np.full((n, n), np.inf)
     np.fill_diagonal(mat, 0.0)
-    return DistanceMatrix(mat)
+    if net.edges:
+        _relax(mat, np.array([(u, v) for u, v, _ in net.edges], dtype=np.intp),
+               np.array(weights))
+    # Below the diagonal take the mirrored upper triangle: d(u,v) == d(v,u) bit-exactly.
+    return DistanceMatrix(np.where(np.tri(n, k=-1, dtype=bool), mat.T, mat))
+
+
+def _relax(mat: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> None:
+    """Bellman-Ford over every source row of ``mat`` at once, in place.
+
+    ``ends`` holds the undirected edges as ``(u, v)`` rows, each pair once.
+    The first round, the one-edge walks, is set directly. Each further round
+    sets ``mat[s, v]`` to the least of itself and ``mat[s, u] + w`` over the
+    edges ``u -> v``, and relaxes again only the rows that changed, since a
+    row depends only on itself. A shortest walk needs at most ``n - 1``
+    edges, so the ``n``-th round changes nothing.
+    """
+    n = mat.shape[0]
+    tails = np.concatenate([ends[:, 0], ends[:, 1]])
+    heads = np.concatenate([ends[:, 1], ends[:, 0]])
+    weights = np.concatenate([weights, weights])
+    mat[tails, heads] = 0.0 + weights  # as the round would sum it: -0.0 becomes 0.0
+    order = np.argsort(heads, kind="stable")
+    tails, weights = tails[order], weights[order]
+    cols, starts = np.unique(heads[order], return_index=True)
+    rows = np.arange(n)
+    for _ in range(n - 1):
+        block = mat[rows]
+        old = block[:, cols]
+        relaxed = np.minimum.reduceat(block[:, tails] + weights, starts, axis=1)
+        changed = (relaxed < old).any(axis=1)
+        if not changed.any():
+            return
+        block[:, cols] = np.minimum(old, relaxed)
+        rows = rows[changed]
+        mat[rows] = block[changed]
+    raise PlacementError(f"shortest paths still changing after {n} rounds")

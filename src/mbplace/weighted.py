@@ -22,7 +22,7 @@ from ._flow import FlowNetwork
 from .exceptions import DomainError, Infeasible, RoundingFailed
 from .greedy import lazy_pick
 from .instance import FeasibilitySets, check_domain, feasible
-from .netgraph import DistanceMatrix, Network
+from .netgraph import DistanceMatrix, Network, is_number
 
 ZERO = Fraction(0)
 
@@ -44,8 +44,8 @@ class Request:
             raise ValueError("pair request needs exactly two nodes")
         if self.kind == "group" and len(self.nodes) < 2:
             raise ValueError("group request needs at least two nodes")
-        if not 0 < self.demand < math.inf:
-            raise ValueError(f"demand must be positive and finite, got {self.demand}")
+        if not (is_number(self.demand) and 0 < self.demand < math.inf):
+            raise ValueError(f"demand must be a positive finite number, got {self.demand!r}")
 
     @classmethod
     def pair(cls, s: int, t: int, demand: float) -> "Request":
@@ -307,8 +307,8 @@ class WeightedInstance:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(set(self.candidates)))
-        if not 0 < self.capacity < math.inf:
-            raise DomainError(f"capacity must be positive and finite, got {self.capacity}")
+        if not (is_number(self.capacity) and 0 < self.capacity < math.inf):
+            raise DomainError(f"capacity must be a positive finite number, got {self.capacity!r}")
         check_domain(self.net.num_nodes, [u for r in self.requests for u in r.nodes],
                      self.candidates, self.stretch, self.route_limit)
 

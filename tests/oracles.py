@@ -1,7 +1,7 @@
 """Independent brute-force oracles used only by the test suite.
 
 Each oracle recomputes a quantity along a completely different route than
-the production code: Floyd-Warshall vs. repeated Dijkstra, exhaustive
+the production code: Floyd-Warshall vs. the all-source relaxation, exhaustive
 assignment enumeration vs. augmenting paths, networkx max-flow on the
 capacity-clone graph, scipy's LP solver vs. the flow reduction, and a
 scalar ``math.isclose`` loop vs. the vectorised feasibility relation.

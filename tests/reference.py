@@ -13,15 +13,22 @@ engine.
 ``generalized_greedy`` is the eager weighted greedy: every step solves the
 fractional LP of each unopened candidate, in ascending id, through
 ``mbplace.weighted.solve_fractional``.
+
+``compute_apsp`` runs one heap Dijkstra per source, with the metric weights
+and the mirroring of ``mbplace.netgraph.compute_apsp``.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from builders import pairs_of
 from mbplace.exceptions import AlreadyActive, Infeasible, InvalidPath, Stalled
+from mbplace.netgraph import geo_distance
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
 UNASSIGNED = None
@@ -239,3 +246,42 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
             f"{float(current):.6g} <= {n - 1}"
         )
     return chosen, best_frac
+
+
+def _dijkstra(adj, source: int, n: int) -> np.ndarray:
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = [False] * n
+    while heap:
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            nd = du + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def compute_apsp(net, metric: str = "weight") -> np.ndarray:
+    """The distance matrix, one Dijkstra run per source."""
+    n = net.num_nodes
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in net.edges:
+        if metric == "hops":
+            w = 1.0
+        elif metric == "geo":
+            w = geo_distance((net.nodes[u].lat, net.nodes[u].lon),
+                             (net.nodes[v].lat, net.nodes[v].lon))
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    mat = np.empty((n, n))
+    for s in range(n):
+        mat[s] = _dijkstra(adj, s, n)
+    iu = np.triu_indices(n, k=1)
+    mat[(iu[1], iu[0])] = mat[iu]
+    np.fill_diagonal(mat, 0.0)
+    return mat

@@ -363,9 +363,20 @@ class TestOutOfDomainInput:
         ("solve", _path3("unweighted", capacity=1.5)),
         ("solve", _path3("unweighted", capacity=True)),
         ("solve-weighted", _path3("weighted", capacity=math.inf)),
+        ("solve", _path3("unweighted", edges=[[0, 1, math.nan], [1, 2, 1.0]])),
+        ("solve", _path3("unweighted", edges=[[0, 1, True], [1, 2, 1.0]])),
+        ("solve", _path3("unweighted", stretch=True)),
+        ("solve", _path3("unweighted", stretch=None, route_limit=True)),
+        ("solve-weighted", _path3("weighted", capacity=True)),
+        ("solve", _path3("unweighted", nodes=[{"id": 0, "lat": True, "lon": 0.0},
+                                              {"id": 1}, {"id": 2}])),
+        ("solve", _path3("unweighted", nodes=[{"id": 0, "lat": 0.0, "lon": True},
+                                              {"id": 1}, {"id": 2}])),
     ], ids=["negative-pair-node", "pair-node-9", "candidate-7", "weighted-candidate-7",
             "weighted-request-node-9", "weighted-stretch-0.5", "stretch-nan", "route-limit-nan",
-            "capacity-1.5", "capacity-true", "weighted-capacity-inf"])
+            "capacity-1.5", "capacity-true", "weighted-capacity-inf", "edge-weight-nan",
+            "edge-weight-true", "stretch-true", "route-limit-true", "weighted-capacity-true",
+            "lat-true", "lon-true"])
     def test_exit_3_with_json_error(self, command, doc, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
@@ -385,6 +396,23 @@ class TestOutOfDomainInput:
         assert code == 3
         err = json.loads(text)
         assert err["error"] == "DomainError" and err["exit_code"] == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", ["-1.0", "nan"])
+    def test_graphml_bad_edge_weight_exit_3(self, weight, tmp_path, capsys):
+        # A NaN weight would never settle the shortest-path relaxation.
+        f = tmp_path / "bad.graphml"
+        f.write_text(
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+            '<key attr.name="weight" attr.type="double" for="edge" id="w"/>'
+            '<graph edgedefault="undirected"><node id="a"/><node id="b"/><node id="c"/>'
+            f'<edge source="a" target="b"><data key="w">{weight}</data></edge>'
+            '<edge source="b" target="c"/><edge source="a" target="c"/></graph></graphml>'
+        )
+        out = tmp_path / "r.out"
+        code, text = run(capsys, "solve", str(f), "--metric", "weight", "--out", str(out))
+        assert code == 3
+        assert json.loads(text)["error"] == "DomainError"
         assert not out.exists()
 
     def test_graphml_stretch_nan_exit_3(self, tmp_path, capsys):
@@ -411,11 +439,13 @@ class TestMalformedDocument:
             {"kind": "pair", "nodes": [0, 2], "demand": 0}]), "ParseError"),
         ("solve-weighted", _path3("weighted", requests=[
             {"kind": "pair", "nodes": [0, 2], "demand": math.inf}]), "ParseError"),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 2], "demand": True}]), "ParseError"),
         ("solve", {**_path3("unweighted"), "kind": None}, "ParseError"),
         ("solve", {**_path3("unweighted"), "kind": "graph"}, "ParseError"),
     ], ids=["pair-same-node", "edge-node-5", "candidate-1.5", "pair-node-1.5",
-            "pairs-not-a-list", "weighted-repeated-node", "weighted-demand-0", "weighted-demand-inf", "kind-null",
-            "kind-unknown"])
+            "pairs-not-a-list", "weighted-repeated-node", "weighted-demand-0", "weighted-demand-inf",
+            "weighted-demand-true", "kind-null", "kind-unknown"])
     def test_exit_3_with_json_error(self, command, doc, error, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))

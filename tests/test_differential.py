@@ -10,7 +10,9 @@ loads, and a stall must come at the same step. After every greedy step the
 counter must give every undeployed candidate the gain the reference would
 deploy it with. The weighted greedy must
 open the same locations with the same fractional objective and ``x``, and
-fail with Infeasible on the same problems.
+fail with Infeasible on the same problems. The all-source shortest-path
+relaxation must give a distance matrix bit-identical to one Dijkstra run per
+source.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from itertools import cycle
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +31,7 @@ from mbplace import oracle
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
 from mbplace.matching import Assignment, count_gain, phi
+from mbplace.netgraph import METRICS, Network, Node, compute_apsp
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
 from mbplace.weighted import Request, generalized_greedy, preprocess
 
@@ -95,6 +99,36 @@ def weighted_networks(draw):
         rng, num_nodes=draw(st.integers(4, 9)), num_requests=draw(st.integers(1, 9)),
         kappa=draw(st.sampled_from([1.5, 2.5, 4.0])), stretch=draw(st.sampled_from([1.2, 2.0])),
     )[2]
+
+
+#: Edge weight draws; every kind but "random" repeats values, so ties are common.
+WEIGHTS = {
+    "integer": lambda rng, m: rng.integers(0, 10, m).astype(float),
+    "dyadic": lambda rng, m: rng.integers(0, 33, m) / 16.0,
+    "tenths": lambda rng, m: rng.integers(0, 30, m) / 10.0,  # sums round differently by order
+    "random": lambda rng, m: rng.uniform(0.0, 10.0, m),
+    "zero": lambda rng, m: rng.choice([0.0, -0.0], m),
+}
+
+
+def located(num_nodes: int, rng, edges) -> Network:
+    """A network with random coordinates on every node, so ``geo`` applies."""
+    lat, lon = rng.uniform(-90, 90, num_nodes), rng.uniform(-180, 180, num_nodes)
+    return Network([Node(i, None, float(lat[i]), float(lon[i])) for i in range(num_nodes)],
+                   edges)
+
+
+@st.composite
+def apsp_networks(draw):
+    """A seeded random network of 1-40 nodes. Edges join uniform endpoints,
+    so self-loops, parallel edges, isolated nodes and several components
+    occur."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 3 * n))
+    ends = rng.integers(0, n, (m, 2))
+    w = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))](rng, m)
+    return located(n, rng, [(int(u), int(v), float(x)) for (u, v), x in zip(ends, w)])
 
 
 def state(engine: Assignment):
@@ -244,3 +278,23 @@ class TestGeneralizedGreedy:
             return chosen, frac.objective, frac.x
 
         assert run(generalized_greedy) == run(reference.generalized_greedy)
+
+
+def assert_same_floats(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the sign of every zero too
+
+
+class TestComputeApsp:
+    @settings(max_examples=300, deadline=None)
+    @given(apsp_networks(), st.sampled_from(METRICS))
+    def test_bit_identical_to_dijkstra(self, net, metric):
+        assert_same_floats(compute_apsp(net, metric).values, reference.compute_apsp(net, metric))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_path_of_60_nodes(self, metric):
+        # The far end of a path settles only in round n - 1, the most any graph needs.
+        rng = rng_for(60)
+        w = WEIGHTS["tenths"](rng, 59)
+        net = located(60, rng, [(v, v + 1, float(w[v])) for v in range(59)])
+        assert_same_floats(compute_apsp(net, metric).values, reference.compute_apsp(net, metric))
