@@ -5,6 +5,11 @@ Subcommands: ``solve`` (greedy on an unweighted instance), ``solve-weighted``
 series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 (batch runs emitting a metrics CSV).
 
+``solve``, ``incremental`` and ``bench`` share one validated greedy run
+(``_solve_greedy``; ``incremental`` reads its series from the run's steps)
+and one per-step oracle series (``_oracle_series``), which starts only after
+the run, so a failed run decides the exit code before an oracle limit can.
+
 Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse or usage
 error, 4 oracle too large. On failure a machine-readable error JSON is
 printed. Every assignment, of either variant, is re-validated against the
@@ -70,23 +75,30 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_unweighted(args) -> tuple[PlacementInstance, str]:
-    """Instance from JSON or GraphML+params; returns (instance, digest)."""
+def _scenario(args, topology: str) -> ingest.ScenarioConfig:
+    """The unweighted scenario recipe the CLI arguments give a GraphML topology."""
+    return ingest.ScenarioConfig(
+        topology=topology, p=args.p, stretch=1.5 if args.stretch is None else args.stretch,
+        capacity=args.capacity, seed=args.seed, replication=args.replication,
+        metric=args.metric or "geo",
+    )
+
+
+def _from_json(raw: str, kind: type, name: str):
+    """The instance in document ``raw``; a ParseError names ``name`` unless it is a ``kind``."""
+    inst = ingest.instance_from_json(raw)
+    if not isinstance(inst, kind):
+        raise ParseError(f"expected {name} instance document")
+    return inst
+
+
+def _load_unweighted(args) -> PlacementInstance:
+    """Instance from JSON, or from GraphML plus the scenario arguments."""
     raw = Path(args.instance).read_text()
     if raw.lstrip().startswith("<"):
-        net = ingest.parse_graphml(raw)
-        cfg = ingest.ScenarioConfig(
-            topology=args.instance, p=args.p,
-            stretch=1.5 if args.stretch is None else args.stretch,
-            capacity=args.capacity, seed=args.seed, replication=args.replication,
-            metric=args.metric or "geo",
-        )
-        inst = ingest.generate_unweighted_scenario(cfg, net)
-        text = ingest.instance_to_json(inst)
-        return inst, ingest.instance_digest(text)
-    inst = ingest.instance_from_json(raw)
-    if not isinstance(inst, PlacementInstance):
-        raise ParseError("expected an unweighted instance document")
+        return ingest.generate_unweighted_scenario(_scenario(args, args.instance),
+                                                   ingest.parse_graphml(raw))
+    inst = _from_json(raw, PlacementInstance, "an unweighted")
     overrides = {}
     if args.stretch is not None:
         overrides["stretch"] = args.stretch
@@ -97,28 +109,25 @@ def _load_unweighted(args) -> tuple[PlacementInstance, str]:
         overrides["dist"] = ingest.compute_apsp(inst.net, args.metric)
     if overrides:
         inst = dataclasses.replace(inst, **overrides)
-    return inst, ingest.instance_digest(ingest.instance_to_json(inst))
+    return inst
 
 
-def _validate_trace(inst: PlacementInstance, trace) -> None:
-    """Re-check a greedy trace's engine: each assigned pair is feasible at
-    its box, loads are within capacity and match a recount, and a complete
-    trace serves every pair."""
-    engine = trace.engine
+def _solve_greedy(inst: PlacementInstance, budget: int | None = None):
+    """Greedy placement, or with a ``budget`` the first ``budget`` steps of
+    that run, validated: each assigned pair is feasible at its box, loads are
+    within capacity and match a recount, and a complete run serves every pair."""
+    fs = build_feasibility(inst)
+    check_total_capacity(inst, fs)
+    if budget is None:
+        trace = greedy_mod.greedy_place(inst, fs)
+    else:
+        trace = greedy_mod.incremental_extend(greedy_mod.greedy_prefix(inst, fs), budget)
     validate_assignment(
         [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
-        {i: m for i, m in enumerate(engine.mu) if m is not None}, engine.load,
+        {i: m for i, m in enumerate(trace.engine.mu) if m is not None}, trace.engine.load,
         inst.dist, inst.stretch, inst.route_limit,
         required=range(inst.num_pairs) if trace.complete else (), load_limit=inst.capacity,
     )
-
-
-def _solve_greedy(inst: PlacementInstance):
-    """Greedy placement, validated: every pair served within capacity."""
-    fs = build_feasibility(inst)
-    check_total_capacity(inst, fs)
-    trace = greedy_mod.greedy_place(inst, fs)
-    _validate_trace(inst, trace)
     return fs, trace
 
 
@@ -155,13 +164,23 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _oracle_series(inst, fs, trace, limit) -> list[tuple[int, float]]:
+    """Per greedy step n: (phi_opt, the most pairs any n boxes serve, and
+    (phi_opt - phi_greedy) / phi_opt)."""
+    try:
+        best = [oracle.max_assignment_for_n(inst, fs, s.iteration + 1, limit=limit).value
+                for s in trace.steps]
+    except TooLarge:
+        raise TooLarge(f"{len(inst.candidates)} candidates exceed --oracle-limit {limit}; "
+                       "re-run without --oracle") from None
+    return [(b, (b - s.phi_after) / b if b else 0.0) for b, s in zip(best, trace.steps)]
+
+
 def _compare_to_oracle(inst, fs, trace, limit):
-    """(optimum, greedy/optimum ratio, per-step (phi_opt - phi_greedy) / phi_opt)."""
+    """(optimum, greedy/optimum ratio, per-step relative differences)."""
+    # The series goes first, so a TooLarge carries its --oracle-limit guidance.
+    series = [rel for _, rel in _oracle_series(inst, fs, trace, limit)]
     opt = oracle.exact_min_middleboxes(inst, fs, limit=limit).value
-    series = []
-    for step in trace.steps:
-        best = oracle.max_assignment_for_n(inst, fs, step.iteration + 1, limit=limit).value
-        series.append((best - step.phi_after) / best if best else 0.0)
     return opt, len(trace.steps) / opt if opt else None, series
 
 
@@ -171,7 +190,8 @@ def _compare_to_oracle(inst, fs, trace, limit):
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    inst, digest = _load_unweighted(args)
+    inst = _load_unweighted(args)
+    digest = ingest.instance_digest(ingest.instance_to_json(inst))
     fs, trace = _solve_greedy(inst)
     oracle_opt = ratio = rel_series = None
     if args.oracle:
@@ -219,10 +239,7 @@ def cmd_solve(args) -> int:
 
 def cmd_solve_weighted(args) -> int:
     t0 = time.perf_counter()
-    raw = Path(args.instance).read_text()
-    winst = ingest.instance_from_json(raw)
-    if not isinstance(winst, weighted.WeightedInstance):
-        raise ParseError("expected a weighted instance document")
+    winst = _from_json(Path(args.instance).read_text(), weighted.WeightedInstance, "a weighted")
     digest = ingest.instance_digest(ingest.instance_to_json(winst))
     prep, chosen, frac, rounded = _solve_weighted(winst)
     rel_load = _relative_loads(prep, rounded)
@@ -272,30 +289,15 @@ def cmd_solve_weighted(args) -> int:
 
 
 def cmd_incremental(args) -> int:
-    inst, _ = _load_unweighted(args)
-    fs = build_feasibility(inst)
-    check_total_capacity(inst, fs)
-    trace = greedy_mod.greedy_prefix(inst, fs)
-    rows = [[0, 0, 0 if args.oracle else None, 0.0 if args.oracle else None]]
-    n = 0
-    while not trace.complete:
-        if args.budget_steps is not None and n >= args.budget_steps:
-            break
-        trace = greedy_mod.incremental_extend(trace, 1)
-        n += 1
-        phi_g = trace.engine.num_assigned
-        phi_opt = rel = None
-        if args.oracle:
-            try:
-                phi_opt = oracle.max_assignment_for_n(inst, fs, n, limit=args.oracle_limit).value
-            except TooLarge:
-                raise TooLarge(
-                    f"{len(inst.candidates)} candidates exceed --oracle-limit "
-                    f"{args.oracle_limit}; re-run without --oracle"
-                ) from None
-            rel = (phi_opt - phi_g) / phi_opt if phi_opt else 0.0
-        rows.append([n, phi_g, phi_opt, rel])
-    _validate_trace(inst, trace)
+    if args.budget_steps is not None and args.budget_steps < 0:
+        raise ParseError(f"--budget-steps must be >= 0, got {args.budget_steps}")
+    inst = _load_unweighted(args)
+    fs, trace = _solve_greedy(inst, args.budget_steps)
+    rows = [[0, 0, 0, 0.0] if args.oracle else [0, 0, None, None]]
+    series = (_oracle_series(inst, fs, trace, args.oracle_limit) if args.oracle
+              else [(None, None)] * len(trace.steps))
+    rows += [[s.iteration + 1, s.phi_after, opt, rel]
+             for s, (opt, rel) in zip(trace.steps, series)]
     _write_text(args.out, _csv_text(INCREMENTAL_COLUMNS, rows))
     return EXIT_OK
 
@@ -309,12 +311,7 @@ def cmd_gen(args) -> int:
         raise ParseError("exactly one of --topology / --sndlib is required")
     if args.topology:
         net = ingest.parse_graphml(Path(args.topology).read_text())
-        cfg = ingest.ScenarioConfig(
-            topology=args.topology, p=args.p, stretch=args.stretch,
-            capacity=args.capacity, seed=args.seed, replication=args.replication,
-            metric=args.metric or "geo",
-        )
-        inst = ingest.generate_unweighted_scenario(cfg, net)
+        inst = ingest.generate_unweighted_scenario(_scenario(args, args.topology), net)
         provenance = {
             "source": args.topology, "p": args.p, "seed": args.seed,
             "replication": args.replication,

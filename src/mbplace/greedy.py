@@ -137,8 +137,8 @@ def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     earlier prefixes stay valid; greedy is history-deterministic, hence
     extending a prefix reproduces the corresponding slice of the full run.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     extended = GreedyTrace(list(trace.steps), trace.engine.clone(), trace.total_pairs,
                            list(trace.heap))
     _run(extended, budget)

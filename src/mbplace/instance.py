@@ -134,9 +134,15 @@ def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
     return ok
 
 
-def _members(mask: int) -> list[int]:
+def set_bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending."""
-    return [p for p, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1"]
+    bits = f"{mask:b}"[::-1]
+    found = []
+    p = bits.find("1")
+    while p >= 0:
+        found.append(p)
+        p = bits.find("1", p + 1)
+    return found
 
 
 @dataclass
@@ -163,7 +169,7 @@ class FeasibilitySets:
     def candidates_of(self) -> list[tuple[int, ...]]:
         rev: list[list[int]] = [[] for _ in range(self.num_pairs)]
         for u, mask in self.masks.items():
-            for p in _members(mask):
+            for p in set_bits(mask):
                 rev[p].append(u)
         return [tuple(us) for us in rev]
 
@@ -172,7 +178,7 @@ class FeasibilitySets:
         covered = 0
         for mask in self.masks.values():
             covered |= mask
-        return _members(~covered & ((1 << self.num_pairs) - 1))
+        return set_bits(~covered & ((1 << self.num_pairs) - 1))
 
     def contains(self, u: int, p: int) -> bool:
         return bool(self.masks[u] >> p & 1)

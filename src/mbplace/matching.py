@@ -24,7 +24,7 @@ order fixes the reported assignment. Counting skips the sort: the gain is
 from __future__ import annotations
 
 from .exceptions import AlreadyActive
-from .instance import FeasibilitySets
+from .instance import FeasibilitySets, set_bits
 
 UNASSIGNED = None
 
@@ -81,11 +81,8 @@ class Assignment:
         """``mu[p]``: the box pair p is assigned to, or None (a fresh list)."""
         mu: list[int | None] = [UNASSIGNED] * self.fs.num_pairs
         for y, pairs in self.owned.items():
-            bits = f"{pairs:b}"[::-1]
-            p = bits.find("1")
-            while p >= 0:
+            for p in set_bits(pairs):
                 mu[p] = y
-                p = bits.find("1", p + 1)
         return mu
 
     def clone(self) -> "Assignment":

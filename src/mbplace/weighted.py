@@ -75,7 +75,6 @@ def build_request_feasibility(requests, dist: DistanceMatrix, candidates, *,
 class Preprocessed:
     """Requests surviving preprocessing, with their feasibility relation."""
 
-    requests: list[Request]
     kept: tuple[int, ...]
     rejected: tuple[int, ...]
     demands: dict[int, Fraction]
@@ -111,7 +110,6 @@ def preprocess(requests, fs: FeasibilitySets, kappa) -> Preprocessed:
         raise Infeasible(f"{len(uncoverable)} request(s) have no feasible candidate: {named}",
                          uncoverable)
     return Preprocessed(
-        requests=list(requests),
         kept=tuple(kept),
         rejected=tuple(rejected),
         demands=demands,

@@ -159,7 +159,9 @@ class TestSolve:
         f.write_text(instance_to_json(inst))
         code, out = run(capsys, "solve", str(f), "--oracle", "--oracle-limit", "3")
         assert code == 4
-        assert json.loads(out)["error"] == "TooLarge"
+        err = json.loads(out)
+        assert err["error"] == "TooLarge"
+        assert err["message"].endswith("exceed --oracle-limit 3; re-run without --oracle")
 
 
 class TestSolveWeighted:
@@ -466,6 +468,7 @@ class TestUsageErrors:
         ["solve", "STAR", "--capacity", "two"],
         ["solve"],
         [],
+        ["incremental", "STAR", "--budget-steps", "-1"],
     ])
     def test_exit_3_with_json_error(self, argv, star_file, capsys):
         argv = [str(star_file) if a == "STAR" else a for a in argv]
@@ -508,16 +511,39 @@ class TestIncremental:
         rows = out.splitlines()
         assert len(rows) == 3  # header + n=0 + n=1
 
+    def test_zero_budget_prints_row_zero_only(self, star_file, capsys):
+        code, out = run(capsys, "incremental", str(star_file), "--budget-steps", "0",
+                        "--oracle")
+        assert code == 0
+        assert out.splitlines() == [",".join(INCREMENTAL_COLUMNS), "0,0,0,0.0"]
+
+    def test_series_is_the_solve_run(self, tmp_path, capsys):
+        from builders import feasible_instance, rng_for
+
+        inst, _ = feasible_instance(rng_for(77), num_nodes=8, num_pairs=6, capacity=2)
+        f = tmp_path / "i.json"
+        f.write_text(instance_to_json(inst))
+        code, out = run(capsys, "incremental", str(f), "--oracle")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))[1:]
+        code, out = run(capsys, "solve", str(f), "--oracle")
+        assert code == 0
+        report = json.loads(out)
+        assert len(rows) == len(report["trace"]) > 1
+        assert [int(r["n"]) for r in rows] == [s["iteration"] + 1 for s in report["trace"]]
+        assert [int(r["phi_greedy"]) for r in rows] == [s["phi_after"] for s in report["trace"]]
+        assert [float(r["relative_difference"]) for r in rows] == report["relative_difference"]
+
     def test_corrupted_engine_fails_validation(self, star_file, tmp_path, monkeypatch,
                                                capsys):
-        real = greedy.incremental_extend
+        real = greedy.greedy_place
 
-        def overcount(trace, budget):
-            trace = real(trace, budget)
+        def overcount(inst, fs):
+            trace = real(inst, fs)
             trace.engine.load[trace.middleboxes[-1]] += 1
             return trace
 
-        monkeypatch.setattr(greedy, "incremental_extend", overcount)
+        monkeypatch.setattr(greedy, "greedy_place", overcount)
         out = tmp_path / "inc.csv"
         code, text = run(capsys, "incremental", str(star_file), "--out", str(out))
         assert code == 1
@@ -533,6 +559,26 @@ class TestIncremental:
                         "--oracle-limit", "2")
         assert code == 4
         assert "--oracle" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("command", ["solve", "incremental"])
+    def test_stalled_run_exits_before_the_oracle(self, command, tmp_path, capsys):
+        # Hop star on 0 at stretch 1: only the hub serves a leaf pair, and at
+        # capacity 1 the run stalls after one box. The oracle limit (2 of 4
+        # candidates) would raise TooLarge, but the run fails first.
+        doc = {
+            "format": "mbplace-instance", "version": 1, "kind": "unweighted",
+            "metric": "hops",
+            "nodes": [{"id": i} for i in range(7)],
+            "edges": [[0, i, 1.0] for i in range(1, 7)],
+            "candidates": [0, 4, 5, 6], "capacity": 1,
+            "stretch": 1.0, "route_limit": None,
+            "pairs": [[1, 2], [1, 3], [2, 3]],
+        }
+        f = tmp_path / "stall.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, command, str(f), "--oracle", "--oracle-limit", "2")
+        assert code == 2
+        assert json.loads(out)["error"] == "Stalled"
 
 
 class TestGen:

@@ -149,6 +149,13 @@ class TestIncrementalExtend:
         assert trace.middleboxes == [0]
         assert trace.steps[0].gain == 4
 
+    def test_zero_budget_adds_nothing(self):
+        inst = star_instance(4, 3, capacity=4, stretch=3.0)
+        trace = incremental_extend(greedy_prefix(inst, build_feasibility(inst)), 0)
+        assert trace.steps == [] and trace.engine.num_assigned == 0
+        with pytest.raises(ValueError):
+            incremental_extend(trace, -1)
+
     def test_earlier_trace_not_mutated(self):
         rng = rng_for(2026)
         inst, fs = feasible_instance(rng, num_nodes=9, num_pairs=8, capacity=2)
