@@ -2,68 +2,61 @@
 
 Capacities and costs are Fractions, so flow values and objectives are exact;
 the weighted module's stopping guard compares them without tolerances.
-Shortest paths use Dijkstra with Johnson node potentials; the initial
-potentials come from one Bellman-Ford pass (the construction has negative
-arc costs out of the source but no negative cycles).
+The network is held as parallel per-arc lists: ``arcs`` (the head),
+``residual`` and ``cost``. Arc ``a ^ 1`` is the twin of arc ``a``, so the
+flow on a forward arc is the residual of its twin. Every arc runs from a
+lower to a higher node, so the initial residual network is a DAG in node
+order and one pass over the nodes gives exact initial potentials (the
+construction has negative arc costs out of the source). Shortest paths then
+use Dijkstra with Johnson node potentials.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
 
 
-@dataclass
-class _Arc:
-    to: int
-    cap: Fraction
-    cost: Fraction
-    flow: Fraction = ZERO
-
-    @property
-    def residual(self) -> Fraction:
-        return self.cap - self.flow
-
-
-@dataclass
 class FlowNetwork:
-    num_nodes: int
-    arcs: list[_Arc] = field(default_factory=list)
-    out: list[list[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.out = [[] for _ in range(self.num_nodes)]
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        self.arcs: list[int] = []
+        self.residual: list[Fraction] = []
+        self.cost: list[Fraction] = []
+        self.out: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def add_arc(self, u: int, v: int, cap, cost=ZERO) -> int:
         """Adds u->v (capacity cap, unit cost) plus its residual twin; returns
-        the forward arc index (twin is index+1)."""
+        the forward arc index (twin is index+1). Raises ValueError unless
+        u < v, which the one-pass initial potentials rely on."""
+        if not u < v:
+            raise ValueError(f"arc {u}->{v} must run from a lower to a higher node")
         idx = len(self.arcs)
-        self.arcs.append(_Arc(v, Fraction(cap), Fraction(cost)))
-        self.arcs.append(_Arc(u, ZERO, -Fraction(cost)))
+        cost = Fraction(cost)
+        self.arcs += (v, u)
+        self.residual += (Fraction(cap), ZERO)
+        self.cost += (cost, -cost)
         self.out[u].append(idx)
         self.out[v].append(idx + 1)
         return idx
 
-    def _bellman_ford(self, source: int) -> list[Fraction | None]:
+    def _initial_potentials(self, source: int) -> list[Fraction | None]:
+        """Exact shortest distances from ``source`` before any flow: every
+        arc with residual runs to a higher node, so each node is final
+        before it is scanned in index order."""
         dist: list[Fraction | None] = [None] * self.num_nodes
         dist[source] = ZERO
-        for _ in range(self.num_nodes - 1):
-            changed = False
-            for u in range(self.num_nodes):
-                if dist[u] is None:
-                    continue
-                for ai in self.out[u]:
-                    arc = self.arcs[ai]
-                    if arc.residual > 0:
-                        nd = dist[u] + arc.cost
-                        if dist[arc.to] is None or nd < dist[arc.to]:
-                            dist[arc.to] = nd
-                            changed = True
-            if not changed:
-                break
+        for u in range(self.num_nodes):
+            if dist[u] is None:
+                continue
+            for ai in self.out[u]:
+                if self.residual[ai] > 0:
+                    v = self.arcs[ai]
+                    nd = dist[u] + self.cost[ai]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
         return dist
 
     def _dijkstra(self, source: int, potential):
@@ -78,45 +71,36 @@ class FlowNetwork:
                 continue
             done[u] = True
             for ai in self.out[u]:
-                arc = self.arcs[ai]
-                v = arc.to
-                if done[v] or arc.residual <= 0 or potential[v] is None:
+                v = self.arcs[ai]
+                if done[v] or self.residual[ai] <= 0 or potential[v] is None:
                     continue
-                nd = du + arc.cost + potential[u] - potential[v]
+                nd = du + self.cost[ai] + potential[u] - potential[v]
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     prev_arc[v] = ai
                     heapq.heappush(heap, (nd, v))
         return dist, prev_arc
 
-    def min_cost_max_flow(self, source: int, sink: int) -> tuple[Fraction, Fraction]:
+    def min_cost_max_flow(self, source: int, sink: int) -> Fraction:
         """Push flow until no residual path remains, always along the current
-        cheapest path; returns (total flow, total cost)."""
-        potential = self._bellman_ford(source)
-        total_flow = ZERO
+        cheapest path; returns the total cost. Runs once, on a network
+        that carries no flow yet."""
+        potential = self._initial_potentials(source)
         total_cost = ZERO
         while True:
-            if potential[sink] is None:
-                # Sink unreachable even in the initial residual network.
-                break
             dist, prev_arc = self._dijkstra(source, potential)
             if dist[sink] is None:
-                break
+                return total_cost
             for v in range(self.num_nodes):
                 if dist[v] is not None:
                     potential[v] += dist[v]
-            bottleneck = None
+            path = []
             v = sink
             while v != source:
-                arc = self.arcs[prev_arc[v]]
-                bottleneck = arc.residual if bottleneck is None else min(bottleneck, arc.residual)
-                v = self.arcs[prev_arc[v] ^ 1].to
-            v = sink
-            while v != source:
-                ai = prev_arc[v]
-                self.arcs[ai].flow += bottleneck
-                self.arcs[ai ^ 1].flow -= bottleneck
-                total_cost += bottleneck * self.arcs[ai].cost
-                v = self.arcs[ai ^ 1].to
-            total_flow += bottleneck
-        return total_flow, total_cost
+                path.append(prev_arc[v])
+                v = self.arcs[prev_arc[v] ^ 1]
+            bottleneck = min(self.residual[ai] for ai in path)
+            for ai in path:
+                self.residual[ai] -= bottleneck
+                self.residual[ai ^ 1] += bottleneck
+                total_cost += bottleneck * self.cost[ai]

@@ -177,11 +177,14 @@ def _oracle_series(inst, fs, trace, limit) -> list[tuple[int, float]]:
 
 
 def _compare_to_oracle(inst, fs, trace, limit):
-    """(optimum, greedy/optimum ratio, per-step relative differences)."""
-    # The series goes first, so a TooLarge carries its --oracle-limit guidance.
-    series = [rel for _, rel in _oracle_series(inst, fs, trace, limit)]
-    opt = oracle.exact_min_middleboxes(inst, fs, limit=limit).value
-    return opt, len(trace.steps) / opt if opt else None, series
+    """(optimum, greedy/optimum ratio, per-step relative differences).
+
+    The run is complete, so its last step n has phi_opt(n) = |P|, and as
+    phi_opt is monotone the optimum is the first n with phi_opt(n) = |P|
+    (0 for a run without steps)."""
+    series = _oracle_series(inst, fs, trace, limit)
+    opt = next((n for n, (best, _) in enumerate(series, 1) if best == inst.num_pairs), 0)
+    return opt, len(trace.steps) / opt if opt else None, [rel for _, rel in series]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class GreedyTrace:
 
     steps: list[GreedyStep]
     engine: Assignment
-    total_pairs: int
     heap: list[tuple[int, int, int]]
 
     @property
@@ -53,7 +52,7 @@ class GreedyTrace:
 
     @property
     def complete(self) -> bool:
-        return self.engine.num_assigned == self.total_pairs
+        return self.engine.num_assigned == self.engine.fs.num_pairs
 
 
 def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
@@ -139,8 +138,7 @@ def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    extended = GreedyTrace(list(trace.steps), trace.engine.clone(), trace.total_pairs,
-                           list(trace.heap))
+    extended = GreedyTrace(list(trace.steps), trace.engine.clone(), list(trace.heap))
     _run(extended, budget)
     return extended
 
@@ -148,7 +146,7 @@ def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
 def greedy_prefix(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
     """Empty trace to be grown step by step via incremental_extend."""
     engine = Assignment(fs, inst.capacity)
-    return GreedyTrace([], engine, inst.num_pairs, candidate_heap(engine))
+    return GreedyTrace([], engine, candidate_heap(engine))
 
 
 def greedy_approximation_bound(capacity: int, num_pairs: int) -> float:

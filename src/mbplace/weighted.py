@@ -6,7 +6,9 @@ pair). The maximum fractional assignment LP is solved exactly by a
 max-profit flow reduction (substituting ``y = demand * x`` turns the LP into
 a transportation problem with per-unit profit ``1/demand`` on request arcs),
 so objectives are rationals and the ``f(S) > n - 1`` stopping guard needs no
-tolerance. Rounding builds the standard slot graph (one slot per unit of
+tolerance. The flow network is layered, source -> requests -> boxes -> sink,
+numbered in that order, so ``_flow`` gets its initial potentials in one
+pass. Rounding builds the standard slot graph (one slot per unit of
 fractional load, filled in non-increasing demand order) and matches requests
 to slots, which caps every load at ``2 * capacity``. The request/candidate
 relation is the pairs' ``FeasibilitySets``, from ``instance.feasible``.
@@ -124,7 +126,6 @@ class FractionalAssignment:
 
     x: dict[tuple[int, int], Fraction]
     objective: Fraction
-    active: tuple[int, ...]
 
     @property
     def objective_float(self) -> float:
@@ -145,7 +146,7 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
         touched |= mask
     jobs = [j for j in prep.kept if touched >> j & 1]
     if not jobs:
-        return FractionalAssignment({}, ZERO, active)
+        return FractionalAssignment({}, ZERO)
     num_nodes = 2 + len(jobs) + len(active)
     source, sink = 0, num_nodes - 1
     net = FlowNetwork(num_nodes)
@@ -159,13 +160,13 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
                 edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, prep.demands[j])
     for i in range(len(active)):
         net.add_arc(1 + len(jobs) + i, sink, prep.kappa)
-    _, cost = net.min_cost_max_flow(source, sink)
+    cost = net.min_cost_max_flow(source, sink)
     x = {}
     for (u, j), ai in edge_arcs.items():
-        flow = net.arcs[ai].flow
+        flow = net.residual[ai ^ 1]
         if flow > 0:
             x[(u, j)] = flow / prep.demands[j]
-    return FractionalAssignment(x, -cost, active)
+    return FractionalAssignment(x, -cost)
 
 
 def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignment]:
@@ -180,7 +181,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     bounds = {u: (mask & kept).bit_count() for u, mask in prep.fs.masks.items()}
     heap = sorted((-bound, u, -1) for u, bound in bounds.items() if bound)
     chosen: list[int] = []
-    frac = FractionalAssignment({}, ZERO, ())
+    frac = FractionalAssignment({}, ZERO)
 
     def evaluate(u):
         trial = solve_fractional(chosen + [u], prep)
@@ -198,9 +199,9 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
 
 @dataclass
 class RoundedSolution:
-    """Integral assignment obtained from the slot-graph rounding."""
+    """Integral assignment obtained from the slot-graph rounding; ``load``
+    has an entry for every active box, zero for a box that got nothing."""
 
-    active: tuple[int, ...]
     assignment: dict[int, int]
     load: dict[int, Fraction]
 
@@ -282,12 +283,11 @@ def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> Ro
                 f"request {j} cannot be matched to a slot; fractional objective "
                 f"{frac.objective_float:.6g} must exceed {prep.num_kept - 1}"
             )
-    active = tuple(sorted(set(active)))
     assignment = {j: slot_owner[slot] for j, slot in matched_job.items()}
-    load: dict[int, Fraction] = {u: ZERO for u in active}
+    load: dict[int, Fraction] = {u: ZERO for u in sorted(set(active))}
     for j, u in assignment.items():
         load[u] = load.get(u, ZERO) + prep.demands[j]
-    return RoundedSolution(active=active, assignment=assignment, load=load)
+    return RoundedSolution(assignment=assignment, load=load)
 
 
 @dataclass

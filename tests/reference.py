@@ -16,13 +16,19 @@ fractional LP of each unopened candidate, in ascending id, through
 
 ``compute_apsp`` runs one heap Dijkstra per source, with the metric weights
 and the mirroring of ``mbplace.netgraph.compute_apsp``.
+
+``FlowNetwork`` is the arc-object min-cost flow: each ``_Arc`` holds its
+capacity and flow, the residual is their difference, and the initial
+potentials come from a general Bellman-Ford. It offers the interface of
+``mbplace._flow.FlowNetwork`` that ``solve_fractional`` reads.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -224,7 +230,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     n = prep.num_kept
     universe = prep.fs.candidates
     chosen: list[int] = []
-    best_frac = FractionalAssignment({}, ZERO, ())
+    best_frac = FractionalAssignment({}, ZERO)
     current = ZERO
     while len(chosen) < len(universe) and current <= n - 1:
         best_gain = None
@@ -285,3 +291,112 @@ def compute_apsp(net, metric: str = "weight") -> np.ndarray:
     mat[(iu[1], iu[0])] = mat[iu]
     np.fill_diagonal(mat, 0.0)
     return mat
+
+
+@dataclass
+class _Arc:
+    to: int
+    cap: Fraction
+    cost: Fraction
+    flow: Fraction = ZERO
+
+    @property
+    def residual(self) -> Fraction:
+        return self.cap - self.flow
+
+
+@dataclass
+class FlowNetwork:
+    """Successive shortest paths over ``_Arc`` objects; ``residual`` is a
+    list read off the arcs, so ``solve_fractional`` can take the flow on an
+    arc from the residual of its twin."""
+
+    num_nodes: int
+    arcs: list[_Arc] = field(default_factory=list)
+    out: list[list[int]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.out = [[] for _ in range(self.num_nodes)]
+
+    @property
+    def residual(self) -> list[Fraction]:
+        return [arc.residual for arc in self.arcs]
+
+    def add_arc(self, u: int, v: int, cap, cost=ZERO) -> int:
+        idx = len(self.arcs)
+        self.arcs.append(_Arc(v, Fraction(cap), Fraction(cost)))
+        self.arcs.append(_Arc(u, ZERO, -Fraction(cost)))
+        self.out[u].append(idx)
+        self.out[v].append(idx + 1)
+        return idx
+
+    def _bellman_ford(self, source: int) -> list[Fraction | None]:
+        dist: list[Fraction | None] = [None] * self.num_nodes
+        dist[source] = ZERO
+        for _ in range(self.num_nodes - 1):
+            changed = False
+            for u in range(self.num_nodes):
+                if dist[u] is None:
+                    continue
+                for ai in self.out[u]:
+                    arc = self.arcs[ai]
+                    if arc.residual > 0:
+                        nd = dist[u] + arc.cost
+                        if dist[arc.to] is None or nd < dist[arc.to]:
+                            dist[arc.to] = nd
+                            changed = True
+            if not changed:
+                break
+        return dist
+
+    def _dijkstra(self, source: int, potential):
+        dist: list[Fraction | None] = [None] * self.num_nodes
+        prev_arc: list[int | None] = [None] * self.num_nodes
+        dist[source] = ZERO
+        heap: list[tuple[Fraction, int]] = [(ZERO, source)]
+        done = [False] * self.num_nodes
+        while heap:
+            du, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            for ai in self.out[u]:
+                arc = self.arcs[ai]
+                v = arc.to
+                if done[v] or arc.residual <= 0 or potential[v] is None:
+                    continue
+                nd = du + arc.cost + potential[u] - potential[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    prev_arc[v] = ai
+                    heapq.heappush(heap, (nd, v))
+        return dist, prev_arc
+
+    def min_cost_max_flow(self, source: int, sink: int) -> Fraction:
+        """Push flow until no residual path remains, always along the current
+        cheapest path; returns the total cost."""
+        potential = self._bellman_ford(source)
+        total_cost = ZERO
+        while True:
+            if potential[sink] is None:
+                break
+            dist, prev_arc = self._dijkstra(source, potential)
+            if dist[sink] is None:
+                break
+            for v in range(self.num_nodes):
+                if dist[v] is not None:
+                    potential[v] += dist[v]
+            bottleneck = None
+            v = sink
+            while v != source:
+                arc = self.arcs[prev_arc[v]]
+                bottleneck = arc.residual if bottleneck is None else min(bottleneck, arc.residual)
+                v = self.arcs[prev_arc[v] ^ 1].to
+            v = sink
+            while v != source:
+                ai = prev_arc[v]
+                self.arcs[ai].flow += bottleneck
+                self.arcs[ai ^ 1].flow -= bottleneck
+                total_cost += bottleneck * self.arcs[ai].cost
+                v = self.arcs[ai ^ 1].to
+        return total_cost

@@ -224,7 +224,7 @@ class TestSolveWeighted:
         path_file.write_text(json.dumps(doc))
 
         def overload(frac, active, prep):
-            return weighted.RoundedSolution((1,), {j: 1 for j in prep.kept},
+            return weighted.RoundedSolution({j: 1 for j in prep.kept},
                                             {1: sum(prep.demands.values())})
 
         monkeypatch.setattr(weighted, "round_solution", overload)
@@ -323,6 +323,9 @@ class TestSolveWeighted:
             "requests": [
                 {"kind": "group", "nodes": [0, 1, 2], "demand": 2.0},
                 {"kind": "pair", "nodes": [1, 3], "demand": 1.0},
+                # Subnormal: exact as a Fraction with denominator 2**1074,
+                # so its profit 1/demand is a 1075-bit integer in the flow.
+                {"kind": "pair", "nodes": [0, 2], "demand": 5e-324},
             ],
         }
         f = tmp_path / "g.json"
@@ -331,7 +334,9 @@ class TestSolveWeighted:
         code, _ = run(capsys, "solve-weighted", str(f), "--out", str(out_path))
         assert code == 0
         report = json.loads(out_path.read_text())
-        assert len(report["assignment"]) == 2
+        assert report["validated"] is True
+        assert report["kept"] == [0, 1, 2]
+        assert len(report["assignment"]) == 3
         assert report["max_relative_load"] <= 2.0
 
 
@@ -580,6 +585,25 @@ class TestIncremental:
         assert code == 2
         assert json.loads(out)["error"] == "Stalled"
 
+    @pytest.mark.parametrize("command", ["solve", "incremental"])
+    def test_no_pairs_need_no_oracle(self, command, tmp_path, capsys):
+        # Ten candidates exceed the oracle limit of 2, but a run without
+        # steps asks the oracle nothing.
+        doc = {
+            "format": "mbplace-instance", "version": 1, "kind": "unweighted",
+            "metric": "hops",
+            "nodes": [{"id": i} for i in range(10)],
+            "edges": [[i, i + 1, 1.0] for i in range(9)],
+            "candidates": list(range(10)), "capacity": 1,
+            "stretch": 1.0, "route_limit": None, "pairs": [],
+        }
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, command, str(f), "--oracle", "--oracle-limit", "2")
+        assert code == 0
+        if command == "solve":
+            assert json.loads(out)["oracle_optimum"] == 0
+
 
 class TestGen:
     def test_fixed_seed_byte_identical(self, tmp_path, capsys):
@@ -668,7 +692,7 @@ class TestBench:
             raise Stalled("no candidate improves")
 
         def unserved(frac, active, prep):
-            return weighted.RoundedSolution(tuple(active), {}, {})
+            return weighted.RoundedSolution({}, {})
 
         monkeypatch.setattr(greedy, "greedy_place", stalled)
         monkeypatch.setattr(weighted, "round_solution", unserved)

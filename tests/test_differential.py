@@ -10,7 +10,9 @@ loads, and a stall must come at the same step. After every greedy step the
 counter must give every undeployed candidate the gain the reference would
 deploy it with. The weighted greedy must
 open the same locations with the same fractional objective and ``x``, and
-fail with Infeasible on the same problems. The all-source shortest-path
+fail with Infeasible on the same problems. The fractional LP must give the
+same ``x`` and objective on the residual-list flow network as on the
+arc-object reference network. The all-source shortest-path
 relaxation must give a distance matrix bit-identical to one Dijkstra run per
 source.
 """
@@ -27,13 +29,13 @@ from hypothesis import given, settings, strategies as st
 import reference
 from builders import coverable_instance, coverable_weighted_problem, relation, rng_for
 
-from mbplace import oracle
+from mbplace import oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
 from mbplace.matching import Assignment, count_gain, phi
 from mbplace.netgraph import METRICS, Network, Node, compute_apsp
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
-from mbplace.weighted import Request, generalized_greedy, preprocess
+from mbplace.weighted import Request, generalized_greedy, preprocess, solve_fractional
 
 
 class Sizes(NamedTuple):
@@ -278,6 +280,18 @@ class TestGeneralizedGreedy:
             return chosen, frac.objective, frac.x
 
         assert run(generalized_greedy) == run(reference.generalized_greedy)
+
+
+class TestSolveFractional:
+    # Ids 21-24 are in no relation, so some active boxes serve no kept request.
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_relations(), weighted_networks()), st.sets(st.integers(0, 24)))
+    def test_same_x_and_objective_as_the_reference_network(self, prep, active):
+        fast = solve_fractional(active, prep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weighted, "FlowNetwork", reference.FlowNetwork)
+            ref = solve_fractional(active, prep)
+        assert (fast.x, fast.objective) == (ref.x, ref.objective)
 
 
 def assert_same_floats(got, want):
