@@ -9,11 +9,15 @@ series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 (``_solve_greedy``; ``incremental`` reads its series from the run's steps)
 and one per-step oracle series (``_oracle_series``), which starts only after
 the run, so a failed run decides the exit code before an oracle limit can.
+The batch runner lives in ``bench``, which is imported only when that
+command runs.
 
-Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse or usage
-error, 4 oracle too large. On failure a machine-readable error JSON is
-printed. Every assignment, of either variant, is re-validated against the
-instance invariants before it is reported.
+Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse, usage or
+read error, 4 oracle too large, 1 a failed validation or a broken engine
+invariant. Each error class carries its code as ``exit_code``, so ``main``
+has one handler for them and one for unreadable files. On failure a
+machine-readable error JSON is printed. Every assignment, of either variant,
+is re-validated against the instance invariants before it is reported.
 """
 
 from __future__ import annotations
@@ -26,29 +30,17 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from . import greedy as greedy_mod
 from . import ingest, oracle, weighted
-from .exceptions import (
-    DomainError,
-    GeoUnavailable,
-    Infeasible,
-    InfeasiblePair,
-    ParseError,
-    PlacementError,
-    RoundingFailed,
-    Stalled,
-    TooLarge,
-)
+from .exceptions import ParseError, PlacementError, TooLarge
 from .instance import PlacementInstance, build_feasibility, check_total_capacity, validate_assignment
-from .netgraph import METRICS
+from .netgraph import METRICS, is_number
 
 EXIT_OK = 0
-EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
-EXIT_TOO_LARGE = 4
 
 REPORT_VERSION = 1
 
@@ -73,6 +65,32 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _is_count(value) -> bool:
+    """An int >= 0; a bool (JSON ``true``) is not one."""
+    return type(value) is int and value >= 0
+
+
+def _is_probability(value) -> bool:
+    """A number in [0, 1]; NaN fails the comparison."""
+    return is_number(value) and 0 <= value <= 1
+
+
+def count(text: str) -> int:
+    """argparse type of ``--seed``, ``--replication`` and ``--budget-steps``."""
+    value = int(text)
+    if not _is_count(value):
+        raise ValueError(text)
+    return value
+
+
+def probability(text: str) -> float:
+    """argparse type of ``--p`` and ``--keep-prob``."""
+    value = float(text)
+    if not _is_probability(value):
+        raise ValueError(text)
+    return value
 
 
 def _scenario(args, topology: str) -> ingest.ScenarioConfig:
@@ -164,25 +182,28 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _oracle_series(inst, fs, trace, limit) -> list[tuple[int, float]]:
+FLAG_LIMIT = "--oracle-limit {}; re-run without --oracle"
+
+
+def _oracle_series(inst, fs, trace, limit, over=FLAG_LIMIT) -> list[tuple[int, float]]:
     """Per greedy step n: (phi_opt, the most pairs any n boxes serve, and
-    (phi_opt - phi_greedy) / phi_opt)."""
+    (phi_opt - phi_greedy) / phi_opt). Over the limit, the TooLarge names it
+    as ``over`` does: the CLI flag, or the bench config key."""
     try:
         best = [oracle.max_assignment_for_n(inst, fs, s.iteration + 1, limit=limit).value
                 for s in trace.steps]
     except TooLarge:
-        raise TooLarge(f"{len(inst.candidates)} candidates exceed --oracle-limit {limit}; "
-                       "re-run without --oracle") from None
+        raise TooLarge(f"{len(inst.candidates)} candidates exceed {over.format(limit)}") from None
     return [(b, (b - s.phi_after) / b if b else 0.0) for b, s in zip(best, trace.steps)]
 
 
-def _compare_to_oracle(inst, fs, trace, limit):
+def _compare_to_oracle(inst, fs, trace, limit, over=FLAG_LIMIT):
     """(optimum, greedy/optimum ratio, per-step relative differences).
 
     The run is complete, so its last step n has phi_opt(n) = |P|, and as
     phi_opt is monotone the optimum is the first n with phi_opt(n) = |P|
     (0 for a run without steps)."""
-    series = _oracle_series(inst, fs, trace, limit)
+    series = _oracle_series(inst, fs, trace, limit, over)
     opt = next((n for n, (best, _) in enumerate(series, 1) if best == inst.num_pairs), 0)
     return opt, len(trace.steps) / opt if opt else None, [rel for _, rel in series]
 
@@ -292,8 +313,6 @@ def cmd_solve_weighted(args) -> int:
 
 
 def cmd_incremental(args) -> int:
-    if args.budget_steps is not None and args.budget_steps < 0:
-        raise ParseError(f"--budget-steps must be >= 0, got {args.budget_steps}")
     inst = _load_unweighted(args)
     fs, trace = _solve_greedy(inst, args.budget_steps)
     rows = [[0, 0, 0, 0.0] if args.oracle else [0, 0, None, None]]
@@ -310,9 +329,7 @@ def cmd_incremental(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if (args.topology is None) == (args.sndlib is None):
-        raise ParseError("exactly one of --topology / --sndlib is required")
-    if args.topology:
+    if args.topology is not None:
         net = ingest.parse_graphml(Path(args.topology).read_text())
         inst = ingest.generate_unweighted_scenario(_scenario(args, args.topology), net)
         provenance = {
@@ -339,86 +356,9 @@ def cmd_gen(args) -> int:
 # bench
 
 
-def _bench_row(kind: str, algorithm: str, path: str, p: float, stretch: float, rep: int,
-               seed: int, metric: str, measure) -> list:
-    """One bench CSV row. ``measure(cfg)`` returns (nodes, edges, the eight
-    columns middlebox_count..capacity_violations); a PlacementError becomes an
-    error row and the batch continues."""
-    t0 = time.perf_counter()
-    try:
-        cfg = ingest.ScenarioConfig(topology=path, p=p, stretch=stretch, seed=seed,
-                                    replication=rep, metric=metric)
-        nodes, edges, results = measure(cfg)
-        status, error = "ok", None
-    except PlacementError as exc:
-        nodes = edges = None
-        results = [None] * 8
-        status, error = "error", f"{type(exc).__name__}: {exc}"
-    return [Path(path).stem, kind, nodes, edges, p, stretch, rep, seed, algorithm, status,
-            *results, round(time.perf_counter() - t0, 6), error]
-
-
-def _measure_greedy(net, oracle_limit, cfg):
-    inst = ingest.generate_unweighted_scenario(cfg, net)
-    fs, trace = _solve_greedy(inst)
-    opt = ratio = rel_max = None
-    if oracle_limit is not None:
-        opt, ratio, series = _compare_to_oracle(inst, fs, trace, oracle_limit)
-        rel_max = max(series, default=0.0)
-    return inst.net.num_nodes, inst.net.num_edges, [
-        len(trace.steps), trace.engine.num_assigned, inst.num_pairs, opt, ratio, rel_max,
-        None, None,
-    ]
-
-
-def _measure_weighted(parsed, cfg):
-    net, demands = parsed
-    winst = ingest.generate_weighted_scenario(cfg, net, demands, keep_probability=cfg.p)
-    prep, chosen, _, rounded = _solve_weighted(winst)
-    rel = _relative_loads(prep, rounded).values()
-    return net.num_nodes, net.num_edges, [
-        len(chosen), len(rounded.assignment), prep.num_kept, None, None, None,
-        max(rel, default=0.0), sum(1 for v in rel if v > 1.0),
-    ]
-
-
 def cmd_bench(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed bench config: {exc}") from exc
-    seed = config.get("seed", 0)
-    metric = config.get("metric", "geo")
-    stretches = config.get("stretches", "grid")
-    if stretches == "grid":
-        stretches = ingest.stretch_grid()
-    oracle_limit = config.get("oracle_limit", 16) if config.get("oracle", False) else None
-    reps = config.get("replications", 1)
-    if config.get("algorithms", ["greedy"]) != ["greedy"]:
-        raise ParseError('bench: "algorithms" must be absent or ["greedy"]')
-    nets = {p: ingest.parse_graphml(Path(p).read_text())
-            for p in config.get("topologies", [])}
-    parsed = {entry["path"]: ingest.parse_sndlib(Path(entry["path"]).read_text())
-              for entry in config.get("sndlib", [])}
-    rows = []
-    for path in config.get("topologies", []):
-        for p in config.get("p_values", [0.3]):
-            for stretch in stretches:
-                for rep in range(reps):
-                    rows.append(_bench_row(
-                        "unweighted", "greedy", path, p, stretch, rep, seed, metric,
-                        partial(_measure_greedy, nets[path], oracle_limit),
-                    ))
-    for entry in config.get("sndlib", []):
-        keep = entry.get("keep_probability", 0.5)
-        for stretch in stretches:
-            for rep in range(reps):
-                rows.append(_bench_row(
-                    "weighted", "generalized_greedy", entry["path"], keep, stretch, rep,
-                    seed, metric, partial(_measure_weighted, parsed[entry["path"]]),
-                ))
-    _write_text(args.out, _csv_text(BENCH_COLUMNS, rows))
-    return EXIT_OK
+    from .bench import run  # the batch runner: no other command loads it
+    return run(args)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--metric", choices=METRICS, default=None)
         sp.add_argument("--stretch", type=float, default=None)
         sp.add_argument("--capacity", type=int, default=None)
-        sp.add_argument("--p", type=float, default=0.3,
+        sp.add_argument("--p", type=probability, default=0.3,
                         help="pair probability for GraphML inputs")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--replication", type=int, default=0)
+        sp.add_argument("--seed", type=count, default=0)
+        sp.add_argument("--replication", type=count, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("solve", help="greedy placement on an unweighted instance")
@@ -474,20 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("incremental", help="per-step assignment series")
     add_common_solve(sp)
-    sp.add_argument("--budget-steps", type=int, default=None)
+    sp.add_argument("--budget-steps", type=count, default=None)
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--oracle-limit", type=int, default=16)
     sp.set_defaults(func=cmd_incremental)
 
     sp = sub.add_parser("gen", help="generate a scenario instance file")
-    sp.add_argument("--topology", default=None, help="GraphML topology")
-    sp.add_argument("--sndlib", default=None, help="SNDlib native file")
-    sp.add_argument("--p", type=float, default=0.3)
-    sp.add_argument("--keep-prob", type=float, default=0.5)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--topology", default=None, help="GraphML topology")
+    source.add_argument("--sndlib", default=None, help="SNDlib native file")
+    sp.add_argument("--p", type=probability, default=0.3)
+    sp.add_argument("--keep-prob", type=probability, default=0.5)
     sp.add_argument("--stretch", type=float, default=1.5)
     sp.add_argument("--capacity", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--replication", type=int, default=0)
+    sp.add_argument("--seed", type=count, default=0)
+    sp.add_argument("--replication", type=count, default=0)
     sp.add_argument("--metric", choices=METRICS, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_gen)
@@ -503,24 +444,17 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, GeoUnavailable, DomainError, FileNotFoundError) as exc:
-        _emit_error(exc, EXIT_PARSE)
-        return EXIT_PARSE
-    except TooLarge as exc:
-        _emit_error(exc, EXIT_TOO_LARGE)
-        return EXIT_TOO_LARGE
-    except (Infeasible, InfeasiblePair, Stalled, RoundingFailed) as exc:
-        _emit_error(exc, EXIT_INFEASIBLE)
-        return EXIT_INFEASIBLE
     except PlacementError as exc:
-        _emit_error(exc, 1)
-        return 1
+        return _emit_error(exc, exc.exit_code)
+    except (OSError, UnicodeDecodeError) as exc:  # an input that is missing or unreadable
+        return _emit_error(exc, EXIT_PARSE)
 
 
-def _emit_error(exc: Exception, code: int) -> None:
+def _emit_error(exc: Exception, code: int) -> int:
     sys.stdout.write(json.dumps(
         {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     ) + "\n")
+    return code
 
 
 if __name__ == "__main__":

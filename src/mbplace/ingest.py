@@ -91,6 +91,8 @@ def parse_graphml(data: bytes | str) -> Network:
         index[raw_id] = len(nodes)
         nodes.append(Node(len(nodes), attrs.get("label") or raw_id, lat, lon))
 
+    if not nodes:
+        raise ParseError("no <node> element found")
     edges: list[tuple[int, int, float]] = []
     for el in graph:
         if _localname(el.tag) != "edge":
@@ -116,7 +118,7 @@ def parse_graphml(data: bytes | str) -> Network:
 def parse_sndlib(data: bytes | str):
     """Parse SNDlib native text into (Network, demands).
 
-    Demands are (source, target, value) triples with positive values;
+    Demands are (source, target, value) triples with finite positive values;
     node coordinates from the NODES section are kept as (lon, lat) = (x, y).
     """
     if isinstance(data, bytes):
@@ -168,6 +170,8 @@ def parse_sndlib(data: bytes | str):
                 value = float(tokens[close + 2])
                 if value <= 0:
                     raise NegativeDemand(f"line {lineno}: demand value {value} must be positive")
+                if not math.isfinite(value):
+                    raise ParseError(f"line {lineno}: demand value {value} must be finite")
                 demands.append((index[a], index[b], value))
         except (ValueError, IndexError) as exc:
             raise ParseError(f"line {lineno}: cannot parse {line!r}: {exc}") from exc

@@ -62,11 +62,11 @@ class PlacementInstance:
     metric: str = "weight"
 
     def __post_init__(self):
-        self.candidates = tuple(sorted(set(self.candidates)))
         if not _is_int(self.capacity) or self.capacity < 1:
             raise DomainError(f"capacity must be an integer >= 1, got {self.capacity!r}")
         check_domain(self.net.num_nodes, [u for p in self.pairs for u in (p.s, p.t)],
                      self.candidates, self.stretch, self.route_limit)
+        self.candidates = tuple(sorted(set(self.candidates)))  # after the check: {1, True} == {1}
         seen: set[Pair] = set()
         deduped: list[Pair] = []
         for p in self.pairs:
@@ -99,7 +99,9 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
     if not candidates:
         raise DomainError("candidate set must be nonempty")
     for what, ids in (("request node", nodes), ("candidate", candidates)):
-        bad = [u for u in dict.fromkeys(ids) if not _is_int(u) or not 0 <= u < num_nodes]
+        # A dict would fold a bool into the id 0 or 1, so bools skip the dedup.
+        unique = ids if bool in set(map(type, ids)) else dict.fromkeys(ids)
+        bad = [u for u in unique if not _is_int(u) or not 0 <= u < num_nodes]
         if bad:
             raise DomainError(f"{what} id(s) {bad} are not node ids 0..{num_nodes - 1}")
     if (stretch is None) == (route_limit is None):
@@ -122,7 +124,13 @@ def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
     counts = np.array([len(s) for s in spans], dtype=np.intp)
     a, b = np.array([ab for s in spans for ab in s], dtype=np.intp).reshape(-1, 2).T
     starts = np.cumsum(counts) - counts
-    bound = route_limit if stretch is None else stretch * d[a, b]
+    if stretch is None:
+        bound = route_limit
+    elif stretch == np.inf:  # no bound, also at distance 0 (where inf * 0 is NaN)
+        bound = np.inf
+    else:
+        with np.errstate(over="ignore"):  # past the largest float is inf, as it should be
+            bound = stretch * d[a, b]
     ok = np.empty((len(spans), len(candidates)), dtype=bool)
     # Exactly ``via <= bound or math.isclose(via, bound, rel_tol=REL_TOL)``:
     # distances are >= 0, and isclose is never true for an infinite operand.

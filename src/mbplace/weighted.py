@@ -304,11 +304,11 @@ class WeightedInstance:
     metric: str = "weight"
 
     def __post_init__(self):
-        self.candidates = tuple(sorted(set(self.candidates)))
         if not (is_number(self.capacity) and 0 < self.capacity < math.inf):
             raise DomainError(f"capacity must be a positive finite number, got {self.capacity!r}")
         check_domain(self.net.num_nodes, [u for r in self.requests for u in r.nodes],
                      self.candidates, self.stretch, self.route_limit)
+        self.candidates = tuple(sorted(set(self.candidates)))  # after the check: {1, True} == {1}
 
 
 def solve_weighted(winst: WeightedInstance):

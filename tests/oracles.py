@@ -153,15 +153,20 @@ def weighted_integral_feasible(members, demands, candidates_of, kappa) -> bool:
 def feasible_reference(members, d, candidates, stretch, route_limit) -> np.ndarray:
     """Scalar feasibility relation: ``ok[j, k]`` iff every member pair (a, b)
     of request j has ``d[a][u] + d[u][b] <= bound`` or ``math.isclose`` to it
-    at rel_tol 1e-9, for u = candidates[k]; bound is stretch * d[a][b] or the
-    route limit."""
+    at rel_tol 1e-9, for u = candidates[k]; bound is stretch * d[a][b] (none
+    for an infinite stretch) or the route limit."""
     ok = np.zeros((len(members), len(candidates)), dtype=bool)
     for j, nodes in enumerate(members):
         for k, u in enumerate(candidates):
             ok[j, k] = True
             for a, b in combinations(nodes, 2):
                 via = float(d[a][u]) + float(d[u][b])
-                bound = route_limit if stretch is None else stretch * float(d[a][b])
+                if stretch is None:
+                    bound = route_limit
+                elif stretch == math.inf:  # inf * 0 would be NaN
+                    bound = math.inf
+                else:
+                    bound = stretch * float(d[a][b])
                 if not (via <= bound or math.isclose(via, bound, rel_tol=1e-9)):
                     ok[j, k] = False
     return ok

@@ -1,16 +1,30 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import re
+import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from builders import star_instance
 
-from mbplace import greedy, weighted
+from mbplace import exceptions, greedy, weighted
 from mbplace.cli import BENCH_COLUMNS, INCREMENTAL_COLUMNS, TRACE_COLUMNS, build_parser, main
 from mbplace.exceptions import Stalled
-from mbplace.ingest import instance_to_json
+from mbplace.ingest import (
+    ScenarioConfig,
+    generate_unweighted_scenario,
+    generate_weighted_scenario,
+    instance_to_json,
+    parse_graphml,
+    parse_sndlib,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -379,11 +393,15 @@ class TestOutOfDomainInput:
                                               {"id": 1}, {"id": 2}])),
         ("solve", _path3("unweighted", nodes=[{"id": 0, "lat": 0.0, "lon": True},
                                               {"id": 1}, {"id": 2}])),
+        ("solve", _path3("unweighted", pairs=[[0, 1], [True, 2]])),
+        ("solve", _path3("unweighted", candidates=[1, True])),
+        ("solve-weighted", _path3("weighted", candidates=[1, True])),
     ], ids=["negative-pair-node", "pair-node-9", "candidate-7", "weighted-candidate-7",
             "weighted-request-node-9", "weighted-stretch-0.5", "stretch-nan", "route-limit-nan",
             "capacity-1.5", "capacity-true", "weighted-capacity-inf", "edge-weight-nan",
             "edge-weight-true", "stretch-true", "route-limit-true", "weighted-capacity-true",
-            "lat-true", "lon-true"])
+            "lat-true", "lon-true", "pair-node-true-after-1", "candidate-true-after-1",
+            "weighted-candidate-true-after-1"])
     def test_exit_3_with_json_error(self, command, doc, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
@@ -432,6 +450,23 @@ class TestOutOfDomainInput:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("solve", _path3("unweighted", stretch=1e308)),
+    ("solve-weighted", _path3("weighted", stretch=1e308)),
+    ("solve", _path3("unweighted", metric="weight", edges=[[0, 1, 0.0], [1, 2, 1.0]],
+                     pairs=[[0, 1]], stretch=math.inf)),
+], ids=["stretch-1e308", "weighted-stretch-1e308", "stretch-inf-distance-0"])
+def test_huge_stretch_is_no_bound(command, doc, tmp_path, capsys):
+    # stretch * d overflows to inf, and inf * 0 is NaN: neither may bound a detour.
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code, _ = run(capsys, command, str(f), "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["validated"] is True and len(report["assignment"]) == 1
+
+
 class TestMalformedDocument:
     @pytest.mark.parametrize("command, doc, error", [
         ("solve", _path3("unweighted", pairs=[[1, 1]]), "ParseError"),
@@ -464,6 +499,82 @@ class TestMalformedDocument:
         assert not out.exists()
 
 
+def _refuse_read(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(path))
+
+
+class TestUnreadableInput:
+    ARGV = {
+        "solve": ["solve", "BAD"],
+        "solve-weighted": ["solve-weighted", "BAD"],
+        "incremental": ["incremental", "BAD"],
+        "gen-topology": ["gen", "--topology", "BAD"],
+        "gen-sndlib": ["gen", "--sndlib", "BAD"],
+        "bench": ["bench", "BAD"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    @pytest.mark.parametrize("kind, error", [
+        ("directory", "IsADirectoryError"),
+        ("empty-path", "IsADirectoryError"),  # "" names the working directory
+        ("not-utf8", "UnicodeDecodeError"),
+        ("no-permission", "PermissionError"),
+    ])
+    def test_exit_3_names_the_os_error(self, command, kind, error, tmp_path, monkeypatch,
+                                       capsys):
+        bad = tmp_path / "input"
+        if kind == "empty-path":
+            bad = ""
+        elif kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe not UTF-8")
+        if kind == "no-permission":
+            bad.chmod(0)
+            if os.geteuid() == 0:  # root reads a file whatever its mode
+                monkeypatch.setattr(Path, "read_text", _refuse_read)
+        out = tmp_path / "out"
+        argv = [str(bad) if a == "BAD" else a for a in self.ARGV[command]]
+        code, text = run(capsys, *argv, "--out", str(out))
+        assert code == 3
+        assert text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == error and err["exit_code"] == 3
+        assert not out.exists()
+
+
+class TestMalformedTopology:
+    @pytest.mark.parametrize("argv", [["solve", "G"], ["incremental", "G"],
+                                      ["gen", "--topology", "G"]])
+    def test_graph_without_nodes_exit_3(self, argv, tmp_path, capsys):
+        graph = tmp_path / "empty.graphml"
+        graph.write_text("<graphml><graph/></graphml>")
+        out = tmp_path / "out"
+        code, text = run(capsys, *[str(graph) if a == "G" else a for a in argv],
+                         "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        assert json.loads(text)["error"] == "ParseError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_non_finite_demand_exit_3(self, command, value, tmp_path, capsys):
+        sndlib = tmp_path / "demand.txt"
+        sndlib.write_text((DATA / "mini_sndlib.txt").read_text().replace(
+            "D1 ( A C ) 1 3.00", f"D1 ( A C ) 1 {value}"))
+        out = tmp_path / "out"
+        if command == "gen":
+            argv = ["gen", "--sndlib", str(sndlib)]
+        else:
+            cfg = tmp_path / "bench.json"
+            cfg.write_text(json.dumps({"sndlib": [{"path": str(sndlib)}], "stretches": [1.5]}))
+            argv = ["bench", str(cfg)]
+        code, text = run(capsys, *argv, "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        assert json.loads(text)["error"] == "ParseError"
+        assert not out.exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["solve", "STAR", "--threads", "2"],
@@ -474,13 +585,25 @@ class TestUsageErrors:
         ["solve"],
         [],
         ["incremental", "STAR", "--budget-steps", "-1"],
+        ["solve", "MINI", "--p", "nan"],
+        ["solve", "MINI", "--seed", "-5"],
+        ["solve", "MINI", "--replication", "-1"],
+        ["gen", "--topology", "MINI", "--p", "5"],
+        ["gen", "--sndlib", "SNDLIB", "--keep-prob", "-0.5"],
+        ["gen", "--topology", "MINI", "--sndlib", "SNDLIB"],
     ])
-    def test_exit_3_with_json_error(self, argv, star_file, capsys):
-        argv = [str(star_file) if a == "STAR" else a for a in argv]
-        code, out = run(capsys, *argv)
+    def test_exit_3_with_json_error(self, argv, star_file, tmp_path, capsys):
+        paths = {"STAR": star_file, "MINI": DATA / "mini.graphml",
+                 "SNDLIB": DATA / "mini_sndlib.txt"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        out = tmp_path / "out"
+        if argv[:1] == ["gen"]:
+            argv += ["--out", str(out)]
+        code, text = run(capsys, *argv)
         assert code == 3
-        err = json.loads(out)
+        err = json.loads(text)
         assert err["error"] == "ParseError" and err["exit_code"] == 3
+        assert text.count("\n") == 1 and not out.exists()
 
     def test_parser_built_once_per_process(self):
         assert build_parser() is build_parser()
@@ -634,6 +757,7 @@ class TestGen:
         assert code == 3
 
 
+
 class TestBench:
     def test_smoke_config_row_count_and_columns(self, tmp_path, capsys):
         config = {
@@ -728,6 +852,57 @@ class TestBench:
         assert err["error"] == "ParseError" and err["exit_code"] == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"topologies": 5},
+        [1, 2],
+        {"sndlib": [{"nopath": 1}]},
+        {"replications": "2"},
+        {"seed": "0"},
+        {"seed": -1},
+        {"replications": True},
+        {"metric": "foo"},
+        {"p_values": [math.nan]},
+        {"p_values": 0.3},
+        {"sndlib": [{"path": "SNDLIB", "keep_probability": "0.5"}]},
+        {"sndlib": [{"path": "SNDLIB", "keep_probability": 2}]},
+        {"stretches": "foo"},
+        {"stretches": [1.5, "2"]},
+        {"topologies": [5]},
+        {"oracle": True, "oracle_limit": "16"},
+    ], ids=["topologies-int", "top-level-list", "sndlib-no-path", "replications-str",
+            "seed-str", "seed-negative", "replications-bool", "metric-unknown", "p-nan",
+            "p-values-not-a-list", "keep-probability-str", "keep-probability-2",
+            "stretches-str", "stretches-str-entry", "topology-int", "oracle-limit-str"])
+    def test_malformed_config_exit_3(self, config, tmp_path, capsys):
+        # Each key is checked before any row runs, beside a config that would run.
+        if isinstance(config, dict):
+            config = {"topologies": [str(DATA / "mini.graphml")], "p_values": [0.3],
+                      "stretches": [1.5], **config}
+            for entry in config.get("sndlib", []):
+                if entry.get("path") == "SNDLIB":
+                    entry["path"] = str(DATA / "mini_sndlib.txt")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "c.csv"
+        code, text = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and err["message"].startswith("bench: ")
+        assert not out.exists()
+
+    def test_row_over_the_oracle_limit_names_the_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "o.json"
+        cfg.write_text(json.dumps({"topologies": [str(DATA / "mini.graphml")],
+                                   "p_values": [1.0], "stretches": [2.0],
+                                   "oracle": True, "oracle_limit": 2}))
+        out = tmp_path / "o.csv"
+        code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 0
+        [row] = list(csv.DictReader(out.read_text().splitlines()))
+        assert row["status"] == "error"
+        assert row["error"] == ("TooLarge: 5 candidates exceed the config's \"oracle_limit\" 2; "
+                                'raise it or set "oracle" to false')
+
     def test_row_error_captured_batch_continues(self, tmp_path, capsys):
         # Two components: at p 1.0 some pair has disconnected endpoints, so
         # that row fails; the next topology's row must still come out ok.
@@ -754,3 +929,152 @@ class TestBench:
             ("split", "error"), ("mini", "ok")]
         assert rows[0]["error"].startswith("InfeasiblePair: ")
         assert rows[1]["assigned"] == rows[1]["total"] and not rows[1]["error"]
+
+
+class TestExitCodes:
+    def test_every_error_class_carries_its_readme_code(self):
+        # README's exit-code table lists, per code, the error names that exit with it.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = {}
+        for code, names in re.findall(r"^\| (\d) \|[^|]*\| ([^|]*) \|$", readme, re.MULTILINE):
+            for name in re.findall(r"`(\w+)`", names):
+                table[name] = int(code)
+        classes = [cls for cls in vars(exceptions).values()
+                   if isinstance(cls, type) and issubclass(cls, exceptions.PlacementError)]
+        assert set(table) == {cls.__name__ for cls in classes} | {"OSError",
+                                                                  "UnicodeDecodeError"}
+        assert {cls.__name__: cls.exit_code for cls in classes} == \
+            {cls.__name__: table[cls.__name__] for cls in classes}
+        assert table["OSError"] == table["UnicodeDecodeError"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under mutated input
+
+
+def _fixture_documents() -> dict[str, str]:
+    """One valid input of each kind the commands read: an instance JSON v1
+    document per kind, and the GraphML and SNDlib test files."""
+    graphml = (DATA / "mini.graphml").read_text()
+    sndlib = (DATA / "mini_sndlib.txt").read_text()
+    unweighted = instance_to_json(generate_unweighted_scenario(
+        ScenarioConfig("mini", p=0.5, seed=3), parse_graphml(graphml)))
+    net, demands = parse_sndlib(sndlib)
+    weighted_doc = json.loads(instance_to_json(generate_weighted_scenario(
+        ScenarioConfig("mini_sndlib"), net, demands, keep_probability=1.0)))
+    weighted_doc["requests"].append({"kind": "group", "nodes": [0, 2, 4], "demand": 1.0})
+    return {"unweighted": unweighted, "weighted": json.dumps(weighted_doc, indent=2),
+            "graphml": graphml, "sndlib": sndlib}
+
+
+FIXTURES = _fixture_documents()
+
+# Replacement values: type swaps, NaN, infinities, bools, huge, subnormal and
+# negative numbers.
+JSON_MUTANTS = [None, True, False, "x", "", [], {}, [0], math.nan, math.inf, -math.inf,
+                10**30, 1e308, 5e-324, -1, -0.5, 0, 0.5, 2**63]
+TEXT_MUTANTS = ["", "x", "true", "nan", "inf", "-inf", "1e308", "5e-324", "-1", "-0.5", "0",
+                "0.5", "1" + "0" * 30, "(", ")", "<", "&"]
+
+# command -> the fixture kinds it reads
+CONTRACT_INPUTS = {
+    "solve": ["unweighted", "graphml"],
+    "incremental": ["unweighted", "graphml"],
+    "solve-weighted": ["weighted"],
+    "gen": ["graphml", "sndlib"],
+}
+
+
+def _json_paths(node, path=()):
+    """Every key or index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate_json(data, text: str) -> str:
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans(), label="drop"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(JSON_MUTANTS), label="value")
+    return json.dumps(doc)
+
+
+def _mutate_graphml(data, text: str) -> str:
+    root = ET.fromstring(text)
+    parents = [(parent, child) for parent in root.iter() for child in parent]
+    parent, el = data.draw(st.sampled_from(parents), label="element")
+    fields = [None, *sorted(el.attrib)]
+    field = data.draw(st.sampled_from(fields), label="field")
+    if data.draw(st.booleans(), label="drop"):
+        if field is None:
+            parent.remove(el)
+        else:
+            del el.attrib[field]
+    else:
+        value = data.draw(st.sampled_from(TEXT_MUTANTS), label="value")
+        if field is None:
+            el.text = value
+        else:
+            el.set(field, value)
+    return ET.tostring(root, encoding="unicode")
+
+
+def _mutate_tokens(data, text: str) -> str:
+    parts = re.split(r"(\s+)", text)
+    index = data.draw(st.sampled_from([i for i, p in enumerate(parts) if p.strip()]),
+                      label="token")
+    parts[index] = "" if data.draw(st.booleans(), label="drop") else \
+        data.draw(st.sampled_from(TEXT_MUTANTS), label="value")
+    return "".join(parts)
+
+
+MUTATORS = {"unweighted": _mutate_json, "weighted": _mutate_json,
+            "graphml": _mutate_graphml, "sndlib": _mutate_tokens}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", list(CONTRACT_INPUTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_exits_by_contract(self, command, data, tmp_path_factory):
+        kind = data.draw(st.sampled_from(CONTRACT_INPUTS[command]), label="kind")
+        text = FIXTURES[kind]
+        if data.draw(st.booleans(), label="truncate"):
+            text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+        else:
+            text = MUTATORS[kind](data, text)
+        work = tmp_path_factory.mktemp("contract")
+        src, out = work / f"input.{kind}", work / "out"
+        src.write_text(text)
+        if command == "gen":
+            argv = ["gen", "--topology" if kind == "graphml" else "--sndlib", str(src)]
+        else:
+            argv = [command, str(src)]
+            if data.draw(st.booleans(), label="oracle"):
+                argv.append("--oracle")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        # The one warning a run may give: a repeated pair is dropped.
+        assert all("duplicate pair" in str(w.message) for w in caught)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            if command.startswith("solve"):
+                assert json.loads(out.read_text())["validated"] is True
+            else:
+                assert out.exists()
+        else:
+            lines = stdout.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["exit_code"] == code
+            assert not out.exists()

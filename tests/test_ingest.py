@@ -55,6 +55,11 @@ class TestParseGraphml:
         with pytest.raises(ParseError):
             parse_graphml("<graphml></graphml>")
 
+    def test_graph_without_nodes(self):
+        # An empty network has no distance matrix; it is a malformed file.
+        with pytest.raises(ParseError, match="no <node>"):
+            parse_graphml("<graphml><graph/></graphml>")
+
     def test_coordinate_keys_match_case_insensitively(self):
         doc = """<graphml>
         <key id="k0" for="node" attr.name="latitude"/>
@@ -119,6 +124,13 @@ class TestParseSndlib:
         doc = ("NODES (\n a ( 0 0 )\n b ( 1 1 )\n)\nLINKS (\n l ( a b ) 0 0 0 0\n)\n"
                "DEMANDS (\n d ( a b ) 1 -4.0 UNLIMITED\n)\n")
         with pytest.raises(NegativeDemand):
+            parse_sndlib(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
+    def test_non_finite_demand_rejected(self, value):
+        doc = ("NODES (\n a ( 0 0 )\n b ( 1 1 )\n)\nLINKS (\n l ( a b ) 0 0 0 0\n)\n"
+               f"DEMANDS (\n d ( a b ) 1 {value} UNLIMITED\n)\n")
+        with pytest.raises(ParseError, match="must be finite"):
             parse_sndlib(doc)
 
     def test_empty_document_rejected(self):

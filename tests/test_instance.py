@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,8 +132,9 @@ class TestFeasibleMatchesScalarReference:
         members = [tuple(rng.choice(10, size=int(rng.integers(2, 5)), replace=False).tolist())
                    for _ in range(30)]
         candidates = sorted(rng.choice(10, size=7, replace=False).tolist())
-        for stretch, limit in [(1.0, None), (1.3, None), (2.0, None),
-                               (None, 2.0), (None, float(rng.uniform(1.0, 6.0)))]:
+        for stretch, limit in [(1.0, None), (1.3, None), (2.0, None), (1e308, None),
+                               (math.inf, None), (None, 2.0),
+                               (None, float(rng.uniform(1.0, 6.0)))]:
             got = feasible(members, dist, candidates, stretch, limit)
             want = feasible_reference(members, dist.values, candidates, stretch, limit)
             assert np.array_equal(got, want)
