@@ -24,7 +24,7 @@ from .cli import (
     _relative_loads,
     _solve_greedy,
     _solve_weighted,
-    _write_text,
+    _write,
 )
 from .exceptions import ParseError, PlacementError
 from .netgraph import METRICS, is_number
@@ -145,5 +145,5 @@ def run(args) -> int:
                     "weighted", "generalized_greedy", entry["path"], keep, stretch, rep,
                     seed, metric, partial(_measure_weighted, parsed[entry["path"]]),
                 ))
-    _write_text(args.out, _csv_text(BENCH_COLUMNS, rows))
+    _write((args.out, _csv_text(BENCH_COLUMNS, rows)))
     return EXIT_OK

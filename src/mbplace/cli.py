@@ -60,11 +60,24 @@ TRACE_COLUMNS = ["iteration", "chosen", "gain", "phi_after"]
 # helpers
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write(*outputs: tuple[str | None, str]) -> None:
+    """Write each ``(path, text)``; a path of None or ``-`` is stdout.
+
+    Files come before stdout, and a file that cannot be written removes the
+    files written before it, so a failed run leaves no output.
+    """
+    written: list[Path] = []
+    try:
+        for path, text in sorted(outputs, key=lambda out: out[0] in (None, "-")):
+            if path is None or path == "-":
+                sys.stdout.write(text)
+            else:
+                Path(path).write_text(text)
+                written.append(Path(path))
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _is_count(value) -> bool:
@@ -250,10 +263,14 @@ def cmd_solve(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    # Reports keep the stdlib writer until perfbench stops keeping a record per
+    # call (ROADMAP item 1): ingest.dumps leaves no cyclic garbage, so the
+    # collector runs later there and desk_cli's peak_rss_mb read 2-3% higher.
+    outputs = [(args.out, json.dumps(report, indent=2) + "\n")]
     if args.trace_csv:
         rows = [[s.iteration, s.chosen, s.gain, s.phi_after] for s in trace.steps]
-        _write_text(args.trace_csv, _csv_text(TRACE_COLUMNS, rows))
+        outputs.append((args.trace_csv, _csv_text(TRACE_COLUMNS, rows)))
+    _write(*outputs)
     return EXIT_OK
 
 
@@ -304,7 +321,7 @@ def cmd_solve_weighted(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write((args.out, json.dumps(report, indent=2) + "\n"))
     return EXIT_OK
 
 
@@ -320,7 +337,7 @@ def cmd_incremental(args) -> int:
               else [(None, None)] * len(trace.steps))
     rows += [[s.iteration + 1, s.phi_after, opt, rel]
              for s, (opt, rel) in zip(trace.steps, series)]
-    _write_text(args.out, _csv_text(INCREMENTAL_COLUMNS, rows))
+    _write((args.out, _csv_text(INCREMENTAL_COLUMNS, rows)))
     return EXIT_OK
 
 
@@ -348,7 +365,7 @@ def cmd_gen(args) -> int:
             "source": args.sndlib, "keep_probability": args.keep_prob,
             "seed": args.seed, "replication": args.replication,
         }
-    _write_text(args.out, ingest.instance_to_json(inst, provenance))
+    _write((args.out, ingest.instance_to_json(inst, provenance)))
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ earlier step an upper bound on the gain now, so ``lazy_pick`` (Minoux's
 accelerated greedy, shared with the weighted generalized greedy) keeps the
 candidates in a heap keyed on their upper bound and re-evaluates only the
 top one until a candidate whose gain is current stays on top. A gain is
-counted by ``matching.count_gain``, the engine's grow loop run on copies
-of its pair bitsets; only the winner is deployed through the canonical
-``Assignment.add_middlebox``, whose gain must equal the counted one.
+counted by ``matching.count_gain`` on copies of the engine's pair bitsets,
+applying each one-level handover search as a batch; only the winner is
+deployed, one canonical path at a time, through ``Assignment.add_middlebox``.
+Both reach a maximum flow from the winner, so the deployed gain must equal
+the counted one.
 One location is committed per step, so deployed locations are never
 revisited and served pairs never drop out.
 """

@@ -8,17 +8,20 @@ of untouched middleboxes never change.
 
 The state is held on pair bitsets, one Python int each: ``owned[y]`` has
 bit p set iff pair p is assigned to box y, ``free`` has the unassigned
-pairs, and ``FeasibilitySets.masks[x]`` is S_x. One grow loop adds a box:
-it takes the lowest free pairs of S_m up to capacity (the length-1 paths),
-then one level-by-level search and one flip per further pair. Deployment
-runs it on the engine; ``count_gain`` runs it on copies, so the greedy can
-score a candidate without touching the engine.
+pairs, and ``FeasibilitySets.masks[x]`` is S_x. Adding a box m first takes
+the lowest free pairs of S_m up to capacity (the length-1 paths), then
+runs level-by-level searches from m until capacity or the first search
+that fails.
 
-Deployment sorts each level of the search into breadth-first discovery
-order, which makes the flip apply exactly the path a pair-by-pair
-breadth-first search in ascending pair index would return. This canonical
-order fixes the reported assignment. Counting skips the sort: the gain is
-``phi(M + m) - phi(M)`` whatever paths realise it.
+Deployment flips one path per search, with each level sorted into
+breadth-first discovery order, which makes the flip apply exactly the path
+a pair-by-pair breadth-first search in ascending pair index would return.
+This canonical order fixes the reported assignment. ``count_gain`` needs
+only the gain, ``phi(M + m) - phi(M)``, which every maximum flow from m
+reaches whatever its paths, as in the phase counting of Hopcroft & Karp
+(1973). It runs on copies, skips the sort, and applies a search that ends
+one level below m (the handovers m -> y -> free pair) as one batch on
+bitsets instead of one search per pair.
 """
 
 from __future__ import annotations
@@ -97,18 +100,16 @@ class Assignment:
 
     # -- augmenting-path machinery ----------------------------------------
 
-    def find_augmenting_path(self, start: int, owned: dict[int, int], free: int,
-                             _ordered: bool = False) -> list[list[int]] | None:
+    def find_augmenting_path(self, start: int, owned: dict[int, int],
+                             free: int) -> list[list[int]] | None:
         """Levels of a shortest augmenting path from ``start`` over the
         assignment ``owned``/``free``, or None if there is none.
 
         Level 0 is ``[start]``; the boxes of a level reach the pairs of their
         S_x, and the owners of those not yet visited form the next level,
         their pairs then counting as visited. The search stops at the first
-        level that reaches a free pair. With ``_ordered`` the levels found
-        are sorted, from the first on, into breadth-first discovery order:
-        box y by the position of the first box x of the level before whose
-        S_x meets ``owned[y]``, then by the lowest pair of that meet.
+        level that reaches a free pair. Levels after the first are in the
+        order of ``owned``.
         """
         masks = self.fs.masks
         levels = [[start]]
@@ -118,9 +119,6 @@ class Assignment:
             for x in levels[-1]:
                 reach |= masks[x]
             if reach & free:
-                if _ordered:
-                    for prev, level in zip(levels, levels[1:]):
-                        level.sort(key=lambda y: _discovered_by(prev, masks, owned[y]))
                 return levels
             reach &= ~visited
             level = [y for y, pairs in owned.items() if pairs & reach]
@@ -152,48 +150,82 @@ class Assignment:
         owned[x] |= bit
         return free
 
-    def _grow(self, m: int, owned: dict[int, int], free: int, ordered: bool) -> tuple[int, int]:
-        """Open m on ``owned``/``free`` (``owned`` is updated in place) and
-        re-maximize; returns the gain and the new ``free``.
-
-        Only paths starting at m are needed: the previous assignment was
-        maximum, so after exhausting them the new one is maximum as well.
-        The lowest free pairs of S_m come first, up to capacity: each is the
-        length-1 path the search would return next. Taking them creates no
-        free pair, so every later path is a handover, one search and one
-        flip each, until capacity or the first search that fails.
-        """
+    def _take_free(self, m: int, owned: dict[int, int], free: int) -> tuple[int, int]:
+        """Open m on ``owned`` (updated in place) with the lowest free pairs
+        of S_m up to capacity, each the length-1 path a search would return
+        next; returns their number and the new ``free``. Taking them creates
+        no free pair, so every later path is a handover."""
         take = _lowest(self.fs.masks[m] & free, self.capacity)
         owned[m] = take
-        free ^= take
-        gained = take.bit_count()
-        while gained < self.capacity:
-            levels = self.find_augmenting_path(m, owned, free, ordered)
-            if levels is None:
-                break
-            free = self._flip(levels, owned, free)
-            gained += 1
-        return gained, free
+        return take.bit_count(), free ^ take
 
     # -- incremental growth -------------------------------------------------
 
     def add_middlebox(self, m: int) -> int:
         """Deploy m and re-maximize along the canonical paths; returns the
-        gained number of pairs."""
+        gained number of pairs.
+
+        Only paths starting at m are needed: the previous assignment was
+        maximum, so after exhausting them the new one is maximum as well.
+        Each search's levels are sorted, from the first on, into
+        breadth-first discovery order (box y by the position of the first
+        box x of the level before whose S_x meets ``owned[y]``, then by the
+        lowest pair of that meet) before its path is flipped.
+        """
         if m in self.load:
             raise AlreadyActive(f"middlebox {m} is already deployed")
         if m not in self.fs.masks:
             raise ValueError(f"{m} is not a candidate location")
-        gained, self.free = self._grow(m, self.owned, self.free, True)
+        masks, owned = self.fs.masks, self.owned
+        gained, free = self._take_free(m, owned, self.free)
+        while gained < self.capacity:
+            levels = self.find_augmenting_path(m, owned, free)
+            if levels is None:
+                break
+            for prev, level in zip(levels, levels[1:]):
+                level.sort(key=lambda y: _discovered_by(prev, masks, owned[y]))
+            free = self._flip(levels, owned, free)
+            gained += 1
+        self.free = free
         self.load[m] = gained
         self.num_assigned += gained
         return gained
 
 
 def count_gain(engine: Assignment, m: int) -> int:
-    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is:
-    the grow loop on copies, with levels left unsorted."""
-    return engine._grow(m, dict(engine.owned), engine.free, False)[0]
+    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is.
+
+    Once the free pairs of S_m are taken and m still has room, S_m meets no
+    free pair, so a search that ends one level below m holds boxes y that
+    can each hand pairs of S_m to m and take free pairs of S_y in their
+    place. Each y in turn hands over k = min(capacity left,
+    |S_m & owned[y]|, |S_y & free|) pairs at once: k augmenting paths, none
+    of which uses a pair another one does. A deeper search flips one path.
+    """
+    masks, capacity = engine.fs.masks, engine.capacity
+    owned = dict(engine.owned)
+    gained, free = engine._take_free(m, owned, engine.free)
+    s_m = masks[m]
+    while gained < capacity:
+        levels = engine.find_augmenting_path(m, owned, free)
+        if levels is None:
+            break
+        if len(levels) > 2:
+            free = engine._flip(levels, owned, free)
+            gained += 1
+            continue
+        for y in levels[1]:
+            held, free_y = s_m & owned[y], masks[y] & free
+            k = min(capacity - gained, held.bit_count(), free_y.bit_count())
+            if k:
+                handed, taken = _lowest(held, k), _lowest(free_y, k)
+                owned[y] ^= handed | taken
+                owned[m] |= handed
+                free ^= taken
+                gained += k
+                if gained == capacity:
+                    break
+    return gained
 
 
 def phi(M, fs: FeasibilitySets, capacity: int) -> int:

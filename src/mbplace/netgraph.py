@@ -168,7 +168,9 @@ def _relax(mat: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> None:
     sets ``mat[s, v]`` to the least of itself and ``mat[s, u] + w`` over the
     edges ``u -> v``, and relaxes again only the rows that changed, since a
     row depends only on itself. A shortest walk needs at most ``n - 1``
-    edges, so the ``n``-th round changes nothing.
+    edges, so the ``n``-th round changes nothing. A row that then reaches u
+    but not v over a finite edge u -> v has a distance that overflowed:
+    DomainError.
     """
     n = mat.shape[0]
     tails = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -176,17 +178,23 @@ def _relax(mat: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> None:
     weights = np.concatenate([weights, weights])
     mat[tails, heads] = 0.0 + weights  # as the round would sum it: -0.0 becomes 0.0
     order = np.argsort(heads, kind="stable")
-    tails, weights = tails[order], weights[order]
-    cols, starts = np.unique(heads[order], return_index=True)
+    tails, heads, weights = tails[order], heads[order], weights[order]
+    cols, starts = np.unique(heads, return_index=True)
     rows = np.arange(n)
-    for _ in range(n - 1):
-        block = mat[rows]
-        old = block[:, cols]
-        relaxed = np.minimum.reduceat(block[:, tails] + weights, starts, axis=1)
-        changed = (relaxed < old).any(axis=1)
-        if not changed.any():
-            return
-        block[:, cols] = np.minimum(old, relaxed)
-        rows = rows[changed]
-        mat[rows] = block[changed]
-    raise PlacementError(f"shortest paths still changing after {n} rounds")
+    with np.errstate(over="ignore"):  # a sum past the largest float is caught below
+        for _ in range(n - 1):
+            block = mat[rows]
+            old = block[:, cols]
+            relaxed = np.minimum.reduceat(block[:, tails] + weights, starts, axis=1)
+            changed = (relaxed < old).any(axis=1)
+            if not changed.any():
+                break
+            block[:, cols] = np.minimum(old, relaxed)
+            rows = rows[changed]
+            mat[rows] = block[changed]
+        else:
+            raise PlacementError(f"shortest paths still changing after {n} rounds")
+    if np.isinf(mat).any():  # no overflow without an inf: skip the edge scan
+        finite = np.isfinite(weights)
+        if (np.isfinite(mat[:, tails[finite]]) & np.isinf(mat[:, heads[finite]])).any():
+            raise DomainError("a shortest path length exceeds the largest float")

@@ -118,6 +118,39 @@ class TestSolve:
         assert rows[0] == TRACE_COLUMNS
         assert rows[1] == ["0", "0", "4", "4"]
 
+    @pytest.mark.parametrize("unwritable", ["out", "trace", "trace-with-stdout-report"])
+    def test_unwritable_output_leaves_no_output(self, unwritable, star_file, tmp_path, capsys):
+        """A run that cannot write one of its outputs exits 3 with one error
+        line and leaves neither the report nor the trace behind."""
+        missing = tmp_path / "missing"
+        out = (missing if unwritable == "out" else tmp_path) / "r.json"
+        trace = (tmp_path if unwritable == "out" else missing) / "t.csv"
+        argv = ["solve", str(star_file), "--trace-csv", str(trace)]
+        if unwritable != "trace-with-stdout-report":
+            argv += ["--out", str(out)]
+        code, text = run(capsys, *argv)
+        assert code == 3
+        assert [json.loads(line)["error"] for line in text.splitlines()] == ["FileNotFoundError"]
+        assert not out.exists() and not trace.exists()
+
+    def test_repeated_pair_dropped_with_a_warning(self, tmp_path, capsys):
+        f = tmp_path / "repeated.json"
+        f.write_text(json.dumps(_path3("unweighted", pairs=[[0, 2], [2, 0]])))
+        with pytest.warns(UserWarning, match="duplicate pair"):
+            code, text = run(capsys, "solve", str(f))
+        assert code == 0
+        assert json.loads(text)["pairs"] == 1
+
+    def test_infinite_edge_weight_is_no_edge(self, tmp_path, capsys):
+        f = tmp_path / "inf.json"
+        f.write_text(json.dumps(_path3("unweighted", metric="weight",
+                                       edges=[[0, 1, 1.0], [1, 2, math.inf]])))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve", str(f), "--out", str(out))
+        assert code == 2
+        assert json.loads(text)["error"] == "InfeasiblePair"
+        assert not out.exists()
+
     def test_route_limit_instance_shares_the_code_path(self, tmp_path, capsys):
         from builders import star_instance
         from mbplace.instance import PlacementInstance
@@ -386,6 +419,7 @@ class TestOutOfDomainInput:
         ("solve-weighted", _path3("weighted", capacity=math.inf)),
         ("solve", _path3("unweighted", edges=[[0, 1, math.nan], [1, 2, 1.0]])),
         ("solve", _path3("unweighted", edges=[[0, 1, True], [1, 2, 1.0]])),
+        ("solve", _path3("unweighted", metric="weight", edges=[[0, 1, 1e308], [1, 2, 1e308]])),
         ("solve", _path3("unweighted", stretch=True)),
         ("solve", _path3("unweighted", stretch=None, route_limit=True)),
         ("solve-weighted", _path3("weighted", capacity=True)),
@@ -399,9 +433,9 @@ class TestOutOfDomainInput:
     ], ids=["negative-pair-node", "pair-node-9", "candidate-7", "weighted-candidate-7",
             "weighted-request-node-9", "weighted-stretch-0.5", "stretch-nan", "route-limit-nan",
             "capacity-1.5", "capacity-true", "weighted-capacity-inf", "edge-weight-nan",
-            "edge-weight-true", "stretch-true", "route-limit-true", "weighted-capacity-true",
-            "lat-true", "lon-true", "pair-node-true-after-1", "candidate-true-after-1",
-            "weighted-candidate-true-after-1"])
+            "edge-weight-true", "edge-weight-sum-overflow", "stretch-true", "route-limit-true",
+            "weighted-capacity-true", "lat-true", "lon-true", "pair-node-true-after-1",
+            "candidate-true-after-1", "weighted-candidate-true-after-1"])
     def test_exit_3_with_json_error(self, command, doc, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))

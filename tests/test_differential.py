@@ -198,8 +198,82 @@ class TestCountGain:
             assert {m: count_gain(engine, m) for m in want} == want
             assert {m: reference.Assignment.of(engine).add_middlebox(m) for m in want} == want
 
+    @staticmethod
+    def _count(engine, m):
+        """(gain, levels of each search) of ``count_gain(engine, m)``, with
+        None for a failed search. The engine must be left as it was, and
+        the gain must be the reference deployment's."""
+        before = state(engine), dict(engine.owned), engine.free
+        depths = []
+        find = engine.find_augmenting_path
+
+        def search(*args):
+            levels = find(*args)
+            depths.append(None if levels is None else len(levels))
+            return levels
+
+        engine.find_augmenting_path = search
+        try:
+            gained = count_gain(engine, m)
+        finally:
+            del engine.find_augmenting_path
+        assert (state(engine), engine.owned, engine.free) == before
+        assert gained == reference.Assignment.of(engine).add_middlebox(m)
+        return gained, depths
+
+    def test_one_box_hands_over_several_pairs(self):
+        # Box 10 holds pairs 0-2 of S_11 and can take the free pairs 3-5
+        # instead: one search, three handovers.
+        fs = relation(6, {10: (0, 1, 2, 3, 4, 5), 11: (0, 1, 2)})
+        engine = Assignment(fs, 3)
+        engine.add_middlebox(10)
+        assert engine.mu == [10, 10, 10, None, None, None]
+        assert self._count(engine, 11) == (3, [2])
+
+    def test_capacity_cuts_a_batch_short(self):
+        # 11 takes the free pair 3 first; then box 10 could hand over three
+        # pairs, but 11 has room for two.
+        fs = relation(8, {10: (0, 1, 2, 5, 6, 7), 11: (0, 1, 2, 3)})
+        engine = Assignment(fs, 3)
+        engine.add_middlebox(10)
+        assert engine.mu == [10, 10, 10, None, None, None, None, None]
+        assert self._count(engine, 11) == (3, [2])
+        fs = relation(7, {10: (0, 1, 5), 12: (2, 3, 6), 11: (0, 1, 2, 3)})
+        engine = Assignment(fs, 2)
+        engine.add_middlebox(10)
+        engine.add_middlebox(12)
+        # Both boxes of the level can hand a pair over; the second fills 11.
+        assert self._count(engine, 11) == (2, [2])
+
+    def test_level_mixing_handovers_and_deeper_paths(self):
+        # From 13 the first level is boxes 10 and 11. Box 10 hands pair 0
+        # over and takes the free pair 8; box 11 reaches no free pair, so
+        # its pair 1 comes only through box 12 (11 takes 9, 12 takes 10).
+        fs = relation(11, {10: (0, 5, 8), 11: (1, 6, 9), 12: (2, 9, 10), 13: (0, 1)})
+        engine = Assignment(fs, 2)
+        for m in (10, 11, 12):
+            engine.add_middlebox(m)
+        assert engine.mu == [10, 11, 12, None, None, 10, 11, None, None, 12, None]
+        assert self._count(engine, 13) == (2, [2, 3])
+        engine.add_middlebox(13)
+        assert engine.mu == [13, 13, 12, None, None, 10, 11, None, 10, 11, 12]
+
 
 class TestGreedy:
+    @pytest.mark.parametrize("seed, num_nodes, num_pairs, capacity", [
+        (1, 60, 180, 8), (2, 80, 240, 10), (4, 100, 200, 8)])
+    def test_greedy_place_at_scale(self, seed, num_nodes, num_pairs, capacity):
+        """Larger seeded networks than the hypothesis draws, where counting
+        meets both batched handovers and deeper paths: the same middlebox
+        sequence and the same final assignment as the eager reference."""
+        inst, fs = coverable_instance(rng_for(seed), num_nodes=num_nodes, num_pairs=num_pairs,
+                                      capacity=capacity, stretch=1.5)
+        states, stalled = reference.greedy_run(fs, capacity)
+        assert not stalled
+        trace = greedy_place(inst, fs)
+        assert [(s.chosen, s.gain) for s in trace.steps] == [r[:2] for r in states]
+        assert (trace.engine.mu, trace.engine.load) == states[-1][2:]
+
     @settings(max_examples=150, deadline=None)
     @given(any_relation)
     def test_greedy_place(self, relation):

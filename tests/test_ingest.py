@@ -1,12 +1,15 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbplace.exceptions import Infeasible, MissingEndpoint, NegativeDemand, ParseError
 from mbplace.ingest import (
     ScenarioConfig,
+    dumps,
     formula_capacity,
     generate_unweighted_scenario,
     generate_weighted_scenario,
@@ -262,6 +265,51 @@ class TestInstanceJson:
             instance_from_json('{"format": "other"}')
         with pytest.raises(ParseError):
             instance_from_json('{"format": "mbplace-instance", "version": 99}')
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200)
+           | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324]))
+TEXT = st.text() | st.sampled_from([",", "[", "]", "{", "}", '"', '"],["', "\\", "\n", "é",
+                                    "\u2603"])
+KEYS = TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    SCALARS | TEXT | st.lists(SCALARS) | st.lists(st.lists(SCALARS, min_size=1, max_size=4)),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_stdlib_indent_2(self, value):
+        assert dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [[], [1]], [[1], []], [1, [2, 3]], [[1, [2]], [3]], [[1], 2, [3]],
+        [[[1]], [[2]]], [[1, 2], "x"], [(1, 2), (3, 4)], {1: [[1.5, None]], None: {}},
+        ["],[", [","]], [[True, False], [math.nan, -math.inf]],
+    ])
+    def test_list_shapes(self, value):
+        """Lists next to the two shapes written by the C encoder: empty rows,
+        mixed depths, tuples and strings with brackets go through recursion."""
+        assert dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), [1, object()], {(1, 2): 3}, {"a": {1j: 0}}])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            dumps(value)
+
+    def test_instance_document_is_the_stdlib_text(self):
+        inst = generate_unweighted_scenario(
+            ScenarioConfig(topology="mini", seed=3),
+            parse_graphml((DATA / "mini.graphml").read_text()))
+        doc = json.loads(instance_to_json(inst, {"source": "mini", "seed": 3}))
+        assert instance_to_json(inst, {"source": "mini", "seed": 3}) == \
+            json.dumps(doc, indent=2) + "\n"
 
 
 def test_scenario_rng_is_pcg64_with_split_streams():

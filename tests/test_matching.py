@@ -132,8 +132,7 @@ class TestLevelSearch:
         state.add_middlebox(11)
         assert state.mu == [11, 10, 10, 11, None]
         state.owned[12] = 0
-        for ordered in (False, True):
-            assert state.find_augmenting_path(12, state.owned, state.free, ordered) == [[12], [11]]
+        assert state.find_augmenting_path(12, state.owned, state.free) == [[12], [11]]
         state.free = state._flip([[12], [11]], state.owned, state.free)
         assert state.mu == [12, 10, 10, 11, 11]  # 11 hands pair 0 over, takes the free pair 4
         assert state.free == 0
@@ -150,7 +149,8 @@ class TestLevelSearch:
             state.add_middlebox(m)
         assert state.mu == [0, 1, 2, 3, None, None]
         state.owned[4] = 0
-        assert state.find_augmenting_path(4, state.owned, state.free, True) == [[4], [1, 2], [3, 0]]
+        levels = state.find_augmenting_path(4, state.owned, state.free)
+        assert levels == [[4], [1, 2], [0, 3]]  # unsorted: box 0 would lead the last level
         del state.owned[4]
         assert state.add_middlebox(4) == 1
         assert state.mu == [0, 4, 2, 1, 3, None]
@@ -171,9 +171,7 @@ class TestLevelSearch:
             assert state.num_assigned == exhaustive_phi(members, fs, inst.capacity)
             for m in state.active:
                 if free_capacity(state, m) > 0:
-                    for ordered in (False, True):
-                        assert state.find_augmenting_path(m, state.owned, state.free,
-                                                          ordered) is None
+                    assert state.find_augmenting_path(m, state.owned, state.free) is None
 
 
 class TestFindAugmentingPath:

@@ -42,6 +42,27 @@ def test_disconnected_pairs_get_infinity():
     assert d.reachable(0, 1)
 
 
+def test_distance_past_the_largest_float_rejected():
+    # Each edge is finite, but the path 0-1-2 sums to inf: the pair is
+    # connected, so inf must not stand for "no path".
+    net = Network.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    with pytest.raises(DomainError, match="largest float"):
+        compute_apsp(net, "weight")
+
+
+def test_overflowing_detour_is_not_an_error():
+    # The walk 0-1-2 overflows, but the direct edge 0-2 is shorter.
+    net = Network.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1.0)])
+    d = compute_apsp(net, "weight")
+    assert d.d(0, 2) == 1.0 and d.d(1, 2) == 1e308
+
+
+def test_infinite_weight_is_no_edge():
+    net = Network.from_edges(3, [(0, 1, 1.0), (1, 2, math.inf)])
+    d = compute_apsp(net, "weight")
+    assert d.d(0, 1) == 1.0 and not d.reachable(0, 2)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_apsp_matches_floyd_warshall(seed):
     rng = rng_for(seed)
