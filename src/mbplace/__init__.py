@@ -13,7 +13,6 @@ from .exceptions import (
     GeoUnavailable,
     Infeasible,
     InfeasiblePair,
-    InvalidPath,
     MissingEndpoint,
     NegativeDemand,
     ParseError,
@@ -39,7 +38,7 @@ from .instance import (
     feasible,
 )
 from .matching import Assignment, phi
-from .netgraph import DistanceMatrix, Network, Node, compute_apsp, geo_distance
+from .netgraph import Network, Node, compute_apsp, geo_distance
 from .oracle import (
     ExactResult,
     exact_min_middleboxes,

@@ -66,7 +66,7 @@ def _measure_greedy(net, oracle_limit, cfg):
 
 def _measure_weighted(parsed, cfg):
     net, demands = parsed
-    winst = ingest.generate_weighted_scenario(cfg, net, demands, keep_probability=cfg.p)
+    winst = ingest.generate_weighted_scenario(cfg, net, demands)
     prep, chosen, _, rounded = _solve_weighted(winst)
     rel = _relative_loads(prep, rounded).values()
     return net.num_nodes, net.num_edges, [

@@ -148,7 +148,7 @@ def _solve_greedy(inst: PlacementInstance, budget: int | None = None):
     that run, validated: each assigned pair is feasible at its box, loads are
     within capacity and match a recount, and a complete run serves every pair."""
     fs = build_feasibility(inst)
-    check_total_capacity(inst, fs)
+    check_total_capacity(inst)
     if budget is None:
         trace = greedy_mod.greedy_place(inst, fs)
     else:
@@ -359,8 +359,7 @@ def cmd_gen(args) -> int:
             topology=args.sndlib, p=args.keep_prob, stretch=args.stretch,
             seed=args.seed, replication=args.replication, metric=args.metric or "geo",
         )
-        inst = ingest.generate_weighted_scenario(cfg, net, demands,
-                                                 keep_probability=args.keep_prob)
+        inst = ingest.generate_weighted_scenario(cfg, net, demands)
         provenance = {
             "source": args.sndlib, "keep_probability": args.keep_prob,
             "seed": args.seed, "replication": args.replication,

@@ -44,10 +44,6 @@ class AlreadyActive(PlacementError):
     """Attempt to add a middlebox that is already deployed."""
 
 
-class InvalidPath(PlacementError):
-    """An augmenting path violates alternation or endpoint conditions."""
-
-
 class Stalled(PlacementError):
     """Greedy cannot improve although unserved pairs remain."""
     exit_code = 2

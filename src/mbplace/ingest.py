@@ -237,17 +237,18 @@ def generate_unweighted_scenario(cfg: ScenarioConfig, net: Network) -> Placement
     )
 
 
-def generate_weighted_scenario(cfg: ScenarioConfig, net: Network, demands,
-                               keep_probability: float = 0.5) -> WeightedInstance:
-    """Subsample SNDlib demands and size capacity as 4 * D / |V|.
+def generate_weighted_scenario(cfg: ScenarioConfig, net: Network,
+                               demands) -> WeightedInstance:
+    """Keep each SNDlib demand with probability ``cfg.p`` and size capacity
+    as 4 * D / |V|.
 
     D is the cumulative demand of the kept requests; one uniform draw is
-    consumed per original demand. ``keep_probability=1`` keeps everything.
+    consumed per original demand. ``p=1`` keeps everything.
     """
     rng = scenario_rng(cfg.seed, cfg.replication)
     kept: list[Request] = []
     for s, t, value in demands:
-        if rng.random() < keep_probability:
+        if rng.random() < cfg.p:
             kept.append(Request.pair(s, t, value))
     total = sum(r.demand for r in kept)
     if total <= 0:

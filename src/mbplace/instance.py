@@ -1,13 +1,16 @@
 """Placement problem model: pairs, candidate locations, capacity and stretch.
 
 A middlebox at ``u`` can serve a pair ``(s, t)`` when the detour through it
-stays within the allowed bound: ``d(s,u) + d(u,t) <= rho * d(s,t)`` in
-stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length mode. All
-downstream algorithms consume only the FeasibilitySets built here, so both
-constraint flavors share every code path. ``feasible`` is the one vectorised
-feasibility relation for pairs and weighted groups alike, and both builders
-and ``validate_assignment`` use it. ``FeasibilitySets`` stores that relation
-once, as one pair bitset per candidate packed straight from the matrix.
+is finite and stays within the allowed bound: ``d(s,u) + d(u,t) <= rho *
+d(s,t)`` in stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length
+mode. An infinite bound admits any finite detour, and a pair without a path
+has no finite detour at all. All downstream algorithms consume only the
+FeasibilitySets built here, so both constraint flavors share every code
+path. ``feasible`` is the one vectorised feasibility relation for pairs and
+weighted groups alike, and both builders and ``validate_assignment`` use it,
+so it alone decides whether a request can be served. ``FeasibilitySets``
+stores that relation once, as one pair bitset per candidate packed straight
+from the matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from .exceptions import DomainError, Infeasible, InfeasiblePair, PlacementError
-from .netgraph import DistanceMatrix, Network, is_number
+from .netgraph import Network, is_number
 
 #: Relative tolerance for feasibility comparisons (geo weights are irrational).
 REL_TOL = 1e-9
@@ -49,11 +52,13 @@ class PlacementInstance:
 
     Exactly one of ``stretch`` / ``route_limit`` selects the feasibility
     bound. A reserved per-pair stretch field is intentionally absent:
-    the model is uniform-stretch.
+    the model is uniform-stretch. Reachability is not checked here:
+    ``build_feasibility`` rejects a pair without a path like any other pair
+    no candidate serves.
     """
 
     net: Network
-    dist: DistanceMatrix
+    dist: np.ndarray
     pairs: list[Pair]
     candidates: tuple[int, ...]
     capacity: int
@@ -76,9 +81,6 @@ class PlacementInstance:
             seen.add(p)
             deduped.append(p)
         self.pairs = deduped
-        for p in self.pairs:
-            if not self.dist.reachable(p.s, p.t):
-                raise InfeasiblePair(p, "endpoints are disconnected")
 
     @property
     def num_pairs(self) -> int:
@@ -94,7 +96,8 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
     """Input checks shared by both instance kinds: the candidate set is
     nonempty, every request node and candidate is an integer node id in
     ``0..num_nodes-1``, and exactly one bound is set, with ``stretch >= 1``
-    or ``route_limit >= 0`` (NaN and bools fail; infinity means no bound).
+    or ``route_limit >= 0`` (NaN and bools fail; infinity admits any finite
+    detour).
     Raises DomainError."""
     if not candidates:
         raise DomainError("candidate set must be nonempty")
@@ -112,14 +115,13 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
         raise DomainError(f"route limit must be a number >= 0, got {route_limit!r}")
 
 
-def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
+def feasible(members, dist: np.ndarray, candidates, stretch: float | None,
              route_limit: float | None) -> np.ndarray:
-    """``ok[j, k]``: a middlebox at ``candidates[k]`` keeps every member pair
-    of ``members[j]`` within the bound. A pair is the two-node case, and a
-    group is served iff each of its member pairs is (the conservative
-    extension of the pairwise model). One numpy column per candidate covers
-    all member pairs."""
-    d = dist.values
+    """``ok[j, k]``: a middlebox at ``candidates[k]`` gives every member pair
+    of ``members[j]`` a finite detour within the bound. A pair is the
+    two-node case, and a group is served iff each of its member pairs is (the
+    conservative extension of the pairwise model). One numpy column per
+    candidate covers all member pairs."""
     spans = [list(combinations(nodes, 2)) for nodes in members]
     counts = np.array([len(s) for s in spans], dtype=np.intp)
     a, b = np.array([ab for s in spans for ab in s], dtype=np.intp).reshape(-1, 2).T
@@ -130,14 +132,15 @@ def feasible(members, dist: DistanceMatrix, candidates, stretch: float | None,
         bound = np.inf
     else:
         with np.errstate(over="ignore"):  # past the largest float is inf, as it should be
-            bound = stretch * d[a, b]
+            bound = stretch * dist[a, b]
     ok = np.empty((len(spans), len(candidates)), dtype=bool)
-    # Exactly ``via <= bound or math.isclose(via, bound, rel_tol=REL_TOL)``:
-    # distances are >= 0, and isclose is never true for an infinite operand.
+    # Exactly ``via < inf and (via <= bound or math.isclose(via, bound,
+    # rel_tol=REL_TOL))``: distances are >= 0, and an infinite detour is no
+    # route, also under an infinite bound.
     with np.errstate(invalid="ignore"):
         for k, u in enumerate(candidates):
-            via = d[a, u] + d[u, b]
-            fits = (via <= bound) | ((via - bound <= REL_TOL * via) & (via < np.inf))
+            via = dist[a, u] + dist[u, b]
+            fits = ((via <= bound) | (via - bound <= REL_TOL * via)) & (via < np.inf)
             ok[:, k] = np.logical_and.reduceat(fits, starts)
     return ok
 
@@ -202,7 +205,8 @@ class FeasibilitySets:
 def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
     """Precompute every S_u from the distance matrix.
 
-    Raises InfeasiblePair for any pair no candidate can serve.
+    Raises InfeasiblePair for any pair no candidate can serve, such as a
+    pair whose endpoints are disconnected.
     """
     ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
                   inst.stretch, inst.route_limit)
@@ -213,17 +217,12 @@ def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
     return fs
 
 
-def check_total_capacity(inst: PlacementInstance, fs: FeasibilitySets) -> None:
+def check_total_capacity(inst: PlacementInstance) -> None:
     """Fail fast on obviously infeasible instances.
 
-    Necessary but not sufficient: pigeonhole on total capacity plus empty
-    candidate sets. Raises Infeasible listing the uncoverable pairs.
+    Necessary but not sufficient: pigeonhole on total capacity. A pair no
+    candidate serves has already failed ``build_feasibility``.
     """
-    uncoverable = [inst.pairs[i] for i in fs.uncovered()]
-    if uncoverable:
-        raise Infeasible(
-            f"{len(uncoverable)} pair(s) have no feasible candidate", uncoverable
-        )
     if inst.num_pairs > inst.capacity * len(inst.candidates):
         raise Infeasible(
             f"{inst.num_pairs} pairs exceed total capacity "
@@ -232,7 +231,7 @@ def check_total_capacity(inst: PlacementInstance, fs: FeasibilitySets) -> None:
 
 
 def validate_assignment(members, demands, assignment: dict, claimed_load: dict,
-                        dist: DistanceMatrix, stretch: float | None,
+                        dist: np.ndarray, stretch: float | None,
                         route_limit: float | None, *, required, load_limit) -> None:
     """Re-check a solution from the distances, independently of the solver.
 

@@ -8,7 +8,9 @@ minimum of ``d(s,u) + w(u,v)`` over the edges into ``v``, and the matrix is
 mirrored so it is exactly symmetric. The rows hold the same floats a
 Dijkstra run per source gives, since both are the least left-to-right sum
 over all walks (the weights are nonnegative and float rounding is
-monotone).
+monotone). ``compute_apsp`` returns the matrix as one read-only float64
+array. A disconnected pair holds ``inf``, and ``instance.feasible`` reads
+an infinite detour as no route.
 """
 
 from __future__ import annotations
@@ -91,25 +93,6 @@ class Network:
         return self.nodes == other.nodes and self.edges == other.edges
 
 
-class DistanceMatrix:
-    """Immutable n x n matrix of shortest-path distances.
-
-    Disconnected pairs hold ``inf``; consumers decide how to surface them.
-    """
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        values.setflags(write=False)
-        self.values = values
-        self.n = values.shape[0]
-
-    def d(self, u: int, v: int) -> float:
-        return float(self.values[u, v])
-
-    def reachable(self, u: int, v: int) -> bool:
-        return math.isfinite(self.values[u, v])
-
-
 def geo_distance(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     """Great-circle (haversine) distance in kilometers between (lat, lon) points."""
     for lat, lon in (p1, p2):
@@ -125,8 +108,9 @@ def geo_distance(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def compute_apsp(net: Network, metric: str = "weight") -> DistanceMatrix:
-    """All-pairs shortest paths under the chosen metric.
+def compute_apsp(net: Network, metric: str = "weight") -> np.ndarray:
+    """All-pairs shortest paths under the chosen metric, as a read-only
+    n x n float64 array; a disconnected pair holds ``inf``.
 
     ``weight`` uses the stored edge weights, ``hops`` counts edges, and
     ``geo`` replaces every edge weight with the great-circle distance of its
@@ -157,7 +141,9 @@ def compute_apsp(net: Network, metric: str = "weight") -> DistanceMatrix:
         _relax(mat, np.array([(u, v) for u, v, _ in net.edges], dtype=np.intp),
                np.array(weights))
     # Below the diagonal take the mirrored upper triangle: d(u,v) == d(v,u) bit-exactly.
-    return DistanceMatrix(np.where(np.tri(n, k=-1, dtype=bool), mat.T, mat))
+    dist = np.where(np.tri(n, k=-1, dtype=bool), mat.T, mat)
+    dist.setflags(write=False)
+    return dist
 
 
 def _relax(mat: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> None:

@@ -11,7 +11,9 @@ numbered in that order, so ``_flow`` gets its initial potentials in one
 pass. Rounding builds the standard slot graph (one slot per unit of
 fractional load, filled in non-increasing demand order) and matches requests
 to slots, which caps every load at ``2 * capacity``. The request/candidate
-relation is the pairs' ``FeasibilitySets``, from ``instance.feasible``.
+relation is the pairs' ``FeasibilitySets``, from ``instance.feasible``: a
+request with two members in different components has no candidate, and
+``preprocess`` names it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._flow import FlowNetwork
 from .exceptions import DomainError, Infeasible, RoundingFailed
 from .greedy import lazy_pick
 from .instance import FeasibilitySets, check_domain, feasible
-from .netgraph import DistanceMatrix, Network, is_number
+from .netgraph import Network, is_number
 
 ZERO = Fraction(0)
 
@@ -58,7 +62,7 @@ class Request:
         return cls("group", tuple(sorted(nodes)), demand)
 
 
-def build_request_feasibility(requests, dist: DistanceMatrix, candidates, *,
+def build_request_feasibility(requests, dist: np.ndarray, candidates, *,
                               stretch: float | None = None,
                               route_limit: float | None = None) -> FeasibilitySets:
     """The request/candidate feasibility relation over the sorted candidates.
@@ -295,7 +299,7 @@ class WeightedInstance:
     """Weighted placement instance: requests with demands over a network."""
 
     net: Network
-    dist: DistanceMatrix
+    dist: np.ndarray
     requests: list[Request]
     candidates: tuple[int, ...]
     capacity: float

@@ -152,9 +152,10 @@ def weighted_integral_feasible(members, demands, candidates_of, kappa) -> bool:
 
 def feasible_reference(members, d, candidates, stretch, route_limit) -> np.ndarray:
     """Scalar feasibility relation: ``ok[j, k]`` iff every member pair (a, b)
-    of request j has ``d[a][u] + d[u][b] <= bound`` or ``math.isclose`` to it
-    at rel_tol 1e-9, for u = candidates[k]; bound is stretch * d[a][b] (none
-    for an infinite stretch) or the route limit."""
+    of request j has a finite ``d[a][u] + d[u][b]`` that is ``<= bound`` or
+    ``math.isclose`` to it at rel_tol 1e-9, for u = candidates[k]; bound is
+    stretch * d[a][b] (none for an infinite stretch) or the route limit. An
+    infinite detour is no route, also under an infinite bound."""
     ok = np.zeros((len(members), len(candidates)), dtype=bool)
     for j, nodes in enumerate(members):
         for k, u in enumerate(candidates):
@@ -167,7 +168,8 @@ def feasible_reference(members, d, candidates, stretch, route_limit) -> np.ndarr
                     bound = math.inf
                 else:
                     bound = stretch * float(d[a][b])
-                if not (via <= bound or math.isclose(via, bound, rel_tol=1e-9)):
+                if via == math.inf or not (via <= bound
+                                           or math.isclose(via, bound, rel_tol=1e-9)):
                     ok[j, k] = False
     return ok
 

@@ -33,11 +33,15 @@ from fractions import Fraction
 import numpy as np
 
 from builders import pairs_of
-from mbplace.exceptions import AlreadyActive, Infeasible, InvalidPath, Stalled
+from mbplace.exceptions import AlreadyActive, Infeasible, PlacementError, Stalled
 from mbplace.netgraph import geo_distance
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
 UNASSIGNED = None
+
+
+class InvalidPath(PlacementError):
+    """An augmenting path violates alternation or endpoint conditions."""
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from builders import star_instance
 
 from mbplace import exceptions, greedy, weighted
@@ -25,6 +28,7 @@ from mbplace.ingest import (
     parse_graphml,
     parse_sndlib,
 )
+from mbplace.netgraph import Network, Node
 
 DATA = Path(__file__).parent / "data"
 
@@ -501,6 +505,79 @@ def test_huge_stretch_is_no_bound(command, doc, tmp_path, capsys):
     assert report["validated"] is True and len(report["assignment"]) == 1
 
 
+def _split(kind: str, **fields) -> dict:
+    """Instance document on the two components {0, 1} and {2, 3} (edges 0-1
+    and 2-3), with ``fields`` overriding."""
+    return _path3(kind, **{"nodes": [{"id": i} for i in range(4)],
+                           "edges": [[0, 1, 1.0], [2, 3, 1.0]],
+                           "candidates": [0, 1, 2, 3], **fields})
+
+
+SPLIT_GRAPHML = (
+    '<graphml><key id="la" for="node" attr.name="Latitude"/>'
+    '<key id="lo" for="node" attr.name="Longitude"/><graph>'
+    + "".join(f'<node id="n{i}"><data key="la">{50 + i}</data>'
+              f'<data key="lo">{10 + i}</data></node>' for i in range(4))
+    + '<edge source="n0" target="n1"/><edge source="n2" target="n3"/>'
+    '</graph></graphml>')
+
+
+class TestNoRoute:
+    """A request is served only over a finite detour: a pair or group without
+    a path, or a candidate in another component, exits 2 under any bound."""
+
+    @pytest.mark.parametrize("request_", [
+        {"kind": "pair", "nodes": [0, 3], "demand": 1.0},
+        {"kind": "group", "nodes": [0, 1, 2], "demand": 1.0},
+    ], ids=["pair", "group"])
+    def test_weighted_request_across_components_exits_2(self, request_, tmp_path, capsys):
+        f = tmp_path / "split.json"
+        f.write_text(json.dumps(_split("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 1], "demand": 1.0}, request_])))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve-weighted", str(f), "--out", str(out))
+        assert code == 2
+        err = json.loads(text)
+        assert err["error"] == "Infeasible" and "1 request(s)" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", [{"stretch": math.inf},
+                                       {"stretch": None, "route_limit": math.inf}],
+                             ids=["stretch-inf", "route-limit-inf"])
+    @pytest.mark.parametrize("command, kind, error", [
+        ("solve", "unweighted", "InfeasiblePair"),
+        ("solve-weighted", "weighted", "Infeasible"),
+    ])
+    def test_infinite_bound_needs_a_finite_detour(self, command, kind, error, bound,
+                                                  tmp_path, capsys):
+        # The only candidate, 3, is in the other component than pair (0, 1).
+        served = {"pairs": [[0, 1]]} if kind == "unweighted" else \
+            {"requests": [{"kind": "pair", "nodes": [0, 1], "demand": 1.0}]}
+        f = tmp_path / "split.json"
+        f.write_text(json.dumps(_split(kind, candidates=[3], **served, **bound)))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, command, str(f), "--out", str(out))
+        assert code == 2
+        assert json.loads(text)["error"] == error
+        assert not out.exists()
+
+    def test_gen_writes_a_disconnected_pair_and_solve_exits_2(self, tmp_path, capsys):
+        topology = tmp_path / "split.graphml"
+        topology.write_text(SPLIT_GRAPHML)
+        inst = tmp_path / "split.json"
+        code, _ = run(capsys, "gen", "--topology", str(topology), "--p", "1.0",
+                      "--out", str(inst))
+        assert code == 0
+        assert [0, 2] in json.loads(inst.read_text())["pairs"]
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve", str(inst), "--out", str(out))
+        assert code == 2
+        err = json.loads(text)
+        assert err["error"] == "InfeasiblePair"
+        assert err["message"].endswith("no candidate satisfies the bound")
+        assert not out.exists()
+
+
 class TestMalformedDocument:
     @pytest.mark.parametrize("command, doc, error", [
         ("solve", _path3("unweighted", pairs=[[1, 1]]), "ParseError"),
@@ -941,13 +1018,7 @@ class TestBench:
         # Two components: at p 1.0 some pair has disconnected endpoints, so
         # that row fails; the next topology's row must still come out ok.
         split = tmp_path / "split.graphml"
-        split.write_text(
-            '<graphml><key id="la" for="node" attr.name="Latitude"/>'
-            '<key id="lo" for="node" attr.name="Longitude"/><graph>'
-            + "".join(f'<node id="n{i}"><data key="la">{50 + i}</data>'
-                      f'<data key="lo">{10 + i}</data></node>' for i in range(4))
-            + '<edge source="n0" target="n1"/><edge source="n2" target="n3"/>'
-            '</graph></graphml>')
+        split.write_text(SPLIT_GRAPHML)
         config = {
             "seed": 1, "metric": "geo",
             "topologies": [str(split), str(DATA / "mini.graphml")],
@@ -995,7 +1066,7 @@ def _fixture_documents() -> dict[str, str]:
         ScenarioConfig("mini", p=0.5, seed=3), parse_graphml(graphml)))
     net, demands = parse_sndlib(sndlib)
     weighted_doc = json.loads(instance_to_json(generate_weighted_scenario(
-        ScenarioConfig("mini_sndlib"), net, demands, keep_probability=1.0)))
+        ScenarioConfig("mini_sndlib", p=1.0), net, demands)))
     weighted_doc["requests"].append({"kind": "group", "nodes": [0, 2, 4], "demand": 1.0})
     return {"unweighted": unweighted, "weighted": json.dumps(weighted_doc, indent=2),
             "graphml": graphml, "sndlib": sndlib}
@@ -1074,6 +1145,35 @@ MUTATORS = {"unweighted": _mutate_json, "weighted": _mutate_json,
             "graphml": _mutate_graphml, "sndlib": _mutate_tokens}
 
 
+def _check_report(report: dict, doc: dict) -> None:
+    """Re-check a solve or solve-weighted report against its instance
+    document, with distances from the reference Dijkstra: every member pair
+    of an assigned request has a finite detour through its box within the
+    bound (relative tolerance 1e-9), and every load is within capacity
+    (2 kappa for the weighted variant)."""
+    net = Network([Node(e["id"], lat=e.get("lat"), lon=e.get("lon")) for e in doc["nodes"]],
+                  [tuple(e) for e in doc["edges"]])
+    d = reference.compute_apsp(net, doc["metric"])
+    stretch, limit = doc.get("stretch"), doc.get("route_limit")
+    if doc["kind"] == "weighted":
+        requests = doc["requests"]
+        served = [(requests[j]["nodes"], Fraction(requests[j]["demand"]), u)
+                  for j, u in report["assignment"]]
+        load_limit = 2 * Fraction(doc["capacity"])
+    else:
+        served = [((s, t), 1, m) for s, t, m in report["assignment"]]
+        load_limit = doc["capacity"]
+    load: dict[int, Fraction] = {}
+    for nodes, demand, u in served:
+        for a, b in itertools.combinations(nodes, 2):
+            via = d[a, u] + d[u, b]
+            bound = limit if stretch is None else \
+                math.inf if stretch == math.inf else stretch * float(d[a, b])
+            assert via < math.inf and (via <= bound or math.isclose(via, bound, rel_tol=1e-9))
+        load[u] = load.get(u, 0) + demand
+    assert all(v <= load_limit for v in load.values())
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("command", list(CONTRACT_INPUTS))
     @settings(max_examples=40, deadline=None)
@@ -1104,7 +1204,10 @@ class TestExitCodeContract:
         assert code in (0, 2, 3, 4)
         if code == 0:
             if command.startswith("solve"):
-                assert json.loads(out.read_text())["validated"] is True
+                report = json.loads(out.read_text())
+                assert report["validated"] is True
+                if kind in ("unweighted", "weighted"):
+                    _check_report(report, json.loads(text))
             else:
                 assert out.exists()
         else:

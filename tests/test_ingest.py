@@ -209,8 +209,8 @@ class TestGenerateUnweighted:
 class TestGenerateWeighted:
     def test_keep_all_preserves_demand_sum(self):
         net, demands = parse_sndlib((DATA / "mini_sndlib.txt").read_text())
-        cfg = ScenarioConfig(topology="mini", stretch=1.5, seed=5, metric="hops")
-        winst = generate_weighted_scenario(cfg, net, demands, keep_probability=1.0)
+        cfg = ScenarioConfig(topology="mini", p=1.0, stretch=1.5, seed=5, metric="hops")
+        winst = generate_weighted_scenario(cfg, net, demands)
         assert len(winst.requests) == len(demands)
         total = sum(r.demand for r in winst.requests)
         assert total == pytest.approx(13.0)
@@ -220,8 +220,8 @@ class TestGenerateWeighted:
         # 28 nodes, kept demand 140 -> capacity 20
         net = Network.from_edges(28, [(i, (i + 1) % 28, 1.0) for i in range(28)])
         demands = [(i, i + 1, 5.0) for i in range(28 - 1)] + [(0, 2, 5.0)]
-        cfg = ScenarioConfig(topology="c", stretch=1.5, seed=6, metric="hops")
-        winst = generate_weighted_scenario(cfg, net, demands, keep_probability=1.0)
+        cfg = ScenarioConfig(topology="c", p=1.0, stretch=1.5, seed=6, metric="hops")
+        winst = generate_weighted_scenario(cfg, net, demands)
         assert sum(r.demand for r in winst.requests) == pytest.approx(140.0)
         assert winst.capacity == pytest.approx(20.0)
 
@@ -230,7 +230,7 @@ class TestGenerateWeighted:
         cfg0 = ScenarioConfig(topology="mini", stretch=1.5, seed=11, metric="hops")
         totals = []
         for rep in range(300):
-            cfg = ScenarioConfig(topology="mini", stretch=1.5, seed=11,
+            cfg = ScenarioConfig(topology="mini", p=0.5, stretch=1.5, seed=11,
                                  replication=rep, metric="hops")
             try:
                 winst = generate_weighted_scenario(cfg, net, demands)
@@ -244,8 +244,8 @@ class TestGenerateWeighted:
 class TestInstanceJson:
     def test_weighted_round_trip(self):
         net, demands = parse_sndlib((DATA / "mini_sndlib.txt").read_text())
-        cfg = ScenarioConfig(topology="mini", stretch=1.3, seed=2, metric="hops")
-        winst = generate_weighted_scenario(cfg, net, demands, keep_probability=1.0)
+        cfg = ScenarioConfig(topology="mini", p=1.0, stretch=1.3, seed=2, metric="hops")
+        winst = generate_weighted_scenario(cfg, net, demands)
         text = instance_to_json(winst, provenance={"source": "mini", "seed": 2})
         again = instance_from_json(text)
         assert isinstance(again, WeightedInstance)

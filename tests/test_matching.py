@@ -3,9 +3,9 @@ import pytest
 import reference
 from builders import coverable_instance, relation, rng_for
 from oracles import assigned_pairs, exhaustive_phi, free_capacity, maxflow_phi, num_edges
-from reference import AugmentingPath, apply_augmenting_path
+from reference import AugmentingPath, InvalidPath, apply_augmenting_path
 
-from mbplace.exceptions import AlreadyActive, InvalidPath
+from mbplace.exceptions import AlreadyActive
 from mbplace.matching import Assignment, phi
 
 
