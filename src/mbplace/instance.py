@@ -19,12 +19,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
 from .exceptions import DomainError, Infeasible, InfeasiblePair, PlacementError
-from .netgraph import Network, is_number
+from .netgraph import Network, is_int, is_number
 
 #: Relative tolerance for feasibility comparisons (geo weights are irrational).
 REL_TOL = 1e-9
@@ -67,7 +66,7 @@ class PlacementInstance:
     metric: str = "weight"
 
     def __post_init__(self):
-        if not _is_int(self.capacity) or self.capacity < 1:
+        if not is_int(self.capacity) or self.capacity < 1:
             raise DomainError(f"capacity must be an integer >= 1, got {self.capacity!r}")
         check_domain(self.net.num_nodes, [u for p in self.pairs for u in (p.s, p.t)],
                      self.candidates, self.stretch, self.route_limit)
@@ -87,10 +86,6 @@ class PlacementInstance:
         return len(self.pairs)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
 def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
                  route_limit: float | None) -> None:
     """Input checks shared by both instance kinds: the candidate set is
@@ -104,7 +99,7 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
     for what, ids in (("request node", nodes), ("candidate", candidates)):
         # A dict would fold a bool into the id 0 or 1, so bools skip the dedup.
         unique = ids if bool in set(map(type, ids)) else dict.fromkeys(ids)
-        bad = [u for u in unique if not _is_int(u) or not 0 <= u < num_nodes]
+        bad = [u for u in unique if not is_int(u) or not 0 <= u < num_nodes]
         if bad:
             raise DomainError(f"{what} id(s) {bad} are not node ids 0..{num_nodes - 1}")
     if (stretch is None) == (route_limit is None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +32,11 @@ def is_number(x) -> bool:
     """A real number that is not a bool (a JSON ``true`` loads as one)."""
     # float and int first: they skip the slower abstract-class check.
     return isinstance(x, (float, int, Real)) and not isinstance(x, bool)
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool (a JSON ``true`` would pass as id 1)."""
+    return isinstance(x, (int, Integral)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class Network:
     def __init__(self, nodes: list[Node], edges):
         self.nodes: list[Node] = list(nodes)
         for i, node in enumerate(self.nodes):
-            if node.id != i:
+            if not is_int(node.id) or node.id != i:
                 raise ValueError(f"node ids must be dense 0..n-1, got {node.id} at {i}")
             if not (node.lat is None or is_number(node.lat)) or \
                     not (node.lon is None or is_number(node.lon)):
@@ -61,7 +66,7 @@ class Network:
         n = len(self.nodes)
         canonical: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown node")
             if not is_number(w) or not w >= 0:
                 raise DomainError(f"edge ({u},{v}) weight must be a number >= 0, got {w!r}")

@@ -35,6 +35,17 @@ def test_negative_weight_rejected():
         Network.from_edges(2, [(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("end", [True, False, 0.5, 1.0, "1", None])
+def test_non_integer_edge_endpoint_rejected(end):
+    with pytest.raises(ValueError):
+        Network.from_edges(3, [(0, end, 1.0)])
+
+
+def test_bool_node_id_rejected():
+    with pytest.raises(ValueError):
+        Network([Node(0), Node(True)], [])
+
+
 def test_disconnected_pairs_get_infinity():
     net = Network.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     d = compute_apsp(net)
