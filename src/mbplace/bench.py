@@ -70,7 +70,7 @@ def _measure_weighted(parsed, cfg):
     prep, chosen, _, rounded = _solve_weighted(winst)
     rel = _relative_loads(prep, rounded).values()
     return net.num_nodes, net.num_edges, [
-        len(chosen), len(rounded.assignment), prep.num_kept, None, None, None,
+        len(chosen), len(rounded.assignment), len(prep.kept), None, None, None,
         max(rel, default=0.0), sum(1 for v in rel if v > 1.0),
     ]
 

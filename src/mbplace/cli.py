@@ -91,7 +91,8 @@ def _is_probability(value) -> bool:
 
 
 def count(text: str) -> int:
-    """argparse type of ``--seed``, ``--replication`` and ``--budget-steps``."""
+    """argparse type of ``--seed``, ``--replication``, ``--budget-steps`` and
+    ``--oracle-limit``."""
     value = int(text)
     if not _is_count(value):
         raise ValueError(text)
@@ -149,13 +150,10 @@ def _solve_greedy(inst: PlacementInstance, budget: int | None = None):
     within capacity and match a recount, and a complete run serves every pair."""
     fs = build_feasibility(inst)
     check_total_capacity(inst)
-    if budget is None:
-        trace = greedy_mod.greedy_place(inst, fs)
-    else:
-        trace = greedy_mod.incremental_extend(greedy_mod.greedy_prefix(inst, fs), budget)
+    trace = greedy_mod.greedy_place(inst, fs, budget)
     validate_assignment(
         [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
-        {i: m for i, m in enumerate(trace.engine.mu) if m is not None}, trace.engine.load,
+        trace.engine.assignment(), trace.engine.load,
         inst.dist, inst.stretch, inst.route_limit,
         required=range(inst.num_pairs) if trace.complete else (), load_limit=inst.capacity,
     )
@@ -248,10 +246,8 @@ def cmd_solve(args) -> int:
         "middlebox_count": len(trace.steps),
         "middleboxes": trace.middleboxes,
         "assigned_pairs": trace.engine.num_assigned,
-        "assignment": [
-            [inst.pairs[i].s, inst.pairs[i].t, m]
-            for i, m in enumerate(trace.engine.mu) if m is not None
-        ],
+        "assignment": [[inst.pairs[i].s, inst.pairs[i].t, m]
+                       for i, m in trace.engine.assignment().items()],
         "trace": [
             {"iteration": s.iteration, "chosen": s.chosen, "gain": s.gain,
              "phi_after": s.phi_after}
@@ -289,11 +285,17 @@ def cmd_solve_weighted(args) -> int:
     if args.oracle:
         # The oracle sees the kept requests only: a rejected one (demand above
         # kappa) has no integral placement at all.
-        result = oracle.exact_weighted_min_middleboxes(
-            [winst.requests[j] for j in prep.kept],
-            [prep.fs.candidates_of[j] for j in prep.kept], winst.capacity,
-            limit=args.oracle_limit,
-        )
+        candidates_of = [prep.fs.candidates_of[j] for j in prep.kept]
+        try:
+            result = oracle.exact_weighted_min_middleboxes(
+                [winst.requests[j] for j in prep.kept], candidates_of, winst.capacity,
+                limit=args.oracle_limit,
+            )
+        except TooLarge as exc:  # the candidates are checked first, then the requests
+            universe = len({u for us in candidates_of for u in us})
+            raise TooLarge(f"{universe} candidates exceed {FLAG_LIMIT.format(args.oracle_limit)}"
+                           if universe > args.oracle_limit
+                           else f"{exc}; re-run without --oracle") from None
         oracle_opt = result.value
         ratio = len(chosen) / result.value if result.value else None
     report = {
@@ -311,7 +313,7 @@ def cmd_solve_weighted(args) -> int:
         "rejected": list(prep.rejected),
         "middlebox_count": len(chosen),
         "middleboxes": sorted(chosen),
-        "fractional_objective": frac.objective_float,
+        "fractional_objective": float(frac.objective),
         "assignment": [[j, rounded.assignment[j]] for j in sorted(rounded.assignment)],
         "relative_load": rel_load,
         "max_relative_load": max(rel_load.values(), default=0.0),
@@ -354,6 +356,9 @@ def cmd_gen(args) -> int:
             "replication": args.replication,
         }
     else:
+        if args.capacity is not None:
+            raise ParseError("gen: --capacity applies to --topology only; an --sndlib "
+                             "instance takes its capacity from the demands")
         net, demands = ingest.parse_sndlib(Path(args.sndlib).read_text())
         cfg = ingest.ScenarioConfig(
             topology=args.sndlib, p=args.keep_prob, stretch=args.stretch,
@@ -418,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solve(sp)
     sp.add_argument("--trace-csv", default=None, help="write the per-step trace CSV")
     sp.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    sp.add_argument("--oracle-limit", type=int, default=16)
+    sp.add_argument("--oracle-limit", type=count, default=16)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("solve-weighted", help="generalized greedy plus rounding")
     sp.add_argument("instance", help="weighted instance JSON")
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=int, default=12)
+    sp.add_argument("--oracle-limit", type=count, default=12)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve_weighted)
 
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solve(sp)
     sp.add_argument("--budget-steps", type=count, default=None)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=int, default=16)
+    sp.add_argument("--oracle-limit", type=count, default=16)
     sp.set_defaults(func=cmd_incremental)
 
     sp = sub.add_parser("gen", help="generate a scenario instance file")

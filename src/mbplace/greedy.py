@@ -57,18 +57,23 @@ class GreedyTrace:
         return self.engine.num_assigned == self.engine.fs.num_pairs
 
 
+def bound_heap(bounds) -> list[tuple[int, int, int]]:
+    """``lazy_pick`` heap over ``(id, bound)`` items, each stamped -1 (not
+    yet evaluated). An item with bound 0 can never gain and is left out."""
+    return sorted((-bound, i, -1) for i, bound in bounds if bound)
+
+
 def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
-    """``lazy_pick`` heap over the undeployed candidates of ``engine``,
-    stamped -1. A bound starts at ``min(capacity, |S_m|)``, not at the free
-    pairs of S_m: handover paths may end at a free pair of another
-    middlebox. Candidates with an empty S_m can never gain and are left out.
+    """``bound_heap`` over the undeployed candidates of ``engine``. A bound
+    starts at ``min(capacity, |S_m|)``, not at the free pairs of S_m:
+    handover paths may end at a free pair of another middlebox.
     """
-    return sorted((-min(engine.capacity, mask.bit_count()), m, -1)
-                  for m, mask in engine.fs.masks.items() if m not in engine.load and mask)
+    return bound_heap((m, min(engine.capacity, mask.bit_count()))
+                      for m, mask in engine.fs.masks.items() if m not in engine.load)
 
 
 def lazy_pick(heap: list, step: int, evaluate):
-    """Pop the largest gain, ties to the smallest id, from a heap of
+    """Pop the largest gain, ties to the smallest id, from a ``bound_heap`` of
     ``(-bound, id, stamp)``: refresh the top entry with ``evaluate(id) ->
     (gain, state)`` and stamp it ``step``, or drop it for good at gain 0,
     until a fresh entry is on top (no stale bound of a submodular objective
@@ -118,16 +123,21 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
 
 
 def _run(trace: GreedyTrace, budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     stop = math.inf if budget is None else len(trace.steps) + budget
     while not trace.complete and len(trace.steps) < stop:
         chosen, gain = greedy_step(trace.engine, trace.heap)
         trace.steps.append(GreedyStep(len(trace.steps), chosen, gain, trace.engine.num_assigned))
 
 
-def greedy_place(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
-    """Deploy middleboxes greedily until every pair is served."""
+def greedy_place(inst: PlacementInstance, fs: FeasibilitySets,
+                 budget: int | None = None) -> GreedyTrace:
+    """Deploy middleboxes greedily until every pair is served, or for at most
+    ``budget`` steps: the same choices as the first steps of the full run,
+    since served pairs are only ever handed over, never dropped."""
     trace = greedy_prefix(inst, fs)
-    _run(trace, None)
+    _run(trace, budget)
     return trace
 
 
@@ -138,8 +148,6 @@ def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     earlier prefixes stay valid; greedy is history-deterministic, hence
     extending a prefix reproduces the corresponding slice of the full run.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     extended = GreedyTrace(list(trace.steps), trace.engine.clone(), list(trace.heap))
     _run(extended, budget)
     return extended

@@ -186,9 +186,6 @@ class FeasibilitySets:
             covered |= mask
         return set_bits(~covered & ((1 << self.num_pairs) - 1))
 
-    def contains(self, u: int, p: int) -> bool:
-        return bool(self.masks[u] >> p & 1)
-
     @property
     def candidates(self) -> tuple[int, ...]:
         return tuple(self.masks)

@@ -88,6 +88,10 @@ class Assignment:
                 mu[p] = y
         return mu
 
+    def assignment(self) -> dict[int, int]:
+        """Pair -> box for every served pair, in ascending pair order."""
+        return {p: y for p, y in enumerate(self.mu) if y is not UNASSIGNED}
+
     def clone(self) -> "Assignment":
         other = Assignment.__new__(Assignment)
         other.fs = self.fs

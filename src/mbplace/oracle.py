@@ -8,7 +8,6 @@ ILP solver is involved anywhere.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -28,11 +27,6 @@ class ExactResult:
     witness_set: tuple[int, ...]
     witness_assignment: dict[int, int] | None
     explored: int
-    elapsed: float
-
-
-def _extract_assignment(state: Assignment) -> dict[int, int]:
-    return {i: m for i, m in enumerate(state.mu) if m is not None}
 
 
 def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
@@ -44,14 +38,13 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
     with |P| - 1 as the best so far). Raises TooLarge beyond ``limit``
     candidates and Infeasible when even the full candidate set falls short.
     """
-    t0 = time.perf_counter()
     universe = list(fs.candidates)
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
     target = inst.num_pairs
     explored = 0
     if target == 0:
-        return ExactResult(0, (), {}, 0, time.perf_counter() - t0)
+        return ExactResult(0, (), {}, 0)
 
     full = Assignment(fs, inst.capacity)
     for u in universe:
@@ -67,8 +60,7 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
         hit, count = _best_of_size(fs, inst.capacity, universe, k, target - 1, target)
         explored += count
         if hit is not None:
-            return ExactResult(k, hit.active, _extract_assignment(hit), explored,
-                               time.perf_counter() - t0)
+            return ExactResult(k, hit.active, hit.assignment(), explored)
     raise Infeasible("unreachable: full candidate set was verified feasible")
 
 
@@ -102,7 +94,6 @@ def _best_of_size(fs: FeasibilitySets, capacity: int, universe, n: int, floor: i
 def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
                          limit: int = DEFAULT_LIMIT) -> ExactResult:
     """Maximum number of served pairs over all middlebox sets of size n."""
-    t0 = time.perf_counter()
     universe = list(fs.candidates)
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
@@ -114,8 +105,7 @@ def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
     if n > 0:
         best, explored = _best_of_size(fs, inst.capacity, universe, n, 0, cap)
     witness = best or Assignment(fs, inst.capacity)
-    return ExactResult(witness.num_assigned, witness.active, _extract_assignment(witness),
-                       explored, time.perf_counter() - t0)
+    return ExactResult(witness.num_assigned, witness.active, witness.assignment(), explored)
 
 
 def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> dict | None:
@@ -164,17 +154,17 @@ def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
     Unlike the rounded approximation there is no augmentation here: every
     request must fit within ``kappa`` on its middlebox.
     """
-    t0 = time.perf_counter()
     universe = sorted({u for cands in candidates_of for u in cands})
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
     if len(candidates_of) > WEIGHTED_REQUEST_LIMIT:
-        raise TooLarge(f"{len(candidates_of)} requests exceed limit {WEIGHTED_REQUEST_LIMIT}")
+        raise TooLarge(f"{len(candidates_of)} requests exceed the weighted oracle's "
+                       f"fixed limit of {WEIGHTED_REQUEST_LIMIT}")
     kappa = Fraction(kappa)
     demands = [Fraction(r.demand) for r in requests]
     members = list(range(len(requests)))
     if not members:
-        return ExactResult(0, (), {}, 0, time.perf_counter() - t0)
+        return ExactResult(0, (), {}, 0)
     for j in members:
         if demands[j] > kappa or not candidates_of[j]:
             raise Infeasible(f"request {j} cannot be served by any middlebox")
@@ -190,6 +180,5 @@ def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
                 continue
             witness = _weighted_cover_exists(members, demands, allowed, kappa)
             if witness is not None:
-                return ExactResult(k, subset, witness, explored,
-                                   time.perf_counter() - t0)
+                return ExactResult(k, subset, witness, explored)
     raise Infeasible("no candidate subset admits a feasible integral assignment")

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._flow import FlowNetwork
 from .exceptions import DomainError, Infeasible, RoundingFailed
-from .greedy import lazy_pick
+from .greedy import bound_heap, lazy_pick
 from .instance import FeasibilitySets, check_domain, feasible
 from .netgraph import Network, is_number
 
@@ -87,10 +87,6 @@ class Preprocessed:
     fs: FeasibilitySets
     kappa: Fraction
 
-    @property
-    def num_kept(self) -> int:
-        return len(self.kept)
-
 
 def preprocess(requests, fs: FeasibilitySets, kappa) -> Preprocessed:
     """Reject oversized requests and fail fast on uncoverable ones.
@@ -130,10 +126,6 @@ class FractionalAssignment:
 
     x: dict[tuple[int, int], Fraction]
     objective: Fraction
-
-    @property
-    def objective_float(self) -> float:
-        return float(self.objective)
 
 
 def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
@@ -180,10 +172,9 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     requests it serves (every ``x_j <= 1``). Raises Infeasible when no
     unopened candidate raises f any further and the guard is still unmet.
     """
-    n = prep.num_kept
+    n = len(prep.kept)
     kept = sum(1 << j for j in prep.kept)
-    bounds = {u: (mask & kept).bit_count() for u, mask in prep.fs.masks.items()}
-    heap = sorted((-bound, u, -1) for u, bound in bounds.items() if bound)
+    heap = bound_heap((u, (mask & kept).bit_count()) for u, mask in prep.fs.masks.items())
     chosen: list[int] = []
     frac = FractionalAssignment({}, ZERO)
 
@@ -195,7 +186,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
         picked = lazy_pick(heap, len(chosen), evaluate)
         if picked is None:
             raise Infeasible(f"no unopened candidate raises the fractional objective "
-                             f"{frac.objective_float:.6g} above {n - 1}")
+                             f"{float(frac.objective):.6g} above {n - 1}")
         u, _, frac = picked
         chosen.append(u)
     return chosen, frac
@@ -285,7 +276,7 @@ def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> Ro
         if not _match_slot(j, job_slots, matched_slot, matched_job):
             raise RoundingFailed(
                 f"request {j} cannot be matched to a slot; fractional objective "
-                f"{frac.objective_float:.6g} must exceed {prep.num_kept - 1}"
+                f"{float(frac.objective):.6g} must exceed {len(prep.kept) - 1}"
             )
     assignment = {j: slot_owner[slot] for j, slot in matched_job.items()}
     load: dict[int, Fraction] = {u: ZERO for u in sorted(set(active))}

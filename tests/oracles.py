@@ -80,7 +80,7 @@ def maxflow_phi(members, fs, capacity: int) -> int:
         for c in range(capacity):
             g.add_edge("s", ("clone", m, c), capacity=1)
             for p in range(fs.num_pairs):
-                if fs.contains(m, p):
+                if fs.masks[m] >> p & 1:
                     g.add_edge(("clone", m, c), ("pair", p), capacity=1)
     for p in range(fs.num_pairs):
         g.add_edge(("pair", p), "t", capacity=1)
@@ -200,7 +200,7 @@ def deleted_entries(prep) -> tuple[tuple[int, int], ...]:
     """(candidate, request) entries of kept requests that violate the bound or
     point at an illegal location: those absent from ``prep.fs``."""
     return tuple((u, j) for j in prep.kept for u in prep.fs.candidates
-                 if not prep.fs.contains(u, j))
+                 if not prep.fs.masks[u] >> j & 1)
 
 
 def max_load(rounded) -> Fraction:

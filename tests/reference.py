@@ -81,6 +81,10 @@ class Assignment:
     def active(self) -> tuple[int, ...]:
         return tuple(sorted(self.load))
 
+    def assignment(self) -> dict[int, int]:
+        """Pair -> box for every served pair, in ascending pair order."""
+        return {p: m for p, m in enumerate(self.mu) if m is not UNASSIGNED}
+
     def clone(self) -> "Assignment":
         return Assignment(self.fs, self.capacity, self.mu, self.load)
 
@@ -160,7 +164,7 @@ def apply_augmenting_path(engine: Assignment, path: AugmentingPath) -> None:
     for i in range(k):
         if mbs[i] not in engine.load:
             raise InvalidPath(f"middlebox {mbs[i]} is not active")
-        if not engine.fs.contains(mbs[i], prs[i]):
+        if not engine.fs.masks[mbs[i]] >> prs[i] & 1:
             raise InvalidPath(f"pair {prs[i]} is not feasible for middlebox {mbs[i]}")
         if i + 1 < k and engine.mu[prs[i]] != mbs[i + 1]:
             raise InvalidPath(
@@ -231,7 +235,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     Ties break to the smallest node id. Raises Infeasible when the full
     candidate set still leaves the guard unsatisfied.
     """
-    n = prep.num_kept
+    n = len(prep.kept)
     universe = prep.fs.candidates
     chosen: list[int] = []
     best_frac = FractionalAssignment({}, ZERO)

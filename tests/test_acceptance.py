@@ -249,7 +249,7 @@ def test_criterion_5_weighted_bicriteria():
                 opt = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa).value
             except Infeasible:
                 continue
-            n = prep.num_kept
+            n = len(prep.kept)
             assert len(chosen) <= (1 + math.log(n)) * opt + 1e-12, (
                 f"weighted greedy {len(chosen)} exceeds (1+ln {n}) x OPT {opt}"
             )
@@ -273,7 +273,7 @@ def test_criterion_6_lp_flow_reduction_matches_oracle():
         active = [u for u in rfs.candidates if rng.random() < 0.7][:4]
         if prep is None:
             continue
-        got = solve_fractional(active, prep).objective_float
+        got = float(solve_fractional(active, prep).objective)
         demands = [float(prep.demands.get(j, prep.kappa + 1)) for j in range(len(requests))]
         cands = [rfs.candidates_of[j] if j in prep.demands else ()
                  for j in range(len(requests))]

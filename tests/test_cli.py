@@ -244,6 +244,36 @@ class TestSolveWeighted:
         code, out = run(capsys, "solve-weighted", str(star_file))
         assert code == 3
 
+    def test_oracle_over_candidate_limit_guidance(self, weighted_file, tmp_path, capsys):
+        out = tmp_path / "wr.json"
+        code, text = run(capsys, "solve-weighted", str(weighted_file), "--oracle",
+                         "--oracle-limit", "3", "--out", str(out))
+        assert code == 4
+        err = json.loads(text)
+        assert err["error"] == "TooLarge"
+        assert re.fullmatch(r"\d+ candidates exceed --oracle-limit 3; re-run without --oracle",
+                            err["message"])
+        assert not out.exists()
+
+    def test_oracle_over_request_limit_guidance(self, tmp_path, capsys):
+        # Every pair of a hop star on 6 nodes detours through the hub at
+        # stretch 1: 15 kept requests, above the oracle's fixed limit of 14.
+        doc = {
+            "format": "mbplace-instance", "version": 1, "kind": "weighted",
+            "metric": "hops", "nodes": [{"id": i} for i in range(6)],
+            "edges": [[0, i, 1.0] for i in range(1, 6)], "candidates": [0],
+            "capacity": 20.0, "stretch": 1.0, "route_limit": None,
+            "requests": [{"kind": "pair", "nodes": [s, t], "demand": 1.0}
+                         for s in range(6) for t in range(s + 1, 6)],
+        }
+        f = tmp_path / "w15.json"
+        f.write_text(json.dumps(doc))
+        code, text = run(capsys, "solve-weighted", str(f), "--oracle")
+        assert code == 4
+        assert json.loads(text)["message"] == (
+            "15 requests exceed the weighted oracle's fixed limit of 14; "
+            "re-run without --oracle")
+
     def test_oracle_sees_kept_requests_only(self, path_file, tmp_path, capsys):
         # Request 2 exceeds kappa and is rejected; the oracle must not see it.
         out = tmp_path / "r.json"
@@ -696,6 +726,9 @@ class TestUsageErrors:
         ["solve"],
         [],
         ["incremental", "STAR", "--budget-steps", "-1"],
+        ["solve", "MINI", "--oracle", "--oracle-limit", "-1"],
+        ["incremental", "MINI", "--oracle", "--oracle-limit", "-1"],
+        ["solve-weighted", "STAR", "--oracle", "--oracle-limit", "-1"],
         ["solve", "MINI", "--p", "nan"],
         ["solve", "MINI", "--seed", "-5"],
         ["solve", "MINI", "--replication", "-1"],
@@ -777,8 +810,8 @@ class TestIncremental:
                                                capsys):
         real = greedy.greedy_place
 
-        def overcount(inst, fs):
-            trace = real(inst, fs)
+        def overcount(inst, fs, budget=None):
+            trace = real(inst, fs, budget)
             trace.engine.load[trace.middleboxes[-1]] += 1
             return trace
 
@@ -867,6 +900,17 @@ class TestGen:
         code, _ = run(capsys, "gen", "--out", str(tmp_path / "x.json"))
         assert code == 3
 
+    def test_sndlib_refuses_capacity(self, tmp_path, capsys):
+        # The weighted capacity is 4*D/|V| over the kept demand; a --capacity
+        # would be silently ignored.
+        out = tmp_path / "w.json"
+        code, text = run(capsys, "gen", "--sndlib", str(DATA / "mini_sndlib.txt"),
+                         "--capacity", "5", "--out", str(out))
+        assert code == 3
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and "--capacity" in err["message"]
+        assert not out.exists()
+
 
 
 class TestBench:
@@ -923,7 +967,7 @@ class TestBench:
         assert texts[0] == texts[1]
 
     def test_error_rows_of_both_kinds(self, tmp_path, monkeypatch, capsys):
-        def stalled(inst, fs):
+        def stalled(inst, fs, budget=None):
             raise Stalled("no candidate improves")
 
         def unserved(frac, active, prep):

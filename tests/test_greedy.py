@@ -142,6 +142,18 @@ class TestIncrementalExtend:
             prefix = incremental_extend(prefix, 1)
             assert prefix.steps == full.steps[:k]
 
+    def test_budgeted_place_is_the_prefix_and_its_engine(self):
+        rng = rng_for(2027)
+        inst, fs = feasible_instance(rng, num_nodes=10, num_pairs=10, capacity=2)
+        full = greedy_place(inst, fs)
+        for k in range(len(full.steps) + 2):
+            budgeted = greedy_place(inst, fs, k)
+            stepped = incremental_extend(greedy_prefix(inst, fs), k)
+            assert budgeted.steps == stepped.steps == full.steps[:k]
+            assert budgeted.engine.mu == stepped.engine.mu
+        with pytest.raises(ValueError):
+            greedy_place(inst, fs, -1)
+
     def test_budget_one_picks_globally_best_location(self):
         inst = star_instance(4, 3, capacity=4, stretch=3.0)
         fs = build_feasibility(inst)

@@ -86,6 +86,16 @@ class TestAddMiddlebox:
         assert served_before <= assigned_pairs(state)
         assert all(load <= 2 for load in state.load.values())
 
+    def test_assignment_reads_served_pairs_in_ascending_order(self):
+        state = Assignment(fig_scenario(), 2)
+        assert state.assignment() == {}
+        for m in (10, 11, 12):
+            state.add_middlebox(m)
+        got = state.assignment()
+        assert list(got) == sorted(got) == sorted(assigned_pairs(state))
+        assert all(state.mu[p] == m for p, m in got.items())
+        assert got == reference.Assignment.of(state).assignment()
+
     def test_gain_matches_stateless_phi_on_500_increments(self):
         rng = rng_for(4000)
         increments = 0

@@ -73,7 +73,7 @@ class TestExactMinMiddleboxes:
         loads: dict[int, int] = {}
         for p_idx, m in result.witness_assignment.items():
             assert m in result.witness_set
-            assert fs.contains(m, p_idx)
+            assert fs.masks[m] >> p_idx & 1
             loads[m] = loads.get(m, 0) + 1
         assert all(v <= inst.capacity for v in loads.values())
         assert phi(result.witness_set, fs, inst.capacity) == inst.num_pairs
@@ -157,9 +157,8 @@ class TestExactWeightedMinMiddleboxes:
                                                       rfs.candidates_of, kappa)
 
 
-def test_explored_counter_and_elapsed_populated():
+def test_explored_counter_populated():
     rng = rng_for(6)
     inst, fs = feasible_instance(rng, num_nodes=7, num_pairs=5, capacity=2)
     result = exact_min_middleboxes(inst, fs)
     assert result.explored >= 1
-    assert result.elapsed >= 0.0

@@ -144,7 +144,7 @@ class TestSolveFractional:
             [rfs.candidates_of[j] if j in demands else () for j in range(len(requests))],
             kappa,
         )
-        assert got.objective_float == pytest.approx(want, abs=1e-6)
+        assert float(got.objective) == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("u, v", [(2, 1), (1, 1)])
     def test_flow_network_rejects_an_arc_not_running_up(self, u, v):
@@ -234,7 +234,7 @@ class TestGeneralizedGreedy:
         except Infeasible:
             return
         chosen, _ = generalized_greedy(prep)
-        n = prep.num_kept
+        n = len(prep.kept)
         assert len(chosen) <= (1 + math.log(n)) * opt + 1e-12
 
 
@@ -295,5 +295,5 @@ class TestRounding:
                                               rfs.candidates_of, kappa):
                 continue
             frac = solve_fractional(active, prep)
-            assert frac.objective == prep.num_kept
+            assert frac.objective == len(prep.kept)
             hits += 1
