@@ -24,7 +24,6 @@ from .exceptions import (
 from .greedy import (
     GreedyTrace,
     greedy_place,
-    greedy_prefix,
     greedy_step,
     incremental_extend,
     greedy_approximation_bound,

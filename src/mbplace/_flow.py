@@ -1,7 +1,7 @@
 """Successive-shortest-path min-cost flow over exact rational arithmetic.
 
-Capacities and costs are Fractions, so flow values and objectives are exact;
-the weighted module's stopping guard compares them without tolerances.
+Capacities and costs are Fractions, so flow values are exact and the
+weighted module's stopping guard compares them without tolerances.
 The network is held as parallel per-arc lists: ``arcs`` (the head),
 ``residual`` and ``cost``. Arc ``a ^ 1`` is the twin of arc ``a``, so the
 flow on a forward arc is the residual of its twin. Every arc runs from a
@@ -81,16 +81,14 @@ class FlowNetwork:
                     heapq.heappush(heap, (nd, v))
         return dist, prev_arc
 
-    def min_cost_max_flow(self, source: int, sink: int) -> Fraction:
+    def min_cost_max_flow(self, source: int, sink: int) -> None:
         """Push flow until no residual path remains, always along the current
-        cheapest path; returns the total cost. Runs once, on a network
-        that carries no flow yet."""
+        cheapest path. Runs once, on a network that carries no flow yet."""
         potential = self._initial_potentials(source)
-        total_cost = ZERO
         while True:
             dist, prev_arc = self._dijkstra(source, potential)
             if dist[sink] is None:
-                return total_cost
+                return
             for v in range(self.num_nodes):
                 if dist[v] is not None:
                     potential[v] += dist[v]
@@ -103,4 +101,3 @@ class FlowNetwork:
             for ai in path:
                 self.residual[ai] -= bottleneck
                 self.residual[ai ^ 1] += bottleneck
-                total_cost += bottleneck * self.cost[ai]

@@ -107,12 +107,25 @@ def probability(text: str) -> float:
     return value
 
 
+def _given(value, default):
+    """An option's value, or its documented default when it was not given."""
+    return default if value is None else value
+
+
+def _refuse(args, reader: str, *options: str) -> None:
+    """ParseError naming each of ``options`` (argparse dests) that was given,
+    since only ``reader`` reads them: an option never goes silently unused."""
+    given = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is not None]
+    if given:
+        raise ParseError(f"{args.command}: only {reader} reads {', '.join(given)}")
+
+
 def _scenario(args, topology: str) -> ingest.ScenarioConfig:
     """The unweighted scenario recipe the CLI arguments give a GraphML topology."""
     return ingest.ScenarioConfig(
-        topology=topology, p=args.p, stretch=1.5 if args.stretch is None else args.stretch,
-        capacity=args.capacity, seed=args.seed, replication=args.replication,
-        metric=args.metric or "geo",
+        topology=topology, p=_given(args.p, 0.3), stretch=_given(args.stretch, 1.5),
+        capacity=args.capacity, seed=_given(args.seed, 0),
+        replication=_given(args.replication, 0), metric=args.metric or "geo",
     )
 
 
@@ -130,6 +143,7 @@ def _load_unweighted(args) -> PlacementInstance:
     if raw.lstrip().startswith("<"):
         return ingest.generate_unweighted_scenario(_scenario(args, args.instance),
                                                    ingest.parse_graphml(raw))
+    _refuse(args, "a GraphML input", "p", "seed", "replication")
     inst = _from_json(raw, PlacementInstance, "an unweighted")
     overrides = {}
     if args.stretch is not None:
@@ -349,26 +363,22 @@ def cmd_incremental(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.topology is not None:
+        _refuse(args, "--sndlib", "keep_prob")
         net = ingest.parse_graphml(Path(args.topology).read_text())
-        inst = ingest.generate_unweighted_scenario(_scenario(args, args.topology), net)
-        provenance = {
-            "source": args.topology, "p": args.p, "seed": args.seed,
-            "replication": args.replication,
-        }
+        cfg = _scenario(args, args.topology)
+        inst = ingest.generate_unweighted_scenario(cfg, net)
+        provenance = {"source": args.topology, "p": cfg.p}
     else:
-        if args.capacity is not None:
-            raise ParseError("gen: --capacity applies to --topology only; an --sndlib "
-                             "instance takes its capacity from the demands")
+        # An SNDlib instance's capacity is 4*D/|V| over the kept demand D.
+        _refuse(args, "--topology", "capacity", "p")
         net, demands = ingest.parse_sndlib(Path(args.sndlib).read_text())
         cfg = ingest.ScenarioConfig(
-            topology=args.sndlib, p=args.keep_prob, stretch=args.stretch,
+            topology=args.sndlib, p=_given(args.keep_prob, 0.5), stretch=args.stretch,
             seed=args.seed, replication=args.replication, metric=args.metric or "geo",
         )
         inst = ingest.generate_weighted_scenario(cfg, net, demands)
-        provenance = {
-            "source": args.sndlib, "keep_probability": args.keep_prob,
-            "seed": args.seed, "replication": args.replication,
-        }
+        provenance = {"source": args.sndlib, "keep_probability": cfg.p}
+    provenance.update(seed=cfg.seed, replication=cfg.replication)
     _write((args.out, ingest.instance_to_json(inst, provenance)))
     return EXIT_OK
 
@@ -413,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--metric", choices=METRICS, default=None)
         sp.add_argument("--stretch", type=float, default=None)
         sp.add_argument("--capacity", type=int, default=None)
-        sp.add_argument("--p", type=probability, default=0.3,
-                        help="pair probability for GraphML inputs")
-        sp.add_argument("--seed", type=count, default=0)
-        sp.add_argument("--replication", type=count, default=0)
+        sp.add_argument("--p", type=probability, default=None,
+                        help="pair probability for GraphML inputs (default 0.3)")
+        sp.add_argument("--seed", type=count, default=None, help="GraphML only (default 0)")
+        sp.add_argument("--replication", type=count, default=None,
+                        help="GraphML only (default 0)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("solve", help="greedy placement on an unweighted instance")
@@ -444,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--topology", default=None, help="GraphML topology")
     source.add_argument("--sndlib", default=None, help="SNDlib native file")
-    sp.add_argument("--p", type=probability, default=0.3)
-    sp.add_argument("--keep-prob", type=probability, default=0.5)
+    sp.add_argument("--p", type=probability, default=None, help="--topology only (default 0.3)")
+    sp.add_argument("--keep-prob", type=probability, default=None,
+                    help="--sndlib only (default 0.5)")
     sp.add_argument("--stretch", type=float, default=1.5)
     sp.add_argument("--capacity", type=int, default=None)
     sp.add_argument("--seed", type=count, default=0)

@@ -135,8 +135,10 @@ def greedy_place(inst: PlacementInstance, fs: FeasibilitySets,
                  budget: int | None = None) -> GreedyTrace:
     """Deploy middleboxes greedily until every pair is served, or for at most
     ``budget`` steps: the same choices as the first steps of the full run,
-    since served pairs are only ever handed over, never dropped."""
-    trace = greedy_prefix(inst, fs)
+    since served pairs are only ever handed over, never dropped. With
+    ``budget`` 0 this is the empty trace that ``incremental_extend`` grows."""
+    engine = Assignment(fs, inst.capacity)
+    trace = GreedyTrace([], engine, candidate_heap(engine))
     _run(trace, budget)
     return trace
 
@@ -151,12 +153,6 @@ def incremental_extend(trace: GreedyTrace, budget: int) -> GreedyTrace:
     extended = GreedyTrace(list(trace.steps), trace.engine.clone(), list(trace.heap))
     _run(extended, budget)
     return extended
-
-
-def greedy_prefix(inst: PlacementInstance, fs: FeasibilitySets) -> GreedyTrace:
-    """Empty trace to be grown step by step via incremental_extend."""
-    engine = Assignment(fs, inst.capacity)
-    return GreedyTrace([], engine, candidate_heap(engine))
 
 
 def greedy_approximation_bound(capacity: int, num_pairs: int) -> float:

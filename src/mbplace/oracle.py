@@ -8,6 +8,7 @@ ILP solver is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -151,8 +152,8 @@ def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
     """Minimum middlebox count for an integral assignment at true capacity.
 
     ``candidates_of[j]`` lists the feasible locations of ``requests[j]``.
-    Unlike the rounded approximation there is no augmentation here: every
-    request must fit within ``kappa`` on its middlebox.
+    Unlike the rounded approximation there is no augmentation: each request
+    fits within ``kappa`` on its box, so sizes start at total demand / kappa.
     """
     universe = sorted({u for cands in candidates_of for u in cands})
     if len(universe) > limit:
@@ -169,14 +170,12 @@ def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
         if demands[j] > kappa or not candidates_of[j]:
             raise Infeasible(f"request {j} cannot be served by any middlebox")
     explored = 0
-    for k in range(1, len(universe) + 1):
+    for k in range(max(1, math.ceil(sum(demands) / kappa)), len(universe) + 1):
         for subset in combinations(universe, k):
             explored += 1
             allowed = [tuple(u for u in candidates_of[j] if u in subset)
                        for j in members]
             if any(not a for a in allowed):
-                continue
-            if sum(demands) > kappa * k:
                 continue
             witness = _weighted_cover_exists(members, demands, allowed, kappa)
             if witness is not None:

@@ -125,15 +125,20 @@ class FractionalAssignment:
     """Solution of the maximum fractional assignment LP on a candidate set."""
 
     x: dict[tuple[int, int], Fraction]
-    objective: Fraction
+
+    @property
+    def objective(self) -> Fraction:
+        """The LP value, the sum of ``x``: the flow's profit, since a unit of
+        flow earns ``1/demand`` on its path's one cost-bearing arc, the first."""
+        return sum(self.x.values(), ZERO)
 
 
 def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     """Optimal fractional assignment restricted to the candidate set ``active``.
 
     Exact via max-profit flow: request arcs carry capacity ``demand`` and
-    profit ``1/demand``, middlebox arcs capacity ``kappa``; the optimal
-    profit equals the LP optimum.
+    profit ``1/demand``, middlebox arcs capacity ``kappa``; ``x`` is the
+    flow on each request-to-box arc over the request's demand.
     """
     active = tuple(sorted(set(active)))
     boxes = {u: prep.fs.masks.get(u, 0) for u in active}
@@ -142,7 +147,7 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
         touched |= mask
     jobs = [j for j in prep.kept if touched >> j & 1]
     if not jobs:
-        return FractionalAssignment({}, ZERO)
+        return FractionalAssignment({})
     num_nodes = 2 + len(jobs) + len(active)
     source, sink = 0, num_nodes - 1
     net = FlowNetwork(num_nodes)
@@ -150,19 +155,18 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     for pos, j in enumerate(jobs):
         p = prep.demands[j]
         net.add_arc(source, 1 + pos, p, -1 / p)
-    for pos, j in enumerate(jobs):
         for i, (u, mask) in enumerate(boxes.items()):
             if mask >> j & 1:
-                edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, prep.demands[j])
+                edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, p)
     for i in range(len(active)):
         net.add_arc(1 + len(jobs) + i, sink, prep.kappa)
-    cost = net.min_cost_max_flow(source, sink)
+    net.min_cost_max_flow(source, sink)
     x = {}
     for (u, j), ai in edge_arcs.items():
         flow = net.residual[ai ^ 1]
         if flow > 0:
             x[(u, j)] = flow / prep.demands[j]
-    return FractionalAssignment(x, -cost)
+    return FractionalAssignment(x)
 
 
 def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignment]:
@@ -176,7 +180,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     kept = sum(1 << j for j in prep.kept)
     heap = bound_heap((u, (mask & kept).bit_count()) for u, mask in prep.fs.masks.items())
     chosen: list[int] = []
-    frac = FractionalAssignment({}, ZERO)
+    frac = FractionalAssignment({})
 
     def evaluate(u):
         trial = solve_fractional(chosen + [u], prep)
@@ -202,31 +206,23 @@ class RoundedSolution:
 
 
 def _build_slots(frac: FractionalAssignment, prep: Preprocessed):
-    """Slot graph: machine i gets ceil(sum_j x_ij) unit slots, filled with its
-    requests in non-increasing demand order; returns job -> slot adjacency."""
+    """Slot graph (Shmoys & Tardos 1993): machine u gets ceil(sum_j x_uj)
+    unit slots, filled with its requests in non-increasing demand order, so
+    a request whose share of the load runs from c to c + x_uj fills slots
+    floor(c) .. ceil(c + x_uj) - 1. Returns (slot -> machine, job -> slots)."""
     per_machine: dict[int, list[int]] = {}
-    for (u, j), v in frac.x.items():
+    for u, j in frac.x:
         per_machine.setdefault(u, []).append(j)
     slot_owner: list[int] = []
     job_slots: dict[int, list[int]] = {}
     for u in sorted(per_machine):
-        jobs = sorted(per_machine[u], key=lambda j: (-prep.demands[j], j))
-        total = sum((frac.x[(u, j)] for j in jobs), ZERO)
-        count = math.ceil(total) if total > 0 else 0
-        first = len(slot_owner)
-        slot_owner.extend([u] * count)
-        room = Fraction(1)
-        cursor = first
-        for j in jobs:
-            rest = frac.x[(u, j)]
-            while rest > 0:
-                if room == 0:
-                    cursor += 1
-                    room = Fraction(1)
-                piece = min(room, rest)
-                job_slots.setdefault(j, []).append(cursor)
-                room -= piece
-                rest -= piece
+        first, c = len(slot_owner), ZERO
+        for j in sorted(per_machine[u], key=lambda j: (-prep.demands[j], j)):
+            x_uj = frac.x[(u, j)]
+            job_slots.setdefault(j, []).extend(
+                range(first + math.floor(c), first + math.ceil(c + x_uj)))
+            c += x_uj
+        slot_owner.extend([u] * math.ceil(c))
     return slot_owner, job_slots
 
 
@@ -271,8 +267,6 @@ def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> Ro
     matched_slot: dict[int, int] = {}
     matched_job: dict[int, int] = {}
     for j in prep.kept:
-        if j in matched_job:
-            continue
         if not _match_slot(j, job_slots, matched_slot, matched_job):
             raise RoundingFailed(
                 f"request {j} cannot be matched to a slot; fractional objective "

@@ -14,6 +14,12 @@ engine.
 fractional LP of each unopened candidate, in ascending id, through
 ``mbplace.weighted.solve_fractional``.
 
+``build_slots`` is the piecewise slot-graph builder of the weighted
+rounding: it walks each request's share of a machine's load slot by slot,
+with the room left in the current slot, where
+``mbplace.weighted._build_slots`` reads the slot range off the cumulative
+load.
+
 ``compute_apsp`` runs one heap Dijkstra per source, with the metric weights
 and the mirroring of ``mbplace.netgraph.compute_apsp``.
 
@@ -26,6 +32,7 @@ potentials come from a general Bellman-Ford. It offers the interface of
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -238,7 +245,7 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     n = len(prep.kept)
     universe = prep.fs.candidates
     chosen: list[int] = []
-    best_frac = FractionalAssignment({}, ZERO)
+    best_frac = FractionalAssignment({})
     current = ZERO
     while len(chosen) < len(universe) and current <= n - 1:
         best_gain = None
@@ -260,6 +267,35 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
             f"{float(current):.6g} <= {n - 1}"
         )
     return chosen, best_frac
+
+
+def build_slots(frac: FractionalAssignment, prep: Preprocessed):
+    """Slot graph: machine i gets ceil(sum_j x_ij) unit slots, filled with its
+    requests in non-increasing demand order; returns job -> slot adjacency."""
+    per_machine: dict[int, list[int]] = {}
+    for (u, j), v in frac.x.items():
+        per_machine.setdefault(u, []).append(j)
+    slot_owner: list[int] = []
+    job_slots: dict[int, list[int]] = {}
+    for u in sorted(per_machine):
+        jobs = sorted(per_machine[u], key=lambda j: (-prep.demands[j], j))
+        total = sum((frac.x[(u, j)] for j in jobs), ZERO)
+        count = math.ceil(total) if total > 0 else 0
+        first = len(slot_owner)
+        slot_owner.extend([u] * count)
+        room = Fraction(1)
+        cursor = first
+        for j in jobs:
+            rest = frac.x[(u, j)]
+            while rest > 0:
+                if room == 0:
+                    cursor += 1
+                    room = Fraction(1)
+                piece = min(room, rest)
+                job_slots.setdefault(j, []).append(cursor)
+                room -= piece
+                rest -= piece
+    return slot_owner, job_slots
 
 
 def _dijkstra(adj, source: int, n: int) -> np.ndarray:

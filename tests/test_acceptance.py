@@ -22,7 +22,7 @@ from builders import (
 from oracles import assigned_pairs, exhaustive_phi, lp_max_fractional, max_load
 
 from mbplace.exceptions import Infeasible
-from mbplace.greedy import greedy_place, greedy_prefix, incremental_extend, greedy_approximation_bound
+from mbplace.greedy import greedy_place, incremental_extend, greedy_approximation_bound
 from mbplace.ingest import (
     ScenarioConfig,
     formula_capacity,
@@ -161,7 +161,7 @@ def test_criterion_3_greedy_approximation_guarantee():
 def test_criterion_4_incremental_no_preemption_and_projection():
     traces = 0
     for inst, fs in _greedy_batch_instances():
-        trace = greedy_prefix(inst, fs)
+        trace = greedy_place(inst, fs, 0)
         prev_pairs: frozenset = frozenset()
         prev_boxes: frozenset = frozenset()
         prefixes = []
@@ -338,7 +338,7 @@ def test_criterion_9_relative_difference_series():
             capacity=int(rng.integers(2, 4)),
         )
         opt = exact_min_middleboxes(inst, fs).value
-        trace = greedy_prefix(inst, fs)
+        trace = greedy_place(inst, fs, 0)
         n = 0
         rels = []
         while not trace.complete:

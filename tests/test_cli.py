@@ -749,6 +749,45 @@ class TestUsageErrors:
         assert err["error"] == "ParseError" and err["exit_code"] == 3
         assert text.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("argv, options", [
+        (["solve", "STAR", "--p", "0.9"], "--p"),
+        (["solve", "STAR", "--p", "0.9", "--seed", "5", "--replication", "3"],
+         "--p, --seed, --replication"),
+        (["incremental", "STAR", "--seed", "0"], "--seed"),  # a default value counts too
+        (["incremental", "STAR", "--replication", "1"], "--replication"),
+        (["gen", "--topology", "MINI", "--keep-prob", "0.1"], "--keep-prob"),
+        (["gen", "--sndlib", "SNDLIB", "--p", "0.9"], "--p"),
+        (["gen", "--sndlib", "SNDLIB", "--capacity", "5", "--p", "0.9"], "--capacity, --p"),
+    ])
+    def test_option_the_input_does_not_read_exits_3(self, argv, options, star_file,
+                                                     tmp_path, capsys):
+        paths = {"STAR": star_file, "MINI": DATA / "mini.graphml",
+                 "SNDLIB": DATA / "mini_sndlib.txt"}
+        out = tmp_path / "out"
+        code, text = run(capsys, *[str(paths.get(a, a)) for a in argv], "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith(f" reads {options}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, defaults, recorded", [
+        ("--topology", ["--p", "0.3"], {"p": 0.3}),
+        ("--sndlib", ["--keep-prob", "0.5"], {"keep_probability": 0.5}),
+    ])
+    def test_gen_records_the_resolved_defaults(self, source, defaults, recorded,
+                                               tmp_path, capsys):
+        path = DATA / ("mini.graphml" if source == "--topology" else "mini_sndlib.txt")
+        texts = []
+        for extra in ([], [*defaults, "--seed", "0", "--replication", "0"]):
+            out = tmp_path / "out.json"
+            code, _ = run(capsys, "gen", source, str(path), *extra, "--out", str(out))
+            assert code == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        provenance = json.loads(texts[0])["provenance"]
+        assert provenance == {"source": str(path), **recorded, "seed": 0, "replication": 0}
+
     def test_parser_built_once_per_process(self):
         assert build_parser() is build_parser()
 

@@ -12,14 +12,18 @@ deploy it with. The weighted greedy must
 open the same locations with the same fractional objective and ``x``, and
 fail with Infeasible on the same problems. The fractional LP must give the
 same ``x`` and objective on the residual-list flow network as on the
-arc-object reference network. The all-source shortest-path
+arc-object reference network, and its objective (the sum of ``x``) must be
+the reference flow's profit. The slot graph read off cumulative loads must
+equal the one built share piece by piece. The all-source shortest-path
 relaxation must give a distance matrix bit-identical to one Dijkstra run per
 source.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import cycle
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,11 +35,12 @@ from builders import coverable_instance, coverable_weighted_problem, relation, r
 
 from mbplace import oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
-from mbplace.greedy import greedy_place, greedy_prefix, greedy_step, incremental_extend
+from mbplace.greedy import greedy_place, greedy_step, incremental_extend
 from mbplace.matching import Assignment, count_gain, phi
 from mbplace.netgraph import METRICS, Network, Node, compute_apsp
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
-from mbplace.weighted import Request, generalized_greedy, preprocess, solve_fractional
+from mbplace.weighted import (FractionalAssignment, Request, _build_slots, generalized_greedy,
+                              preprocess, solve_fractional)
 
 
 class Sizes(NamedTuple):
@@ -295,7 +300,7 @@ class TestGreedy:
     def test_incremental_extend_step_by_step(self, relation, budgets):
         fs, capacity = relation
         states, stalled = reference.greedy_run(fs, capacity)
-        trace = greedy_prefix(Sizes(fs.num_pairs, capacity), fs)
+        trace = greedy_place(Sizes(fs.num_pairs, capacity), fs, 0)
         for budget in cycle(budgets):
             done = len(trace.steps)
             if done == len(states):
@@ -366,6 +371,45 @@ class TestSolveFractional:
             mp.setattr(weighted, "FlowNetwork", reference.FlowNetwork)
             ref = solve_fractional(active, prep)
         assert (fast.x, fast.objective) == (ref.x, ref.objective)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_relations(), weighted_networks()), st.sets(st.integers(0, 24)))
+    def test_objective_is_the_reference_flows_profit(self, prep, active):
+        costs = []
+
+        class Costed(reference.FlowNetwork):
+            def min_cost_max_flow(self, source, sink):
+                costs.append(super().min_cost_max_flow(source, sink))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weighted, "FlowNetwork", Costed)
+            frac = solve_fractional(active, prep)
+        assert frac.objective == -sum(costs, Fraction(0))
+
+
+#: Shares in (0, 1]: sums of quarters land on integers, thirds and sixths between.
+SHARES = [Fraction(k, 4) for k in range(1, 5)] + [Fraction(k, 6) for k in (1, 2, 4, 5)]
+
+
+@st.composite
+def fractional_solutions(draw):
+    """(FractionalAssignment, demands) over up to 8 requests and 4 machines,
+    with tied demands and the x entries in a drawn order."""
+    machines = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    demands = {j: draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+               for j in range(draw(st.integers(1, 8)))}
+    keys = [(u, j) for j in demands for u in draw(st.sets(st.sampled_from(machines)))]
+    x = {key: draw(st.sampled_from(SHARES)) for key in draw(st.permutations(keys))}
+    return FractionalAssignment(x), demands
+
+
+class TestBuildSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(fractional_solutions())
+    def test_same_slots_as_the_piecewise_reference(self, drawn):
+        frac, demands = drawn
+        prep = SimpleNamespace(demands=demands)  # the one field the slot graph reads
+        assert _build_slots(frac, prep) == reference.build_slots(frac, prep)
 
 
 def assert_same_floats(got, want):

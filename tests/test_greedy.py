@@ -15,7 +15,6 @@ from oracles import assigned_pairs
 from mbplace.exceptions import Stalled
 from mbplace.greedy import (
     greedy_place,
-    greedy_prefix,
     greedy_step,
     incremental_extend,
     greedy_approximation_bound,
@@ -101,7 +100,7 @@ class TestTraceInvariants:
     def test_no_relocation_and_no_preemption(self, seed):
         rng = rng_for(9000 + seed)
         inst, fs = feasible_instance(rng, num_nodes=10, num_pairs=8, capacity=2)
-        trace = greedy_prefix(inst, fs)
+        trace = greedy_place(inst, fs, 0)
         prev_boxes: set = set()
         prev_pairs: frozenset = frozenset()
         while not trace.complete:
@@ -128,7 +127,7 @@ class TestIncrementalExtend:
         rng = rng_for(2024)
         inst, fs = feasible_instance(rng, num_nodes=10, num_pairs=9, capacity=2)
         full = greedy_place(inst, fs)
-        step_by_step = greedy_prefix(inst, fs)
+        step_by_step = greedy_place(inst, fs, 0)
         step_by_step = incremental_extend(step_by_step, len(full.steps) + 5)
         assert step_by_step.steps == full.steps
         assert step_by_step.engine.mu == full.engine.mu
@@ -137,7 +136,7 @@ class TestIncrementalExtend:
         rng = rng_for(2025)
         inst, fs = feasible_instance(rng, num_nodes=10, num_pairs=10, capacity=2)
         full = greedy_place(inst, fs)
-        prefix = greedy_prefix(inst, fs)
+        prefix = greedy_place(inst, fs, 0)
         for k in range(1, len(full.steps) + 1):
             prefix = incremental_extend(prefix, 1)
             assert prefix.steps == full.steps[:k]
@@ -148,7 +147,7 @@ class TestIncrementalExtend:
         full = greedy_place(inst, fs)
         for k in range(len(full.steps) + 2):
             budgeted = greedy_place(inst, fs, k)
-            stepped = incremental_extend(greedy_prefix(inst, fs), k)
+            stepped = incremental_extend(greedy_place(inst, fs, 0), k)
             assert budgeted.steps == stepped.steps == full.steps[:k]
             assert budgeted.engine.mu == stepped.engine.mu
         with pytest.raises(ValueError):
@@ -157,13 +156,13 @@ class TestIncrementalExtend:
     def test_budget_one_picks_globally_best_location(self):
         inst = star_instance(4, 3, capacity=4, stretch=3.0)
         fs = build_feasibility(inst)
-        trace = incremental_extend(greedy_prefix(inst, fs), 1)
+        trace = incremental_extend(greedy_place(inst, fs, 0), 1)
         assert trace.middleboxes == [0]
         assert trace.steps[0].gain == 4
 
     def test_zero_budget_adds_nothing(self):
         inst = star_instance(4, 3, capacity=4, stretch=3.0)
-        trace = incremental_extend(greedy_prefix(inst, build_feasibility(inst)), 0)
+        trace = incremental_extend(greedy_place(inst, build_feasibility(inst), 0), 0)
         assert trace.steps == [] and trace.engine.num_assigned == 0
         with pytest.raises(ValueError):
             incremental_extend(trace, -1)
@@ -171,7 +170,7 @@ class TestIncrementalExtend:
     def test_earlier_trace_not_mutated(self):
         rng = rng_for(2026)
         inst, fs = feasible_instance(rng, num_nodes=9, num_pairs=8, capacity=2)
-        t1 = incremental_extend(greedy_prefix(inst, fs), 1)
+        t1 = incremental_extend(greedy_place(inst, fs, 0), 1)
         snapshot = (list(t1.steps), list(t1.engine.mu))
         incremental_extend(t1, 3)
         assert (list(t1.steps), list(t1.engine.mu)) == snapshot

@@ -19,6 +19,7 @@ from mbplace.instance import (
 from mbplace.matching import phi
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.oracle import (
+    ExactResult,
     exact_min_middleboxes,
     exact_weighted_min_middleboxes,
     max_assignment_for_n,
@@ -135,6 +136,15 @@ class TestExactWeightedMinMiddleboxes:
         many = [Request.pair(0, 1, 1.0)] * 15
         with pytest.raises(TooLarge):
             exact_weighted_min_middleboxes(many, [(1,)] * 15, 50.0)
+
+    def test_sizes_below_total_demand_over_kappa_are_skipped(self):
+        # Demand 7.5 at kappa 3 needs 3 boxes, so the 5 + 10 subsets of sizes
+        # 1 and 2 are not enumerated: (0, 2, 3), the first 3-subset that
+        # fits, is the 4th subset explored.
+        requests = [Request.pair(0, 1, d) for d in (2.0, 2.0, 1.5, 1.0, 1.0)]
+        candidates_of = [(0, 1, 4), (1, 2), (0, 2, 3), (3, 4), (2, 3, 4)]
+        result = exact_weighted_min_middleboxes(requests, candidates_of, 3.0)
+        assert result == ExactResult(3, (0, 2, 3), {0: 0, 1: 2, 2: 3, 3: 3, 4: 2}, 4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_value_is_minimal_and_witness_feasible(self, seed):
