@@ -4,11 +4,13 @@ Capacities and costs are Fractions, so flow values are exact and the
 weighted module's stopping guard compares them without tolerances.
 The network is held as parallel per-arc lists: ``arcs`` (the head),
 ``residual`` and ``cost``. Arc ``a ^ 1`` is the twin of arc ``a``, so the
-flow on a forward arc is the residual of its twin. Every arc runs from a
-lower to a higher node, so the initial residual network is a DAG in node
-order and one pass over the nodes gives exact initial potentials (the
-construction has negative arc costs out of the source). Shortest paths then
-use Dijkstra with Johnson node potentials.
+flow on a forward arc is the residual of its twin. Arc costs must be
+nonnegative, so shortest paths use Dijkstra with Johnson node potentials
+that start at zero (Edmonds & Karp 1972). ``weighted.solve_fractional``
+meets this by adding one constant to every source arc's cost, which is exact
+there because each simple source path has one cost-bearing arc, its first.
+The heap breaks ties between equal distances by node index, so the node
+numbering a caller chooses fixes which of several cheapest paths is taken.
 """
 
 from __future__ import annotations
@@ -28,11 +30,8 @@ class FlowNetwork:
         self.out: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def add_arc(self, u: int, v: int, cap, cost=ZERO) -> int:
-        """Adds u->v (capacity cap, unit cost) plus its residual twin; returns
-        the forward arc index (twin is index+1). Raises ValueError unless
-        u < v, which the one-pass initial potentials rely on."""
-        if not u < v:
-            raise ValueError(f"arc {u}->{v} must run from a lower to a higher node")
+        """Adds u->v (capacity cap, unit cost >= 0) plus its residual twin;
+        returns the forward arc index (twin is index+1)."""
         idx = len(self.arcs)
         cost = Fraction(cost)
         self.arcs += (v, u)
@@ -41,23 +40,6 @@ class FlowNetwork:
         self.out[u].append(idx)
         self.out[v].append(idx + 1)
         return idx
-
-    def _initial_potentials(self, source: int) -> list[Fraction | None]:
-        """Exact shortest distances from ``source`` before any flow: every
-        arc with residual runs to a higher node, so each node is final
-        before it is scanned in index order."""
-        dist: list[Fraction | None] = [None] * self.num_nodes
-        dist[source] = ZERO
-        for u in range(self.num_nodes):
-            if dist[u] is None:
-                continue
-            for ai in self.out[u]:
-                if self.residual[ai] > 0:
-                    v = self.arcs[ai]
-                    nd = dist[u] + self.cost[ai]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-        return dist
 
     def _dijkstra(self, source: int, potential):
         dist: list[Fraction | None] = [None] * self.num_nodes
@@ -72,7 +54,7 @@ class FlowNetwork:
             done[u] = True
             for ai in self.out[u]:
                 v = self.arcs[ai]
-                if done[v] or self.residual[ai] <= 0 or potential[v] is None:
+                if done[v] or self.residual[ai] <= 0:
                     continue
                 nd = du + self.cost[ai] + potential[u] - potential[v]
                 if dist[v] is None or nd < dist[v]:
@@ -84,7 +66,7 @@ class FlowNetwork:
     def min_cost_max_flow(self, source: int, sink: int) -> None:
         """Push flow until no residual path remains, always along the current
         cheapest path. Runs once, on a network that carries no flow yet."""
-        potential = self._initial_potentials(source)
+        potential = [ZERO] * self.num_nodes
         while True:
             dist, prev_arc = self._dijkstra(source, potential)
             if dist[sink] is None:

@@ -75,39 +75,59 @@ def _measure_weighted(parsed, cfg):
     ]
 
 
+#: Every key a bench config may hold, with the value an absent key takes.
+DEFAULTS = {"seed": 0, "metric": "geo", "topologies": [], "p_values": [0.3],
+            "stretches": "grid", "replications": 1, "algorithms": ["greedy"],
+            "oracle": False, "oracle_limit": 16, "sndlib": []}
+SNDLIB_DEFAULTS = {"path": None, "keep_probability": 0.5}
+
+
 def _is_list_of(valid, value) -> bool:
     return isinstance(value, list) and all(map(valid, value))
 
 
 def _is_sndlib_entry(entry) -> bool:
     return (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-            and _is_probability(entry.get("keep_probability", 0.5)))
+            and _is_probability(entry.get("keep_probability")))
 
 
-def _check_config(config) -> None:
-    """Raise ParseError unless ``config`` has the shape ``run`` reads, so a
-    malformed key stops the batch before any row runs. Every key is optional."""
+def _reject_unknown(keys, known, what: str) -> None:
+    for key in keys:
+        if key not in known:
+            raise ParseError(f'bench: unknown {what} "{key}"')
+
+
+def _resolve_config(config) -> dict:
+    """``DEFAULTS | config``, each "sndlib" entry completed the same way.
+    Raise ParseError unless every key is known and has the shape ``run``
+    reads, so a malformed config stops the batch before any row runs."""
     if not isinstance(config, dict):
         raise ParseError("bench: the config must be a JSON object")
-    get = config.get
-    stretches = get("stretches", "grid")
+    _reject_unknown(config, DEFAULTS, "key")
+    cfg = DEFAULTS | config
+    if _is_list_of(lambda entry: isinstance(entry, dict), cfg["sndlib"]):
+        for entry in cfg["sndlib"]:
+            _reject_unknown(entry, SNDLIB_DEFAULTS, '"sndlib" entry key')
+        cfg["sndlib"] = [SNDLIB_DEFAULTS | entry for entry in cfg["sndlib"]]
     for key, ok, shape in [
-        ("seed", _is_count(get("seed", 0)), "an int >= 0"),
-        ("replications", _is_count(get("replications", 1)), "an int >= 0"),
-        ("oracle_limit", _is_count(get("oracle_limit", 16)), "an int >= 0"),
-        ("metric", get("metric", "geo") in METRICS, 'one of "weight", "hops", "geo"'),
-        ("stretches", stretches == "grid" or _is_list_of(is_number, stretches),
+        ("seed", _is_count(cfg["seed"]), "an int >= 0"),
+        ("replications", _is_count(cfg["replications"]), "an int >= 0"),
+        ("oracle", type(cfg["oracle"]) is bool, "true or false"),
+        ("oracle_limit", _is_count(cfg["oracle_limit"]), "an int >= 0"),
+        ("metric", cfg["metric"] in METRICS, 'one of "weight", "hops", "geo"'),
+        ("stretches", cfg["stretches"] == "grid" or _is_list_of(is_number, cfg["stretches"]),
          '"grid" or a list of numbers'),
-        ("topologies", _is_list_of(lambda path: isinstance(path, str), get("topologies", [])),
+        ("topologies", _is_list_of(lambda path: isinstance(path, str), cfg["topologies"]),
          "a list of paths"),
-        ("p_values", _is_list_of(_is_probability, get("p_values", [])),
+        ("p_values", _is_list_of(_is_probability, cfg["p_values"]),
          "a list of numbers in [0, 1]"),
-        ("sndlib", _is_list_of(_is_sndlib_entry, get("sndlib", [])),
+        ("sndlib", _is_list_of(_is_sndlib_entry, cfg["sndlib"]),
          'a list of {"path": ..., "keep_probability": ...} objects, the probability in [0, 1]'),
-        ("algorithms", get("algorithms", ["greedy"]) == ["greedy"], '["greedy"]'),
+        ("algorithms", cfg["algorithms"] == ["greedy"], '["greedy"]'),
     ]:
         if not ok:
             raise ParseError(f'bench: "{key}" must be absent or {shape}')
+    return cfg
 
 
 def run(args) -> int:
@@ -116,29 +136,24 @@ def run(args) -> int:
         config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed bench config: {exc}") from exc
-    _check_config(config)
-    seed = config.get("seed", 0)
-    metric = config.get("metric", "geo")
-    stretches = config.get("stretches", "grid")
-    if stretches == "grid":
-        stretches = ingest.stretch_grid()
-    oracle_limit = config.get("oracle_limit", 16) if config.get("oracle", False) else None
-    reps = config.get("replications", 1)
-    nets = {p: ingest.parse_graphml(Path(p).read_text())
-            for p in config.get("topologies", [])}
+    cfg = _resolve_config(config)
+    seed, metric, reps = cfg["seed"], cfg["metric"], cfg["replications"]
+    stretches = ingest.stretch_grid() if cfg["stretches"] == "grid" else cfg["stretches"]
+    oracle_limit = cfg["oracle_limit"] if cfg["oracle"] else None
+    nets = {p: ingest.parse_graphml(Path(p).read_text()) for p in cfg["topologies"]}
     parsed = {entry["path"]: ingest.parse_sndlib(Path(entry["path"]).read_text())
-              for entry in config.get("sndlib", [])}
+              for entry in cfg["sndlib"]}
     rows = []
-    for path in config.get("topologies", []):
-        for p in config.get("p_values", [0.3]):
+    for path in cfg["topologies"]:
+        for p in cfg["p_values"]:
             for stretch in stretches:
                 for rep in range(reps):
                     rows.append(_bench_row(
                         "unweighted", "greedy", path, p, stretch, rep, seed, metric,
                         partial(_measure_greedy, nets[path], oracle_limit),
                     ))
-    for entry in config.get("sndlib", []):
-        keep = entry.get("keep_probability", 0.5)
+    for entry in cfg["sndlib"]:
+        keep = entry["keep_probability"]
         for stretch in stretches:
             for rep in range(reps):
                 rows.append(_bench_row(

@@ -147,7 +147,7 @@ def _load_unweighted(args) -> PlacementInstance:
     inst = _from_json(raw, PlacementInstance, "an unweighted")
     overrides = {}
     if args.stretch is not None:
-        overrides["stretch"] = args.stretch
+        overrides.update(stretch=args.stretch, route_limit=None)
     if args.capacity is not None:
         overrides["capacity"] = args.capacity
     if args.metric is not None and args.metric != inst.metric:

@@ -41,15 +41,13 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def parse_graphml(data: bytes | str) -> Network:
+def parse_graphml(data: str) -> Network:
     """Parse a GraphML document into a Network.
 
     Node ids are remapped to dense integers in document order; unknown
     attributes are ignored; the graph is treated as undirected regardless of
     the declared edgedefault. Nested graphs and ports are unsupported.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -117,14 +115,12 @@ def parse_graphml(data: bytes | str) -> Network:
 # SNDlib native format
 
 
-def parse_sndlib(data: bytes | str):
+def parse_sndlib(data: str):
     """Parse SNDlib native text into (Network, demands).
 
     Demands are (source, target, value) triples with finite positive values;
     node coordinates from the NODES section are kept as (lon, lat) = (x, y).
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     section = None
     nodes: list[Node] = []
     index: dict[str, int] = {}

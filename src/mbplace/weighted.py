@@ -7,13 +7,13 @@ max-profit flow reduction (substituting ``y = demand * x`` turns the LP into
 a transportation problem with per-unit profit ``1/demand`` on request arcs),
 so objectives are rationals and the ``f(S) > n - 1`` stopping guard needs no
 tolerance. The flow network is layered, source -> requests -> boxes -> sink,
-numbered in that order, so ``_flow`` gets its initial potentials in one
-pass. Rounding builds the standard slot graph (one slot per unit of
-fractional load, filled in non-increasing demand order) and matches requests
-to slots, which caps every load at ``2 * capacity``. The request/candidate
-relation is the pairs' ``FeasibilitySets``, from ``instance.feasible``: a
-request with two members in different components has no candidate, and
-``preprocess`` names it.
+numbered in that order: ``_flow`` breaks ties by node index, so the
+numbering fixes ``x``. Rounding builds the standard slot graph (one slot per
+unit of fractional load, filled in non-increasing demand order) and matches
+requests to slots, which caps every load at ``2 * capacity``. The
+request/candidate relation is the pairs' ``FeasibilitySets``, from
+``instance.feasible``: a request with two members in different components
+has no candidate, and ``preprocess`` names it.
 """
 
 from __future__ import annotations
@@ -138,7 +138,10 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
 
     Exact via max-profit flow: request arcs carry capacity ``demand`` and
     profit ``1/demand``, middlebox arcs capacity ``kappa``; ``x`` is the
-    flow on each request-to-box arc over the request's demand.
+    flow on each request-to-box arc over the request's demand. Source arc j
+    costs ``top - 1/p_j``, ``top = 1 / min p``, not ``-1/p_j``: every simple
+    residual path from the source has one cost-bearing arc, its first, so
+    each costs ``top`` more, the flow takes the same paths and no cost is < 0.
     """
     active = tuple(sorted(set(active)))
     boxes = {u: prep.fs.masks.get(u, 0) for u in active}
@@ -152,9 +155,10 @@ def solve_fractional(active, prep: Preprocessed) -> FractionalAssignment:
     source, sink = 0, num_nodes - 1
     net = FlowNetwork(num_nodes)
     edge_arcs: dict[tuple[int, int], int] = {}
+    top = 1 / min(prep.demands[j] for j in jobs)
     for pos, j in enumerate(jobs):
         p = prep.demands[j]
-        net.add_arc(source, 1 + pos, p, -1 / p)
+        net.add_arc(source, 1 + pos, p, top - 1 / p)
         for i, (u, mask) in enumerate(boxes.items()):
             if mask >> j & 1:
                 edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, p)

@@ -25,8 +25,12 @@ and the mirroring of ``mbplace.netgraph.compute_apsp``.
 
 ``FlowNetwork`` is the arc-object min-cost flow: each ``_Arc`` holds its
 capacity and flow, the residual is their difference, and the initial
-potentials come from a general Bellman-Ford. It offers the interface of
-``mbplace._flow.FlowNetwork`` that ``solve_fractional`` reads.
+potentials come from a general Bellman-Ford, so it accepts negative costs.
+It offers the interface of ``mbplace._flow.FlowNetwork`` that
+``solve_fractional`` reads. ``solve_fractional_unshifted`` builds the
+fractional LP's network on it with the unshifted source-arc costs
+``-1/demand``, where ``mbplace.weighted.solve_fractional`` adds one constant
+to every source arc so that ``_flow`` sees no negative cost.
 """
 
 from __future__ import annotations
@@ -444,3 +448,27 @@ class FlowNetwork:
                 total_cost += bottleneck * self.arcs[ai].cost
                 v = self.arcs[ai ^ 1].to
         return total_cost
+
+
+def solve_fractional_unshifted(active, prep: Preprocessed) -> FractionalAssignment:
+    """The fractional LP with source arc j costing ``-1/p_j``, on the same
+    node numbering as ``mbplace.weighted.solve_fractional``: source, the
+    kept requests some active box serves, the boxes ascending, then the sink."""
+    active = tuple(sorted(set(active)))
+    jobs = [j for j in prep.kept if any(u in prep.fs.candidates_of[j] for u in active)]
+    if not jobs:
+        return FractionalAssignment({})
+    net = FlowNetwork(2 + len(jobs) + len(active))
+    sink = net.num_nodes - 1
+    edge_arcs = {}
+    for pos, j in enumerate(jobs):
+        p = prep.demands[j]
+        net.add_arc(0, 1 + pos, p, -1 / p)
+        for i, u in enumerate(active):
+            if u in prep.fs.candidates_of[j]:
+                edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, p)
+    for i in range(len(active)):
+        net.add_arc(1 + len(jobs) + i, sink, prep.kappa)
+    net.min_cost_max_flow(0, sink)
+    return FractionalAssignment({(u, j): net.arcs[ai].flow / prep.demands[j]
+                                 for (u, j), ai in edge_arcs.items() if net.arcs[ai].flow > 0})

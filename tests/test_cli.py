@@ -215,6 +215,32 @@ class TestSolve:
         assert err["message"].endswith("exceed --oracle-limit 3; re-run without --oracle")
 
 
+class TestJsonOverrides:
+    @pytest.mark.parametrize("bound", [{"stretch": 2.0, "route_limit": None},
+                                       {"stretch": None, "route_limit": 3000.0}],
+                             ids=["stretch-doc", "route-limit-doc"])
+    @pytest.mark.parametrize("option, key, value", [
+        ("--stretch", "stretch", 3.0), ("--capacity", "capacity", 7),
+        ("--metric", "metric", "hops")])
+    def test_option_replaces_the_documents_value(self, bound, option, key, value, tmp_path,
+                                                 capsys):
+        doc = json.loads(FIXTURES["unweighted"]) | bound
+        rewritten = doc | {key: value} | ({"route_limit": None} if key == "stretch" else {})
+        reports = []
+        for name, data, extra in [("given", doc, [option, str(value)]),
+                                  ("rewritten", rewritten, [])]:
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(data))
+            out = tmp_path / f"{name}_report.json"
+            code, text = run(capsys, "solve", str(f), *extra, "--out", str(out))
+            assert code == 0, text
+            report = json.loads(out.read_text())
+            del report["wall_time_s"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0][key] == value
+
+
 class TestSolveWeighted:
     @pytest.fixture
     def weighted_file(self, tmp_path, capsys):
@@ -697,6 +723,25 @@ class TestMalformedTopology:
         assert json.loads(text)["error"] == "ParseError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, name, text, message", [
+        (["solve"], "dup.graphml",
+         '<graphml><graph><node id="a"/><node id="a"/></graph></graphml>',
+         "duplicate node id 'a'"),
+        (["gen", "--sndlib"], "ghost.txt",
+         (DATA / "mini_sndlib.txt").read_text().replace("D1 ( A C )", "D1 ( A Z )"),
+         "demand references unknown node ('A', 'Z')"),
+    ], ids=["graphml-duplicate-node", "sndlib-demand-unknown-node"])
+    def test_parse_error_exit_3_names_the_fault(self, argv, name, text, message, tmp_path,
+                                                capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        code, printed = run(capsys, *argv, str(path), "--out", str(out))
+        assert code == 3 and printed.count("\n") == 1
+        err = json.loads(printed)
+        assert err["error"] == "ParseError" and message in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["gen", "bench"])
     def test_non_finite_demand_exit_3(self, command, value, tmp_path, capsys):
@@ -1063,17 +1108,25 @@ class TestBench:
         {"stretches": [1.5, "2"]},
         {"topologies": [5]},
         {"oracle": True, "oracle_limit": "16"},
+        {"oracle": "no"},
+        {"oracle": 1},
+        {"replication": 3},
+        {"sndlib": [{"path": "SNDLIB", "keep_prob": 1.0}]},
+        {"sndlib": [{"keep_probability": 1.0}]},
+        {"sndlib": [{"path": "SNDLIB"}, 5]},
     ], ids=["topologies-int", "top-level-list", "sndlib-no-path", "replications-str",
             "seed-str", "seed-negative", "replications-bool", "metric-unknown", "p-nan",
             "p-values-not-a-list", "keep-probability-str", "keep-probability-2",
-            "stretches-str", "stretches-str-entry", "topology-int", "oracle-limit-str"])
+            "stretches-str", "stretches-str-entry", "topology-int", "oracle-limit-str",
+            "oracle-str", "oracle-int", "unknown-key", "unknown-sndlib-key",
+            "sndlib-path-absent", "sndlib-entry-int"])
     def test_malformed_config_exit_3(self, config, tmp_path, capsys):
         # Each key is checked before any row runs, beside a config that would run.
         if isinstance(config, dict):
             config = {"topologies": [str(DATA / "mini.graphml")], "p_values": [0.3],
                       "stretches": [1.5], **config}
             for entry in config.get("sndlib", []):
-                if entry.get("path") == "SNDLIB":
+                if isinstance(entry, dict) and entry.get("path") == "SNDLIB":
                     entry["path"] = str(DATA / "mini_sndlib.txt")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
@@ -1083,6 +1136,21 @@ class TestBench:
         err = json.loads(text)
         assert err["error"] == "ParseError" and err["message"].startswith("bench: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, named", [
+        ({"replication": 3}, 'unknown key "replication"'),
+        ({"sndlib": [{"path": "SNDLIB", "keep_prob": 1.0}]},
+         'unknown "sndlib" entry key "keep_prob"'),
+        ({"oracle": "no"}, '"oracle" must be absent or true or false'),
+    ])
+    def test_config_error_names_the_key(self, config, named, tmp_path, capsys):
+        for entry in config.get("sndlib", []):
+            entry["path"] = str(DATA / "mini_sndlib.txt")
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({"topologies": [str(DATA / "mini.graphml")],
+                                   "stretches": [1.5], **config}))
+        code, text = run(capsys, "bench", str(cfg), "--out", str(tmp_path / "k.csv"))
+        assert code == 3 and json.loads(text)["message"] == f"bench: {named}"
 
     def test_row_over_the_oracle_limit_names_the_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "o.json"

@@ -12,8 +12,9 @@ deploy it with. The weighted greedy must
 open the same locations with the same fractional objective and ``x``, and
 fail with Infeasible on the same problems. The fractional LP must give the
 same ``x`` and objective on the residual-list flow network as on the
-arc-object reference network, and its objective (the sum of ``x``) must be
-the reference flow's profit. The slot graph read off cumulative loads must
+arc-object reference network, the same ``x`` as with the unshifted source
+costs ``-1/demand``, and its objective (the sum of ``x``) must be the
+reference flow's profit. The slot graph read off cumulative loads must
 equal the one built share piece by piece. The all-source shortest-path
 relaxation must give a distance matrix bit-identical to one Dijkstra run per
 source.
@@ -374,17 +375,27 @@ class TestSolveFractional:
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(weighted_relations(), weighted_networks()), st.sets(st.integers(0, 24)))
+    def test_same_x_as_the_unshifted_reference_costs(self, prep, active):
+        assert solve_fractional(active, prep).x == reference.solve_fractional_unshifted(
+            active, prep).x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_relations(), weighted_networks()), st.sets(st.integers(0, 24)))
     def test_objective_is_the_reference_flows_profit(self, prep, active):
-        costs = []
+        # Each unit leaving the source pays top - 1/p_j on its one cost-bearing arc.
+        flows = []
 
         class Costed(reference.FlowNetwork):
             def min_cost_max_flow(self, source, sink):
-                costs.append(super().min_cost_max_flow(source, sink))
+                cost = super().min_cost_max_flow(source, sink)
+                flows.append((sum(self.arcs[ai].flow for ai in self.out[source]), cost))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weighted, "FlowNetwork", Costed)
             frac = solve_fractional(active, prep)
-        assert frac.objective == -sum(costs, Fraction(0))
+        jobs = [j for j in prep.kept if set(prep.fs.candidates_of[j]) & set(active)]
+        top = 1 / min(prep.demands[j] for j in jobs) if jobs else Fraction(0)
+        assert frac.objective == sum((top * out - cost for out, cost in flows), Fraction(0))
 
 
 #: Shares in (0, 1]: sums of quarters land on integers, thirds and sixths between.

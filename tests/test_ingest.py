@@ -63,6 +63,18 @@ class TestParseGraphml:
         with pytest.raises(ParseError, match="no <node>"):
             parse_graphml("<graphml><graph/></graphml>")
 
+    @pytest.mark.parametrize("graph, message", [
+        ('<node id="a"/><node/>', "node element without id"),
+        ('<node id="a"/><node id="b"/><node id="a"/>', "duplicate node id 'a'"),
+        ('<node id="a"/><node id="b"/><edge source="a" target="b"><data key="w">heavy</data>'
+         "</edge>", r"edge \('a', 'b'\): bad weight"),
+    ], ids=["node-without-id", "duplicate-node-id", "non-numeric-weight"])
+    def test_malformed_graph_raises_parse_error(self, graph, message):
+        doc = ('<graphml><key id="w" for="edge" attr.name="weight"/>'
+               f"<graph>{graph}</graph></graphml>")
+        with pytest.raises(ParseError, match=message):
+            parse_graphml(doc)
+
     def test_coordinate_keys_match_case_insensitively(self):
         doc = """<graphml>
         <key id="k0" for="node" attr.name="latitude"/>
@@ -139,6 +151,18 @@ class TestParseSndlib:
     def test_empty_document_rejected(self):
         with pytest.raises(ParseError):
             parse_sndlib("# nothing here\n")
+
+    @pytest.mark.parametrize("nodes, demand, message", [
+        (" a ( 0 0 )\n b ( 1 1 )\n a ( 2 2 )\n", "a b", "line 4: duplicate node 'a'"),
+        (" a ( 0 0 )\n b ( 1 1 )\n", "a ghost",
+         r"line 9: demand references unknown node \('a', 'ghost'\)"),
+    ], ids=["duplicate-node", "demand-unknown-node"])
+    def test_malformed_document_raises_parse_error(self, nodes, demand, message):
+        doc = (f"NODES (\n{nodes})\nLINKS (\n l ( a b ) 0 0 0 0\n)\n"
+               f"DEMANDS (\n d ( {demand} ) 1 2.0 UNLIMITED\n)\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_sndlib(doc)
+        assert type(info.value) is ParseError
 
 
 class TestScenarioFormulas:

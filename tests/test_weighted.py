@@ -17,7 +17,6 @@ from oracles import (
     weighted_integral_feasible,
 )
 
-from mbplace._flow import FlowNetwork
 from mbplace.exceptions import Infeasible, RoundingFailed
 from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.netgraph import Network, compute_apsp
@@ -145,13 +144,6 @@ class TestSolveFractional:
             kappa,
         )
         assert float(got.objective) == pytest.approx(want, abs=1e-6)
-
-    @pytest.mark.parametrize("u, v", [(2, 1), (1, 1)])
-    def test_flow_network_rejects_an_arc_not_running_up(self, u, v):
-        net = FlowNetwork(3)
-        with pytest.raises(ValueError, match="lower to a higher node"):
-            net.add_arc(u, v, 1)
-        assert net.arcs == [] and net.out == [[], [], []]
 
     def test_invariants_hold_exactly(self):
         rng = rng_for(13)
