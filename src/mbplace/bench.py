@@ -100,7 +100,8 @@ def _reject_unknown(keys, known, what: str) -> None:
 def _resolve_config(config) -> dict:
     """``DEFAULTS | config``, each "sndlib" entry completed the same way.
     Raise ParseError unless every key is known and has the shape ``run``
-    reads, so a malformed config stops the batch before any row runs."""
+    reads, and an "oracle_limit" comes with "oracle" true, so a malformed
+    config stops the batch before any row runs."""
     if not isinstance(config, dict):
         raise ParseError("bench: the config must be a JSON object")
     _reject_unknown(config, DEFAULTS, "key")
@@ -127,6 +128,8 @@ def _resolve_config(config) -> dict:
     ]:
         if not ok:
             raise ParseError(f'bench: "{key}" must be absent or {shape}')
+    if "oracle_limit" in config and not cfg["oracle"]:
+        raise ParseError('bench: "oracle_limit" is read only when "oracle" is true')
     return cfg
 
 

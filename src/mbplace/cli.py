@@ -9,6 +9,9 @@ series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 (``_solve_greedy``; ``incremental`` reads its series from the run's steps)
 and one per-step oracle series (``_oracle_series``), which starts only after
 the run, so a failed run decides the exit code before an oracle limit can.
+The series (``oracle.max_served_series``) takes a step's optimum from the
+run's own submodular bounds where they meet, and searches only the other
+steps. ``--oracle-limit`` is read only with ``--oracle``.
 The batch runner lives in ``bench``, which is imported only when that
 command runs.
 
@@ -120,6 +123,15 @@ def _refuse(args, reader: str, *options: str) -> None:
         raise ParseError(f"{args.command}: only {reader} reads {', '.join(given)}")
 
 
+def _oracle_limit(args, default: int) -> int | None:
+    """The oracle's candidate limit (``--oracle-limit``, else ``default``), or
+    None without ``--oracle``, which refuses a given ``--oracle-limit``."""
+    if not args.oracle:
+        _refuse(args, "--oracle", "oracle_limit")
+        return None
+    return _given(args.oracle_limit, default)
+
+
 def _scenario(args, topology: str) -> ingest.ScenarioConfig:
     """The unweighted scenario recipe the CLI arguments give a GraphML topology."""
     return ingest.ScenarioConfig(
@@ -215,11 +227,10 @@ def _oracle_series(inst, fs, trace, limit, over=FLAG_LIMIT) -> list[tuple[int, f
     (phi_opt - phi_greedy) / phi_opt). Over the limit, the TooLarge names it
     as ``over`` does: the CLI flag, or the bench config key."""
     try:
-        best = [oracle.max_assignment_for_n(inst, fs, s.iteration + 1, limit=limit).value
-                for s in trace.steps]
+        best = oracle.max_served_series(inst, fs, trace.steps, limit)
     except TooLarge:
         raise TooLarge(f"{len(inst.candidates)} candidates exceed {over.format(limit)}") from None
-    return [(b, (b - s.phi_after) / b if b else 0.0) for b, s in zip(best, trace.steps)]
+    return [(b, (b - s.phi_after) / b) for b, s in zip(best, trace.steps)]
 
 
 def _compare_to_oracle(inst, fs, trace, limit, over=FLAG_LIMIT):
@@ -239,12 +250,13 @@ def _compare_to_oracle(inst, fs, trace, limit, over=FLAG_LIMIT):
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
+    limit = _oracle_limit(args, oracle.DEFAULT_LIMIT)
     inst = _load_unweighted(args)
     digest = ingest.instance_digest(ingest.instance_to_json(inst))
     fs, trace = _solve_greedy(inst)
     oracle_opt = ratio = rel_series = None
-    if args.oracle:
-        oracle_opt, ratio, rel_series = _compare_to_oracle(inst, fs, trace, args.oracle_limit)
+    if limit is not None:
+        oracle_opt, ratio, rel_series = _compare_to_oracle(inst, fs, trace, limit)
     report = {
         "report_version": REPORT_VERSION,
         "algorithm": "greedy",
@@ -290,25 +302,26 @@ def cmd_solve(args) -> int:
 
 def cmd_solve_weighted(args) -> int:
     t0 = time.perf_counter()
+    limit = _oracle_limit(args, oracle.DEFAULT_WEIGHTED_LIMIT)
     winst = _from_json(Path(args.instance).read_text(), weighted.WeightedInstance, "a weighted")
     digest = ingest.instance_digest(ingest.instance_to_json(winst))
     prep, chosen, frac, rounded = _solve_weighted(winst)
     rel_load = _relative_loads(prep, rounded)
     violations = sum(1 for v in rel_load.values() if v > 1.0)
     oracle_opt = ratio = None
-    if args.oracle:
+    if limit is not None:
         # The oracle sees the kept requests only: a rejected one (demand above
         # kappa) has no integral placement at all.
         candidates_of = [prep.fs.candidates_of[j] for j in prep.kept]
         try:
             result = oracle.exact_weighted_min_middleboxes(
                 [winst.requests[j] for j in prep.kept], candidates_of, winst.capacity,
-                limit=args.oracle_limit,
+                limit=limit,
             )
         except TooLarge as exc:  # the candidates are checked first, then the requests
             universe = len({u for us in candidates_of for u in us})
-            raise TooLarge(f"{universe} candidates exceed {FLAG_LIMIT.format(args.oracle_limit)}"
-                           if universe > args.oracle_limit
+            raise TooLarge(f"{universe} candidates exceed {FLAG_LIMIT.format(limit)}"
+                           if universe > limit
                            else f"{exc}; re-run without --oracle") from None
         oracle_opt = result.value
         ratio = len(chosen) / result.value if result.value else None
@@ -346,10 +359,11 @@ def cmd_solve_weighted(args) -> int:
 
 
 def cmd_incremental(args) -> int:
+    limit = _oracle_limit(args, oracle.DEFAULT_LIMIT)
     inst = _load_unweighted(args)
     fs, trace = _solve_greedy(inst, args.budget_steps)
-    rows = [[0, 0, 0, 0.0] if args.oracle else [0, 0, None, None]]
-    series = (_oracle_series(inst, fs, trace, args.oracle_limit) if args.oracle
+    rows = [[0, 0, 0, 0.0] if limit is not None else [0, 0, None, None]]
+    series = (_oracle_series(inst, fs, trace, limit) if limit is not None
               else [(None, None)] * len(trace.steps))
     rows += [[s.iteration + 1, s.phi_after, opt, rel]
              for s, (opt, rel) in zip(trace.steps, series)]
@@ -434,13 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solve(sp)
     sp.add_argument("--trace-csv", default=None, help="write the per-step trace CSV")
     sp.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    sp.add_argument("--oracle-limit", type=count, default=16)
+    sp.add_argument("--oracle-limit", type=count, default=None,
+                    help="--oracle only: most candidates it enumerates (default 16)")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("solve-weighted", help="generalized greedy plus rounding")
     sp.add_argument("instance", help="weighted instance JSON")
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=count, default=12)
+    sp.add_argument("--oracle-limit", type=count, default=None,
+                    help="--oracle only: most candidates it enumerates (default 12)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve_weighted)
 
@@ -448,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_solve(sp)
     sp.add_argument("--budget-steps", type=count, default=None)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=count, default=16)
+    sp.add_argument("--oracle-limit", type=count, default=None,
+                    help="--oracle only: most candidates it enumerates (default 16)")
     sp.set_defaults(func=cmd_incremental)
 
     sp = sub.add_parser("gen", help="generate a scenario instance file")

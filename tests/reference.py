@@ -23,6 +23,12 @@ load.
 ``compute_apsp`` runs one heap Dijkstra per source, with the metric weights
 and the mirroring of ``mbplace.netgraph.compute_apsp``.
 
+``max_assignment_for_n`` is the per-step oracle as a fresh branch and bound
+per call, with only the bounds ``0 < value <= min(|P|, n * kappa)`` and the
+capacity prune of ``best_of_size`` (no coverage prune); ``max_served_series``
+calls it for every greedy step, where ``mbplace.oracle.max_served_series``
+certifies a step from the trace's bounds and searches only between them.
+
 ``FlowNetwork`` is the arc-object min-cost flow: each ``_Arc`` holds its
 capacity and flow, the residual is their difference, and the initial
 potentials come from a general Bellman-Ford, so it accepts negative costs.
@@ -44,6 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from builders import pairs_of
+from mbplace import matching
 from mbplace.exceptions import AlreadyActive, Infeasible, PlacementError, Stalled
 from mbplace.netgraph import geo_distance
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
@@ -472,3 +479,45 @@ def solve_fractional_unshifted(active, prep: Preprocessed) -> FractionalAssignme
     net.min_cost_max_flow(0, sink)
     return FractionalAssignment({(u, j): net.arcs[ai].flow / prep.demands[j]
                                  for (u, j), ai in edge_arcs.items() if net.arcs[ai].flow > 0})
+
+
+def best_of_size(fs, capacity: int, universe, n: int, floor: int, cap: int):
+    """(best n-subset assignment serving more than ``floor`` pairs or None,
+    subsets grown), depth-first in lexicographic order; a frame is done when
+    too few candidates remain or full boxes in every slot cannot beat the
+    best, and the search stops once the best reaches ``cap``."""
+    best_value, best_state, explored = floor, None, 0
+    stack = [(matching.Assignment(fs, capacity), 0, n)]
+    while stack:
+        state, idx, slots = stack[-1]
+        if (len(universe) - idx < slots or best_value >= cap
+                or state.num_assigned + slots * capacity <= best_value):
+            stack.pop()
+            continue
+        stack[-1] = state, idx + 1, slots
+        trial = state.clone()
+        trial.add_middlebox(universe[idx])
+        explored += 1
+        if slots > 1:
+            stack.append((trial, idx + 1, slots - 1))
+        elif trial.num_assigned > best_value:
+            best_value, best_state = trial.num_assigned, trial
+    return best_state, explored
+
+
+def max_assignment_for_n(inst, fs, n: int):
+    """(value, witness set, witness assignment, explored) of the most pairs
+    any n boxes serve."""
+    universe = list(fs.candidates)
+    n = min(n, len(universe))
+    best, explored = None, 0
+    if n > 0:
+        best, explored = best_of_size(fs, inst.capacity, universe, n, 0,
+                                      min(inst.num_pairs, n * inst.capacity))
+    witness = best or matching.Assignment(fs, inst.capacity)
+    return witness.num_assigned, witness.active, witness.assignment(), explored
+
+
+def max_served_series(inst, fs, steps) -> list[int]:
+    """phi_opt(n) for every step n of a greedy trace, one search per step."""
+    return [max_assignment_for_n(inst, fs, n)[0] for n in range(1, len(steps) + 1)]

@@ -803,11 +803,14 @@ class TestUsageErrors:
         (["gen", "--topology", "MINI", "--keep-prob", "0.1"], "--keep-prob"),
         (["gen", "--sndlib", "SNDLIB", "--p", "0.9"], "--p"),
         (["gen", "--sndlib", "SNDLIB", "--capacity", "5", "--p", "0.9"], "--capacity, --p"),
+        (["solve", "MINI", "--oracle-limit", "3"], "--oracle-limit"),
+        (["incremental", "STAR", "--oracle-limit", "16"], "--oracle-limit"),
+        (["solve-weighted", "PATH", "--oracle-limit", "12"], "--oracle-limit"),
     ])
     def test_option_the_input_does_not_read_exits_3(self, argv, options, star_file,
-                                                     tmp_path, capsys):
+                                                     path_file, tmp_path, capsys):
         paths = {"STAR": star_file, "MINI": DATA / "mini.graphml",
-                 "SNDLIB": DATA / "mini_sndlib.txt"}
+                 "SNDLIB": DATA / "mini_sndlib.txt", "PATH": path_file}
         out = tmp_path / "out"
         code, text = run(capsys, *[str(paths.get(a, a)) for a in argv], "--out", str(out))
         assert code == 3 and text.count("\n") == 1
@@ -1114,12 +1117,15 @@ class TestBench:
         {"sndlib": [{"path": "SNDLIB", "keep_prob": 1.0}]},
         {"sndlib": [{"keep_probability": 1.0}]},
         {"sndlib": [{"path": "SNDLIB"}, 5]},
+        {"oracle_limit": 16},
+        {"oracle": False, "oracle_limit": 3},
     ], ids=["topologies-int", "top-level-list", "sndlib-no-path", "replications-str",
             "seed-str", "seed-negative", "replications-bool", "metric-unknown", "p-nan",
             "p-values-not-a-list", "keep-probability-str", "keep-probability-2",
             "stretches-str", "stretches-str-entry", "topology-int", "oracle-limit-str",
             "oracle-str", "oracle-int", "unknown-key", "unknown-sndlib-key",
-            "sndlib-path-absent", "sndlib-entry-int"])
+            "sndlib-path-absent", "sndlib-entry-int", "oracle-limit-without-oracle",
+            "oracle-limit-with-oracle-false"])
     def test_malformed_config_exit_3(self, config, tmp_path, capsys):
         # Each key is checked before any row runs, beside a config that would run.
         if isinstance(config, dict):
@@ -1142,6 +1148,8 @@ class TestBench:
         ({"sndlib": [{"path": "SNDLIB", "keep_prob": 1.0}]},
          'unknown "sndlib" entry key "keep_prob"'),
         ({"oracle": "no"}, '"oracle" must be absent or true or false'),
+        ({"oracle": False, "oracle_limit": 3},
+         '"oracle_limit" is read only when "oracle" is true'),
     ])
     def test_config_error_names_the_key(self, config, named, tmp_path, capsys):
         for entry in config.get("sndlib", []):

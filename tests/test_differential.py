@@ -18,6 +18,12 @@ reference flow's profit. The slot graph read off cumulative loads must
 equal the one built share piece by piece. The all-source shortest-path
 relaxation must give a distance matrix bit-identical to one Dijkstra run per
 source.
+
+The per-step oracle series, which certifies a step from the greedy trace's
+submodular bounds and prunes its searches by coverage, must give the values
+of one plain branch and bound per step; its searches must find the same
+witness in no more subsets, and the bounds it certifies from must hold on
+the plain values.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from builders import coverable_instance, coverable_weighted_problem, relation, r
 
 from mbplace import oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
-from mbplace.greedy import greedy_place, greedy_step, incremental_extend
+from mbplace.greedy import GreedyTrace, greedy_place, greedy_step, incremental_extend
 from mbplace.matching import Assignment, count_gain, phi
 from mbplace.netgraph import METRICS, Network, Node, compute_apsp
-from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n
+from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n, max_served_series
 from mbplace.weighted import (FractionalAssignment, Request, _build_slots, generalized_greedy,
                               preprocess, solve_fractional)
 
@@ -77,6 +83,23 @@ def network_relations(draw, max_nodes=16):
 
 
 any_relation = st.one_of(relations(), network_relations())
+
+
+@st.composite
+def tied_relations(draw, max_pairs=14, max_candidates=8):
+    """(FeasibilitySets, capacity) whose candidates share a few S_u, so
+    greedy gains and subset values tie often."""
+    num_pairs = draw(st.integers(1, max_pairs))
+    shared = draw(st.lists(st.sets(st.integers(0, num_pairs - 1), min_size=1),
+                           min_size=1, max_size=3))
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=max_candidates, unique=True))
+    return (relation(num_pairs, {u: tuple(draw(st.sampled_from(shared))) for u in ids}),
+            draw(st.integers(1, 4)))
+
+
+#: Oracle-sized relations: arbitrary, tied and network-made.
+oracle_relations = st.one_of(relations(max_pairs=14, max_candidates=8), tied_relations(),
+                             network_relations(max_nodes=8))
 
 
 @st.composite
@@ -346,6 +369,49 @@ class TestOracles:
             mp.setattr(oracle, "Assignment", reference.Assignment)
             ref = run_both()
         assert fast == ref
+
+
+def greedy_trace(sizes: Sizes, fs, budget: int | None) -> GreedyTrace:
+    """Up to ``budget`` greedy steps (all when None), cut short by a stall."""
+    trace = greedy_place(sizes, fs, 0)
+    while not trace.complete and (budget is None or len(trace.steps) < budget):
+        try:
+            trace = incremental_extend(trace, 1)
+        except Stalled:
+            break
+    return trace
+
+
+class TestOracleSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_relations, st.booleans(), st.one_of(st.none(), st.integers(0, 4)))
+    def test_same_values_witnesses_and_no_more_subsets(self, relation, unit, budget):
+        fs, capacity = relation
+        sizes = Sizes(fs.num_pairs, 1 if unit else capacity)
+        trace = greedy_trace(sizes, fs, budget)
+        series = max_served_series(sizes, fs, trace.steps)
+        assert series == reference.max_served_series(sizes, fs, trace.steps)
+        for n, (value, step) in enumerate(zip(series, trace.steps), 1):
+            want = reference.max_assignment_for_n(sizes, fs, n)
+            plain = max_assignment_for_n(sizes, fs, n)
+            assert (plain.value, plain.witness_set, plain.witness_assignment) == want[:3]
+            assert plain.explored <= want[3]
+            bounded = max_assignment_for_n(sizes, fs, n, floor=step.phi_after - 1, cap=value)
+            assert (bounded.value, bounded.witness_set, bounded.witness_assignment) == want[:3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_relations, st.booleans(), st.one_of(st.none(), st.integers(0, 4)))
+    def test_submodular_bounds_hold(self, relation, unit, budget):
+        """phi_opt(n) <= phi_t + n * g_(t+1) for every n and every step t,
+        and phi_opt(n) <= phi_opt(n - 1) + kappa, on the plain values."""
+        fs, capacity = relation
+        sizes = Sizes(fs.num_pairs, 1 if unit else capacity)
+        trace = greedy_trace(sizes, fs, budget)
+        opt = [0, *reference.max_served_series(sizes, fs, trace.steps)]
+        for n in range(1, len(opt)):
+            assert opt[n] <= opt[n - 1] + sizes.capacity
+            for step in trace.steps:
+                assert opt[n] <= step.phi_after - step.gain + n * step.gain
 
 
 class TestGeneralizedGreedy:

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 
 from builders import (
     coverable_instance,
     feasible_instance,
     random_weighted_problem,
+    relation,
     rng_for,
     set_cover_instance,
     star_instance,
@@ -116,6 +119,17 @@ class TestMaxAssignmentForN:
                 default=0,
             )
             assert max_assignment_for_n(inst, fs, n).value == want
+
+    def test_coverage_bound_prunes_frames_and_last_boxes(self):
+        # S_0 = {0}, S_1 = {2}, S_2 = {1}, S_3 = {0}: two boxes serve at most
+        # 2 of the 3 pairs, below the cap of 3. The subsets grown are {0},
+        # {0, 1} (2 pairs, the best) and {1}. Then box 2 is not grown after
+        # box 1 ({2} with S_2 holds 2 pairs), nor after box 0 (the frame's
+        # pairs {0} with S_2 | S_3 are 2), and no subset starts at box 2
+        # (S_2 | S_3 holds 2 pairs): a bound equal to the best cannot beat it.
+        fs = relation(3, {0: (0,), 1: (2,), 2: (1,), 3: (0,)})
+        result = max_assignment_for_n(SimpleNamespace(num_pairs=3, capacity=3), fs, 2)
+        assert result == ExactResult(2, (0, 1), {0: 0, 2: 1}, 3)
 
 
 class TestExactWeightedMinMiddleboxes:
