@@ -91,12 +91,6 @@ def _is_sndlib_entry(entry) -> bool:
             and _is_probability(entry.get("keep_probability")))
 
 
-def _reject_unknown(keys, known, what: str) -> None:
-    for key in keys:
-        if key not in known:
-            raise ParseError(f'bench: unknown {what} "{key}"')
-
-
 def _resolve_config(config) -> dict:
     """``DEFAULTS | config``, each "sndlib" entry completed the same way.
     Raise ParseError unless every key is known and has the shape ``run``
@@ -104,11 +98,11 @@ def _resolve_config(config) -> dict:
     config stops the batch before any row runs."""
     if not isinstance(config, dict):
         raise ParseError("bench: the config must be a JSON object")
-    _reject_unknown(config, DEFAULTS, "key")
+    ingest.refuse_unknown(config, DEFAULTS, "bench: unknown key")
     cfg = DEFAULTS | config
     if _is_list_of(lambda entry: isinstance(entry, dict), cfg["sndlib"]):
         for entry in cfg["sndlib"]:
-            _reject_unknown(entry, SNDLIB_DEFAULTS, '"sndlib" entry key')
+            ingest.refuse_unknown(entry, SNDLIB_DEFAULTS, 'bench: unknown "sndlib" entry key')
         cfg["sndlib"] = [SNDLIB_DEFAULTS | entry for entry in cfg["sndlib"]]
     for key, ok, shape in [
         ("seed", _is_count(cfg["seed"]), "an int >= 0"),

@@ -285,10 +285,7 @@ def cmd_solve(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    # Reports keep the stdlib writer until perfbench stops keeping a record per
-    # call (ROADMAP item 1): ingest.dumps leaves no cyclic garbage, so the
-    # collector runs later there and desk_cli's peak_rss_mb read 2-3% higher.
-    outputs = [(args.out, json.dumps(report, indent=2) + "\n")]
+    outputs = [(args.out, ingest.dumps(report) + "\n")]
     if args.trace_csv:
         rows = [[s.iteration, s.chosen, s.gain, s.phi_after] for s in trace.steps]
         outputs.append((args.trace_csv, _csv_text(TRACE_COLUMNS, rows)))
@@ -350,7 +347,7 @@ def cmd_solve_weighted(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    _write((args.out, json.dumps(report, indent=2) + "\n"))
+    _write((args.out, ingest.dumps(report) + "\n"))
     return EXIT_OK
 
 

@@ -75,24 +75,20 @@ def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
 def lazy_pick(heap: list, step: int, evaluate):
     """Pop the largest gain, ties to the smallest id, from a ``bound_heap`` of
     ``(-bound, id, stamp)``: refresh the top entry with ``evaluate(id) ->
-    (gain, state)`` and stamp it ``step``, or drop it for good at gain 0,
-    until a fresh entry is on top (no stale bound of a submodular objective
-    beats it). Returns ``(id, gain, state)``, or None if the heap runs empty;
-    ``state`` is what ``evaluate`` returned with the winning gain (the
-    weighted greedy's LP solution, None for the unweighted one).
+    gain`` and stamp it ``step``, or drop it for good at gain 0, until a fresh
+    entry is on top (no stale bound of a submodular objective beats it).
+    Returns ``(id, gain)``, or None if the heap runs empty.
     """
-    best = (math.inf,)  # the smallest (-gain, id, state) evaluated in this step
     while heap:
         neg_bound, i, stamp = heap[0]
         if stamp == step:
             heapq.heappop(heap)
-            return i, -neg_bound, best[2]
-        gained, state = evaluate(i)
+            return i, -neg_bound
+        gained = evaluate(i)
         if gained == 0:
             heapq.heappop(heap)
             continue
         heapq.heapreplace(heap, (-gained, i, step))
-        best = min(best, (-gained, i, state))
     return None
 
 
@@ -112,10 +108,10 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
     heap = candidate_heap(engine) if heap is None else heap
-    picked = lazy_pick(heap, len(engine.load), lambda m: (count_gain(engine, m), None))
+    picked = lazy_pick(heap, len(engine.load), lambda m: count_gain(engine, m))
     if picked is None:
         raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
-    m, gained, _ = picked
+    m, gained = picked
     deployed = engine.add_middlebox(m)
     if deployed != gained:
         raise PlacementError(f"middlebox {m} gained {deployed} pairs, {gained} were counted")

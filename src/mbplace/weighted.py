@@ -184,19 +184,22 @@ def generalized_greedy(prep: Preprocessed) -> tuple[list[int], FractionalAssignm
     kept = sum(1 << j for j in prep.kept)
     heap = bound_heap((u, (mask & kept).bit_count()) for u, mask in prep.fs.masks.items())
     chosen: list[int] = []
-    frac = FractionalAssignment({})
+    value, frac = ZERO, FractionalAssignment({})  # f(chosen) and the LP solution reaching it
+    trials: dict[int, FractionalAssignment] = {}  # this step's LP solution per evaluated candidate
 
     def evaluate(u):
-        trial = solve_fractional(chosen + [u], prep)
-        return trial.objective - frac.objective, trial
+        trials[u] = solve_fractional(chosen + [u], prep)
+        return trials[u].objective - value
 
-    while frac.objective <= n - 1:
+    while value <= n - 1:
         picked = lazy_pick(heap, len(chosen), evaluate)
         if picked is None:
             raise Infeasible(f"no unopened candidate raises the fractional objective "
-                             f"{float(frac.objective):.6g} above {n - 1}")
-        u, _, frac = picked
+                             f"{float(value):.6g} above {n - 1}")
+        u, gain = picked
         chosen.append(u)
+        value, frac = value + gain, trials[u]
+        trials.clear()
     return chosen, frac
 
 

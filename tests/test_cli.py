@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -185,8 +186,7 @@ class TestSolve:
         inst = star_instance(3, 4, capacity=5, stretch=3.9)
         bad = tmp_path / "bad.json"
         # candidates only the hub, which is infeasible at stretch c-eps
-        text = instance_to_json(inst).replace('"candidates": [', '"candidates": [0], "x": [')
-        bad.write_text(text)
+        bad.write_text(instance_to_json(dataclasses.replace(inst, candidates=(0,))))
         code, out = run(capsys, "solve", str(bad))
         assert code == 2
         err = json.loads(out)
@@ -418,6 +418,20 @@ class TestSolveWeighted:
         report = json.loads(out.read_text())
         assert report["middlebox_count"] == 1
         assert report["max_relative_load"] == pytest.approx(3.0 / 4.0)
+
+    def test_every_request_over_capacity_keeps_none(self, tmp_path, capsys):
+        # Demand 1 > kappa 0.5: no request is kept, so no box opens and the
+        # oracle's optimum is 0, with no ratio to it.
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(_path3("weighted", capacity=0.5)))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, "solve-weighted", str(f), "--oracle", "--out", str(out))
+        assert code == 0, text
+        report = json.loads(out.read_text())
+        assert report["kept"] == [] and report["rejected"] == [0]
+        assert report["middlebox_count"] == 0 and report["assignment"] == []
+        assert report["oracle_optimum"] == 0 and report["approximation_ratio"] is None
+        assert report["validated"] is True
 
     def test_group_requests_handled(self, tmp_path, capsys):
         doc = {
@@ -663,6 +677,28 @@ class TestMalformedDocument:
         assert code == 3
         err = json.loads(text)
         assert err["error"] == error and err["exit_code"] == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc, named", [
+        ("solve", _path3("unweighted", route_limt=3, requests=[]), 'key "route_limt"'),
+        ("solve", _path3("unweighted", requests=[]), 'key "requests"'),
+        ("solve-weighted", _path3("weighted", pairs=[[0, 2]]), 'key "pairs"'),
+        ("solve", _path3("unweighted", nodes=[{"id": 0}, {"id": 1, "x": 0.0}, {"id": 2}]),
+         'node entry key "x"'),
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 2], "demand": 1.0, "weight": 2.0}]),
+         'request entry key "weight"'),
+    ], ids=["misspelt-route-limit", "unweighted-requests", "weighted-pairs", "node-entry",
+            "request-entry"])
+    def test_unknown_key_exit_3_names_it(self, command, doc, named, tmp_path, capsys):
+        # A key the document format does not define would otherwise go unread.
+        f = tmp_path / "extra.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, command, str(f), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and err["message"] == f"unknown {named}"
         assert not out.exists()
 
 
@@ -1143,6 +1179,17 @@ class TestBench:
         assert err["error"] == "ParseError" and err["message"].startswith("bench: ")
         assert not out.exists()
 
+    def test_config_not_json_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"topologies": [')
+        out = tmp_path / "c.csv"
+        code, text = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("malformed bench config: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, named", [
         ({"replication": 3}, 'unknown key "replication"'),
         ({"sndlib": [{"path": "SNDLIB", "keep_prob": 1.0}]},
@@ -1237,6 +1284,10 @@ FIXTURES = _fixture_documents()
 # negative numbers.
 JSON_MUTANTS = [None, True, False, "x", "", [], {}, [0], math.nan, math.inf, -math.inf,
                 10**30, 1e308, 5e-324, -1, -0.5, 0, 0.5, 2**63]
+# Keys the fuzzer adds to an entry that lacks them, where none is allowed: a
+# misspelling, a stray key, and each kind's demand list, which the other kind
+# and node and request entries do not read.
+ADDED_KEYS = ["route_limt", "x", "pairs", "requests"]
 TEXT_MUTANTS = ["", "x", "true", "nan", "inf", "-inf", "1e308", "5e-324", "-1", "-0.5", "0",
                 "0.5", "1" + "0" * 30, "(", ")", "<", "&"]
 
@@ -1258,20 +1309,30 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-def _mutate_json(data, text: str) -> str:
+def _mutate_json(data, text: str) -> tuple[str, str | None]:
+    """Drop or replace one value, or add a key of ``ADDED_KEYS`` that the
+    top level, a node entry or a request entry does not hold yet, which the
+    run must refuse by name."""
     doc = json.loads(text)
+    action = data.draw(st.sampled_from(["drop", "replace", "add"]), label="action")
+    if action == "add":
+        entry = data.draw(st.sampled_from([doc, *doc["nodes"], *doc.get("requests", [])]),
+                          label="entry")
+        key = data.draw(st.sampled_from([k for k in ADDED_KEYS if k not in entry]), label="key")
+        entry[key] = data.draw(st.sampled_from(JSON_MUTANTS), label="value")
+        return json.dumps(doc), key
     path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if data.draw(st.booleans(), label="drop"):
+    if action == "drop":
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(st.sampled_from(JSON_MUTANTS), label="value")
-    return json.dumps(doc)
+    return json.dumps(doc), None
 
 
-def _mutate_graphml(data, text: str) -> str:
+def _mutate_graphml(data, text: str) -> tuple[str, None]:
     root = ET.fromstring(text)
     parents = [(parent, child) for parent in root.iter() for child in parent]
     parent, el = data.draw(st.sampled_from(parents), label="element")
@@ -1288,18 +1349,19 @@ def _mutate_graphml(data, text: str) -> str:
             el.text = value
         else:
             el.set(field, value)
-    return ET.tostring(root, encoding="unicode")
+    return ET.tostring(root, encoding="unicode"), None
 
 
-def _mutate_tokens(data, text: str) -> str:
+def _mutate_tokens(data, text: str) -> tuple[str, None]:
     parts = re.split(r"(\s+)", text)
     index = data.draw(st.sampled_from([i for i, p in enumerate(parts) if p.strip()]),
                       label="token")
     parts[index] = "" if data.draw(st.booleans(), label="drop") else \
         data.draw(st.sampled_from(TEXT_MUTANTS), label="value")
-    return "".join(parts)
+    return "".join(parts), None
 
 
+# kind -> mutator(data, text) -> (mutated text, the added key a run must refuse or None)
 MUTATORS = {"unweighted": _mutate_json, "weighted": _mutate_json,
             "graphml": _mutate_graphml, "sndlib": _mutate_tokens}
 
@@ -1339,11 +1401,11 @@ class TestExitCodeContract:
     @given(data=st.data())
     def test_mutated_input_exits_by_contract(self, command, data, tmp_path_factory):
         kind = data.draw(st.sampled_from(CONTRACT_INPUTS[command]), label="kind")
-        text = FIXTURES[kind]
+        text, added = FIXTURES[kind], None
         if data.draw(st.booleans(), label="truncate"):
             text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
         else:
-            text = MUTATORS[kind](data, text)
+            text, added = MUTATORS[kind](data, text)
         work = tmp_path_factory.mktemp("contract")
         src, out = work / f"input.{kind}", work / "out"
         src.write_text(text)
@@ -1374,3 +1436,56 @@ class TestExitCodeContract:
             assert len(lines) == 1
             assert json.loads(lines[0])["exit_code"] == code
             assert not out.exists()
+        if added is not None:
+            assert code == 3 and json.loads(lines[0])["message"].endswith(f'key "{added}"')
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.sampled_from([0.2, 0.3, 0.5, 0.75, 1.0]), seed=st.integers(0, 50),
+           stretch=st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0]),
+           metric=st.sampled_from(["geo", "hops", "weight"]),
+           capacity=st.one_of(st.none(), st.integers(1, 6)))
+    def test_graphml_and_its_generated_document_give_one_report(
+            self, p, seed, stretch, metric, capacity, tmp_path_factory):
+        """``solve G.graphml <options>`` and ``solve`` of what ``gen --topology
+        G.graphml <options>`` writes exit alike, with the same report or error
+        line apart from ``wall_time_s``, the instance digest included."""
+        options = ["--p", str(p), "--seed", str(seed), "--stretch", str(stretch),
+                   "--metric", metric]
+        if capacity is not None:
+            options += ["--capacity", str(capacity)]
+        work = tmp_path_factory.mktemp("forms")
+        graphml, doc = DATA / "mini.graphml", work / "doc.json"
+        results = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", "--topology", str(graphml), *options, "--out", str(doc)]) == 0
+        for argv in (["solve", str(graphml), *options], ["solve", str(doc)]):
+            out, stdout = work / "report.json", io.StringIO()
+            out.unlink(missing_ok=True)
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--oracle", "--out", str(out)])
+            report = json.loads(out.read_text() if code == 0 else stdout.getvalue())
+            report.pop("wall_time_s", None)
+            results.append((code, report))
+        assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Report text
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("solve", json.loads(FIXTURES["unweighted"])),
+    ("solve", _path3("unweighted", stretch=math.inf)),
+    ("solve-weighted", json.loads(FIXTURES["weighted"])),
+    ("solve-weighted", _path3("weighted", stretch=math.inf)),
+], ids=["unweighted", "unweighted-stretch-inf", "weighted", "weighted-stretch-inf"])
+def test_report_is_the_stdlib_indented_text(command, doc, tmp_path, capsys):
+    # Reports and instance documents share one writer, ingest.dumps.
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code, _ = run(capsys, command, str(f), "--oracle", "--out", str(out))
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert ('"stretch": Infinity,' in text) == (doc["stretch"] == math.inf)
