@@ -27,6 +27,7 @@ from .greedy import (
     greedy_step,
     incremental_extend,
     greedy_approximation_bound,
+    solve_unweighted,
 )
 from .instance import (
     FeasibilitySets,

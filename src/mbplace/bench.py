@@ -2,8 +2,10 @@
 per instance.
 
 ``cli`` imports this module only when ``bench`` runs, so the per-instance
-commands do not load the batch runner. Rows share ``cli``'s validated runs
-(``_solve_greedy``, ``_solve_weighted``) and per-step oracle series.
+commands do not load the batch runner. A row makes the same validated runs
+as the per-instance commands (``greedy.solve_unweighted``,
+``weighted.solve_weighted``) and the same per-step oracle comparison; from
+``cli`` it takes only the CSV and output plumbing.
 """
 
 from __future__ import annotations
@@ -13,20 +15,10 @@ import time
 from functools import partial
 from pathlib import Path
 
-from . import ingest
-from .cli import (
-    BENCH_COLUMNS,
-    EXIT_OK,
-    _compare_to_oracle,
-    _csv_text,
-    _is_count,
-    _is_probability,
-    _relative_loads,
-    _solve_greedy,
-    _solve_weighted,
-    _write,
-)
+from . import greedy, ingest, oracle, weighted
+from .cli import BENCH_COLUMNS, EXIT_OK, _csv_text, _is_count, _is_probability, _write
 from .exceptions import ParseError, PlacementError
+from .instance import build_feasibility
 from .netgraph import METRICS, is_number
 
 CONFIG_LIMIT = 'the config\'s "oracle_limit" {}; raise it or set "oracle" to false'
@@ -53,10 +45,12 @@ def _bench_row(kind: str, algorithm: str, path: str, p: float, stretch: float, r
 
 def _measure_greedy(net, oracle_limit, cfg):
     inst = ingest.generate_unweighted_scenario(cfg, net)
-    fs, trace = _solve_greedy(inst)
+    fs = build_feasibility(inst)
+    trace = greedy.solve_unweighted(inst, fs)
     opt = ratio = rel_max = None
     if oracle_limit is not None:
-        opt, ratio, series = _compare_to_oracle(inst, fs, trace, oracle_limit, CONFIG_LIMIT)
+        opt, ratio, series = oracle.compare_to_greedy(inst, fs, trace.steps, oracle_limit,
+                                                      CONFIG_LIMIT)
         rel_max = max(series, default=0.0)
     return inst.net.num_nodes, inst.net.num_edges, [
         len(trace.steps), trace.engine.num_assigned, inst.num_pairs, opt, ratio, rel_max,
@@ -67,11 +61,11 @@ def _measure_greedy(net, oracle_limit, cfg):
 def _measure_weighted(parsed, cfg):
     net, demands = parsed
     winst = ingest.generate_weighted_scenario(cfg, net, demands)
-    prep, chosen, _, rounded = _solve_weighted(winst)
-    rel = _relative_loads(prep, rounded).values()
+    prep, chosen, _, rounded = weighted.solve_weighted(winst)
+    rel, violations = weighted.relative_loads(prep, rounded)
     return net.num_nodes, net.num_edges, [
         len(chosen), len(rounded.assignment), len(prep.kept), None, None, None,
-        max(rel, default=0.0), sum(1 for v in rel if v > 1.0),
+        max(rel.values(), default=0.0), violations,
     ]
 
 
@@ -132,7 +126,7 @@ def run(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed bench config: {exc}") from exc
+        raise ParseError(f"bench: the config is not JSON: {exc}") from exc
     cfg = _resolve_config(config)
     seed, metric, reps = cfg["seed"], cfg["metric"], cfg["replications"]
     stretches = ingest.stretch_grid() if cfg["stretches"] == "grid" else cfg["stretches"]

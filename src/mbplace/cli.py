@@ -1,26 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: each command parses its input, calls the library
+and prints what it returns.
 
 Subcommands: ``solve`` (greedy on an unweighted instance), ``solve-weighted``
 (generalized greedy plus rounding), ``incremental`` (per-step served-pairs
 series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 (batch runs emitting a metrics CSV).
 
-``solve``, ``incremental`` and ``bench`` share one validated greedy run
-(``_solve_greedy``; ``incremental`` reads its series from the run's steps)
-and one per-step oracle series (``_oracle_series``), which starts only after
-the run, so a failed run decides the exit code before an oracle limit can.
-The series (``oracle.max_served_series``) takes a step's optimum from the
-run's own submodular bounds where they meet, and searches only the other
-steps. ``--oracle-limit`` is read only with ``--oracle``.
-The batch runner lives in ``bench``, which is imported only when that
-command runs.
+The runs validate themselves: ``greedy.solve_unweighted`` (``solve``,
+``incremental``, whose series is the run's steps, and ``bench``) and
+``weighted.solve_weighted``. A command builds the pairs' feasibility itself,
+as the oracle reads it too and ``perfbench/spans.py`` times that layer by
+wrapping this module's ``build_feasibility``. The per-step oracle series
+(``oracle.greedy_gap_series``) starts after the run, so a failed run decides
+the exit code before an oracle limit can. ``--oracle-limit`` is read only
+with ``--oracle``. The batch runner ``bench`` is imported only when it runs.
 
 Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse, usage or
 read error, 4 oracle too large, 1 a failed validation or a broken engine
 invariant. Each error class carries its code as ``exit_code``, so ``main``
 has one handler for them and one for unreadable files. On failure a
-machine-readable error JSON is printed. Every assignment, of either variant,
-is re-validated against the instance invariants before it is reported.
+machine-readable error JSON is printed.
 """
 
 from __future__ import annotations
@@ -32,14 +31,12 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from . import greedy as greedy_mod
-from . import ingest, oracle, weighted
+from . import greedy, ingest, oracle, weighted
 from .exceptions import ParseError, PlacementError, TooLarge
-from .instance import PlacementInstance, build_feasibility, check_total_capacity, validate_assignment
+from .instance import PlacementInstance, build_feasibility
 from .netgraph import METRICS, is_number
 
 EXIT_OK = 0
@@ -57,6 +54,9 @@ BENCH_COLUMNS = [
 INCREMENTAL_COLUMNS = ["n", "phi_greedy", "phi_opt", "relative_difference"]
 
 TRACE_COLUMNS = ["iteration", "chosen", "gain", "phi_after"]
+
+#: How an oracle limit is named: the flag that sets it.
+FLAG_LIMIT = "--oracle-limit {}; re-run without --oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -170,46 +170,6 @@ def _load_unweighted(args) -> PlacementInstance:
     return inst
 
 
-def _solve_greedy(inst: PlacementInstance, budget: int | None = None):
-    """Greedy placement, or with a ``budget`` the first ``budget`` steps of
-    that run, validated: each assigned pair is feasible at its box, loads are
-    within capacity and match a recount, and a complete run serves every pair."""
-    fs = build_feasibility(inst)
-    check_total_capacity(inst)
-    trace = greedy_mod.greedy_place(inst, fs, budget)
-    validate_assignment(
-        [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
-        trace.engine.assignment(), trace.engine.load,
-        inst.dist, inst.stretch, inst.route_limit,
-        required=range(inst.num_pairs) if trace.complete else (), load_limit=inst.capacity,
-    )
-    return fs, trace
-
-
-def _solve_weighted(winst: weighted.WeightedInstance):
-    """Weighted pipeline, validated: kept and rejected split the requests by
-    demand against kappa, every kept request is served, loads <= 2 kappa."""
-    prep, chosen, frac, rounded = weighted.solve_weighted(winst)
-    demands = [Fraction(r.demand) for r in winst.requests]
-    kappa = Fraction(winst.capacity)
-    if sorted(prep.kept + prep.rejected) != list(range(len(demands))):
-        raise PlacementError("validation: kept and rejected do not partition the requests")
-    if any(demands[j] > kappa for j in prep.kept) or \
-            any(demands[j] <= kappa for j in prep.rejected):
-        raise PlacementError("validation: a request is kept or rejected against its demand")
-    validate_assignment(
-        [r.nodes for r in winst.requests], demands, rounded.assignment, rounded.load,
-        winst.dist, winst.stretch, winst.route_limit,
-        required=prep.kept, load_limit=2 * kappa,
-    )
-    return prep, chosen, frac, rounded
-
-
-def _relative_loads(prep, rounded) -> dict[str, float]:
-    kappa = float(prep.kappa)
-    return {str(u): float(load) / kappa for u, load in sorted(rounded.load.items())}
-
-
 def _csv_text(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -217,31 +177,6 @@ def _csv_text(columns, rows) -> str:
     for row in rows:
         writer.writerow(["" if v is None else v for v in row])
     return buf.getvalue()
-
-
-FLAG_LIMIT = "--oracle-limit {}; re-run without --oracle"
-
-
-def _oracle_series(inst, fs, trace, limit, over=FLAG_LIMIT) -> list[tuple[int, float]]:
-    """Per greedy step n: (phi_opt, the most pairs any n boxes serve, and
-    (phi_opt - phi_greedy) / phi_opt). Over the limit, the TooLarge names it
-    as ``over`` does: the CLI flag, or the bench config key."""
-    try:
-        best = oracle.max_served_series(inst, fs, trace.steps, limit)
-    except TooLarge:
-        raise TooLarge(f"{len(inst.candidates)} candidates exceed {over.format(limit)}") from None
-    return [(b, (b - s.phi_after) / b) for b, s in zip(best, trace.steps)]
-
-
-def _compare_to_oracle(inst, fs, trace, limit, over=FLAG_LIMIT):
-    """(optimum, greedy/optimum ratio, per-step relative differences).
-
-    The run is complete, so its last step n has phi_opt(n) = |P|, and as
-    phi_opt is monotone the optimum is the first n with phi_opt(n) = |P|
-    (0 for a run without steps)."""
-    series = _oracle_series(inst, fs, trace, limit, over)
-    opt = next((n for n, (best, _) in enumerate(series, 1) if best == inst.num_pairs), 0)
-    return opt, len(trace.steps) / opt if opt else None, [rel for _, rel in series]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +188,12 @@ def cmd_solve(args) -> int:
     limit = _oracle_limit(args, oracle.DEFAULT_LIMIT)
     inst = _load_unweighted(args)
     digest = ingest.instance_digest(ingest.instance_to_json(inst))
-    fs, trace = _solve_greedy(inst)
+    fs = build_feasibility(inst)
+    trace = greedy.solve_unweighted(inst, fs)
     oracle_opt = ratio = rel_series = None
     if limit is not None:
-        oracle_opt, ratio, rel_series = _compare_to_oracle(inst, fs, trace, limit)
+        oracle_opt, ratio, rel_series = oracle.compare_to_greedy(inst, fs, trace.steps, limit,
+                                                                 FLAG_LIMIT)
     report = {
         "report_version": REPORT_VERSION,
         "algorithm": "greedy",
@@ -302,9 +239,8 @@ def cmd_solve_weighted(args) -> int:
     limit = _oracle_limit(args, oracle.DEFAULT_WEIGHTED_LIMIT)
     winst = _from_json(Path(args.instance).read_text(), weighted.WeightedInstance, "a weighted")
     digest = ingest.instance_digest(ingest.instance_to_json(winst))
-    prep, chosen, frac, rounded = _solve_weighted(winst)
-    rel_load = _relative_loads(prep, rounded)
-    violations = sum(1 for v in rel_load.values() if v > 1.0)
+    prep, chosen, frac, rounded = weighted.solve_weighted(winst)
+    rel_load, violations = weighted.relative_loads(prep, rounded)
     oracle_opt = ratio = None
     if limit is not None:
         # The oracle sees the kept requests only: a rejected one (demand above
@@ -358,10 +294,11 @@ def cmd_solve_weighted(args) -> int:
 def cmd_incremental(args) -> int:
     limit = _oracle_limit(args, oracle.DEFAULT_LIMIT)
     inst = _load_unweighted(args)
-    fs, trace = _solve_greedy(inst, args.budget_steps)
+    fs = build_feasibility(inst)
+    trace = greedy.solve_unweighted(inst, fs, args.budget_steps)
     rows = [[0, 0, 0, 0.0] if limit is not None else [0, 0, None, None]]
-    series = (_oracle_series(inst, fs, trace, limit) if limit is not None
-              else [(None, None)] * len(trace.steps))
+    series = (oracle.greedy_gap_series(inst, fs, trace.steps, limit, FLAG_LIMIT)
+              if limit is not None else [(None, None)] * len(trace.steps))
     rows += [[s.iteration + 1, s.phi_after, opt, rel]
              for s, (opt, rel) in zip(trace.steps, series)]
     _write((args.out, _csv_text(INCREMENTAL_COLUMNS, rows)))

@@ -13,7 +13,8 @@ deployed, one canonical path at a time, through ``Assignment.add_middlebox``.
 Both reach a maximum flow from the winner, so the deployed gain must equal
 the counted one.
 One location is committed per step, so deployed locations are never
-revisited and served pairs never drop out.
+revisited and served pairs never drop out. ``solve_unweighted`` is the
+validated run that every front end reports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import PlacementError, Stalled
-from .instance import FeasibilitySets, PlacementInstance
+from .instance import FeasibilitySets, PlacementInstance, check_total_capacity, validate_assignment
 from .matching import Assignment, count_gain
 
 
@@ -136,6 +137,22 @@ def greedy_place(inst: PlacementInstance, fs: FeasibilitySets,
     engine = Assignment(fs, inst.capacity)
     trace = GreedyTrace([], engine, candidate_heap(engine))
     _run(trace, budget)
+    return trace
+
+
+def solve_unweighted(inst: PlacementInstance, fs: FeasibilitySets,
+                     budget: int | None = None) -> GreedyTrace:
+    """``greedy_place`` on ``fs``, the feasibility of ``inst``, validated: each
+    assigned pair is feasible at its box, loads are within capacity and match
+    a recount, and a complete run serves every pair."""
+    check_total_capacity(inst)
+    trace = greedy_place(inst, fs, budget)
+    validate_assignment(
+        [(p.s, p.t) for p in inst.pairs], [1] * inst.num_pairs,
+        trace.engine.assignment(), trace.engine.load,
+        inst.dist, inst.stretch, inst.route_limit,
+        required=range(inst.num_pairs) if trace.complete else (), load_limit=inst.capacity,
+    )
     return trace
 
 

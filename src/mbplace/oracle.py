@@ -10,6 +10,8 @@ for every step n of a greedy trace. phi is monotone and submodular, so the
 trace's gain g_(t+1) bounds every marginal gain over S_t and
 ``phi_opt(n) <= phi_t + n * g_(t+1)`` (Nemhauser, Wolsey & Fisher 1978);
 a step whose bounds meet is certified without a search.
+``greedy_gap_series`` and ``compare_to_greedy`` turn that series into what
+the front ends report of a greedy run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .instance import FeasibilitySets, PlacementInstance
 from .matching import Assignment
 
 DEFAULT_LIMIT = 16
+#: How a TooLarge names the limit it met; a front end names its own setting.
+ENUMERATION_LIMIT = "enumeration limit {}"
 #: Most candidates ``exact_weighted_min_middleboxes`` enumerates by default.
 DEFAULT_WEIGHTED_LIMIT = 12
 #: Most requests ``exact_weighted_min_middleboxes`` enumerates.
@@ -109,11 +113,12 @@ def _best_of_size(fs: FeasibilitySets, capacity: int, universe, n: int, floor: i
     return best_state, explored
 
 
-def _check_limit(fs: FeasibilitySets, limit: int) -> list[int]:
-    """The candidates, ascending; TooLarge if there are more than ``limit``."""
+def _check_limit(fs: FeasibilitySets, limit: int, over: str = ENUMERATION_LIMIT) -> list[int]:
+    """The candidates, ascending; TooLarge, naming the limit as ``over`` does,
+    if there are more than ``limit``."""
     universe = list(fs.candidates)
     if len(universe) > limit:
-        raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
+        raise TooLarge(f"{len(universe)} candidates exceed {over.format(limit)}")
     return universe
 
 
@@ -139,7 +144,7 @@ def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
 
 
 def max_served_series(inst: PlacementInstance, fs: FeasibilitySets, steps,
-                      limit: int = DEFAULT_LIMIT) -> list[int]:
+                      limit: int = DEFAULT_LIMIT, over: str = ENUMERATION_LIMIT) -> list[int]:
     """phi_opt(n), the most pairs any n boxes serve, for n = 1 .. len(steps),
     where ``steps`` are a greedy trace's steps on ``fs`` (``gain``,
     ``phi_after``).
@@ -151,10 +156,10 @@ def max_served_series(inst: PlacementInstance, fs: FeasibilitySets, steps,
     marginal gain over S_t, which greedy took at step t + 1. Where the two
     bounds meet the value is certified; elsewhere ``max_assignment_for_n``
     searches between them. Raises TooLarge beyond ``limit`` candidates,
-    unless there is no step.
+    unless there is no step, naming the limit as ``over`` does.
     """
     if steps:
-        _check_limit(fs, limit)
+        _check_limit(fs, limit, over)
     # (phi_t, g_(t+1)) for every step t + 1 of the trace
     starts = [(step.phi_after - step.gain, step.gain) for step in steps]
     series = [0]
@@ -166,6 +171,25 @@ def max_served_series(inst: PlacementInstance, fs: FeasibilitySets, steps,
             lower = max_assignment_for_n(inst, fs, n, limit, lower - 1, upper).value
         series.append(lower)
     return series[1:]
+
+
+def greedy_gap_series(inst: PlacementInstance, fs: FeasibilitySets, steps, limit: int,
+                      over: str = ENUMERATION_LIMIT) -> list[tuple[int, float]]:
+    """Per greedy step n: (phi_opt(n), (phi_opt(n) - phi_greedy(n)) / phi_opt(n))."""
+    best = max_served_series(inst, fs, steps, limit, over)
+    return [(b, (b - s.phi_after) / b) for b, s in zip(best, steps)]
+
+
+def compare_to_greedy(inst: PlacementInstance, fs: FeasibilitySets, steps, limit: int,
+                      over: str = ENUMERATION_LIMIT):
+    """(optimum, greedy/optimum ratio, per-step relative differences) of a
+    complete greedy run's ``steps``.
+
+    The last step n has phi_opt(n) = |P|, and as phi_opt is monotone the
+    optimum is the first n with phi_opt(n) = |P| (0 for a run without steps)."""
+    series = greedy_gap_series(inst, fs, steps, limit, over)
+    opt = next((n for n, (best, _) in enumerate(series, 1) if best == inst.num_pairs), 0)
+    return opt, len(steps) / opt if opt else None, [rel for _, rel in series]
 
 
 def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> dict | None:

@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._flow import FlowNetwork
-from .exceptions import DomainError, Infeasible, RoundingFailed
+from .exceptions import DomainError, Infeasible, PlacementError, RoundingFailed
 from .greedy import bound_heap, lazy_pick
-from .instance import FeasibilitySets, check_domain, feasible
+from .instance import FeasibilitySets, check_domain, feasible, validate_assignment
 from .netgraph import Network, is_number
 
 ZERO = Fraction(0)
@@ -308,7 +308,10 @@ class WeightedInstance:
 
 
 def solve_weighted(winst: WeightedInstance):
-    """Full pipeline: feasibility, preprocessing, greedy, rounding.
+    """Full pipeline: feasibility, preprocessing, greedy, rounding, validated:
+    kept and rejected split the requests by demand against kappa, every kept
+    request is served at a feasible box, and loads match a recount and stay
+    ``<= 2 * kappa``.
 
     Returns (prep, chosen set, fractional solution, rounded solution).
     """
@@ -319,4 +322,24 @@ def solve_weighted(winst: WeightedInstance):
     prep = preprocess(winst.requests, rfs, winst.capacity)
     chosen, frac = generalized_greedy(prep)
     rounded = round_solution(frac, chosen, prep)
+    demands = [Fraction(r.demand) for r in winst.requests]
+    kappa = Fraction(winst.capacity)
+    if sorted(prep.kept + prep.rejected) != list(range(len(demands))):
+        raise PlacementError("validation: kept and rejected do not partition the requests")
+    if any(demands[j] > kappa for j in prep.kept) or \
+            any(demands[j] <= kappa for j in prep.rejected):
+        raise PlacementError("validation: a request is kept or rejected against its demand")
+    validate_assignment(
+        [r.nodes for r in winst.requests], demands, rounded.assignment, rounded.load,
+        winst.dist, winst.stretch, winst.route_limit,
+        required=prep.kept, load_limit=2 * kappa,
+    )
     return prep, chosen, frac, rounded
+
+
+def relative_loads(prep: Preprocessed, rounded: RoundedSolution) -> tuple[dict[str, float], int]:
+    """Each active box's load over kappa, keyed by the box id as a string, and
+    the number of boxes loaded above kappa."""
+    kappa = float(prep.kappa)
+    rel = {str(u): float(load) / kappa for u, load in sorted(rounded.load.items())}
+    return rel, sum(1 for v in rel.values() if v > 1.0)

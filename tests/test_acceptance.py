@@ -12,6 +12,7 @@ import pytest
 from builders import (
     coverable_instance,
     feasible_instance,
+    random_connected_network,
     random_instance,
     random_weighted_problem,
     raw_feasibility,
@@ -140,6 +141,14 @@ def test_criterion_2_matching_oracle_equivalence():
     report(2, f"{checked} instances, exact equality, {elapsed:.1f}s")
 
 
+def trace_lower_bound(num_pairs: int, capacity: int, steps) -> int:
+    """``max(ceil(|P|/kappa), max_t ceil((|P| - phi_t) / g_(t+1)))``, a lower
+    bound on OPT read off a complete greedy trace: by submodularity OPT boxes
+    add at most OPT * g_(t+1) pairs to S_t."""
+    return max([math.ceil(num_pairs / capacity)] +
+               [math.ceil((num_pairs - (s.phi_after - s.gain)) / s.gain) for s in steps])
+
+
 def test_criterion_3_greedy_approximation_guarantee():
     ratios = []
     for inst, fs in _greedy_batch_instances():
@@ -150,12 +159,33 @@ def test_criterion_3_greedy_approximation_guarantee():
         assert count <= bound * opt, (
             f"greedy {count} exceeds bound {bound:.3f} x OPT {opt}"
         )
+        assert trace_lower_bound(inst.num_pairs, inst.capacity, trace.steps) <= opt
         ratios.append(count / opt)
     median = statistics.median(ratios)
     peak = max(ratios)
     soft = "met" if median <= 1.6 else "MISSED (soft target, logged only)"
     report(3, f"{len(ratios)} instances within the log-factor bound; "
               f"median ratio {median:.3f} (soft target <= 1.6 {soft}), max {peak:.3f}")
+
+
+@pytest.mark.parametrize("num_nodes", [80, 120, 160])
+def test_criterion_3_trace_lower_bound_at_scale(num_nodes):
+    # Where the oracle cannot run, the guarantee is checked against the trace
+    # lower bound LB <= OPT. Each step t + 1 serves g_(t+1) >= (|P| - phi_t) / LB
+    # pairs, and at least one. Charge the step evenly to the pairs it serves:
+    # the pair served k-th from last pays 1 / g_(t+1) <= min(1, LB / k), so a
+    # complete run has at most LB * (1 + ln(|P| / LB)) steps, and |P| / LB is
+    # at most min(kappa, |P|).
+    net = random_connected_network(rng_for(num_nodes), num_nodes, extra_edge_prob=3 / num_nodes)
+    cfg = ScenarioConfig(topology="random", p=0.3, stretch=1.5, seed=num_nodes, metric="weight")
+    inst = generate_unweighted_scenario(cfg, net)
+    trace = greedy_place(inst, build_feasibility(inst))
+    lower = trace_lower_bound(inst.num_pairs, inst.capacity, trace.steps)
+    bound = greedy_approximation_bound(inst.capacity, inst.num_pairs)
+    assert trace.complete
+    assert len(trace.steps) <= bound * lower
+    report(3, f"{num_nodes} nodes, {inst.num_pairs} pairs: greedy {len(trace.steps)} boxes, "
+              f"trace lower bound {lower}, bound factor {bound:.3f}")
 
 
 def test_criterion_4_incremental_no_preemption_and_projection():

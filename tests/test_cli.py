@@ -1187,7 +1187,7 @@ class TestBench:
         assert code == 3 and text.count("\n") == 1
         err = json.loads(text)
         assert err["error"] == "ParseError"
-        assert err["message"].startswith("malformed bench config: ")
+        assert err["message"].startswith("bench: the config is not JSON: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("config, named", [

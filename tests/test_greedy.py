@@ -12,7 +12,9 @@ from builders import (
 )
 from oracles import assigned_pairs
 
-from mbplace.exceptions import Stalled
+import mbplace
+from mbplace import greedy
+from mbplace.exceptions import PlacementError, Stalled
 from mbplace.greedy import (
     greedy_place,
     greedy_step,
@@ -49,6 +51,26 @@ def test_stalled_when_capacity_exhausted():
                              candidates=(0,), capacity=2, stretch=5.0)
     with pytest.raises(Stalled):
         greedy_place(inst, fs)
+
+
+class TestSolveUnweighted:
+    def test_validated_run_is_the_greedy_run(self):
+        inst, fs = feasible_instance(rng_for(5), num_nodes=10, num_pairs=12, capacity=3)
+        trace = mbplace.solve_unweighted(inst, fs)
+        assert trace.middleboxes == greedy_place(inst, fs).middleboxes and trace.complete
+
+    def test_overcounted_load_fails_validation(self, monkeypatch):
+        inst = star_instance(4, 3, capacity=4, stretch=3.0)
+        real = greedy.greedy_place
+
+        def overcount(inst, fs, budget=None):
+            trace = real(inst, fs, budget)
+            trace.engine.load[trace.middleboxes[-1]] += 1
+            return trace
+
+        monkeypatch.setattr(greedy, "greedy_place", overcount)
+        with pytest.raises(PlacementError, match="mismatch at 0"):
+            mbplace.solve_unweighted(inst, build_feasibility(inst))
 
 
 class TestGreedyStep:

@@ -17,16 +17,20 @@ from oracles import (
     weighted_integral_feasible,
 )
 
-from mbplace.exceptions import Infeasible, RoundingFailed
+from mbplace import weighted
+from mbplace.exceptions import Infeasible, PlacementError, RoundingFailed
 from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import (
     Request,
+    RoundedSolution,
+    WeightedInstance,
     build_request_feasibility,
     generalized_greedy,
     preprocess,
     round_solution,
     solve_fractional,
+    solve_weighted,
 )
 
 
@@ -289,3 +293,54 @@ class TestRounding:
             frac = solve_fractional(active, prep)
             assert frac.objective == len(prep.kept)
             hits += 1
+
+
+def path_instance(*requests) -> WeightedInstance:
+    """Weighted instance on the hop path 0-1-2-3 with kappa 4 and stretch 2."""
+    net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    return WeightedInstance(net, compute_apsp(net), [Request.pair(*r) for r in requests],
+                            (0, 1, 2, 3), 4.0, stretch=2.0)
+
+
+class TestSolveWeighted:
+    """``solve_weighted`` validates its own result, so a corrupted stage
+    fails the run in the library, not only in the CLI."""
+
+    def test_valid_run_passes(self):
+        prep, chosen, _, rounded = solve_weighted(path_instance((0, 3, 2.0), (1, 2, 1.0),
+                                                                (0, 2, 5.0)))
+        assert prep.kept == (0, 1) and prep.rejected == (2,)
+        assert set(rounded.assignment) == {0, 1} and chosen
+
+    def test_overloaded_box_fails_validation(self, monkeypatch):
+        def overload(frac, active, prep):
+            return RoundedSolution({j: 1 for j in prep.kept}, {1: sum(prep.demands.values())})
+
+        monkeypatch.setattr(weighted, "round_solution", overload)
+        with pytest.raises(PlacementError, match="load 9 > 8"):
+            solve_weighted(path_instance((0, 3, 3.0), (1, 2, 3.0), (0, 1, 3.0)))
+
+    def test_unserved_request_fails_validation(self, monkeypatch):
+        real = weighted.round_solution
+
+        def drop_first(frac, active, prep):
+            sol = real(frac, active, prep)
+            j = prep.kept[0]
+            sol.load[sol.assignment.pop(j)] -= prep.demands[j]
+            return sol
+
+        monkeypatch.setattr(weighted, "round_solution", drop_first)
+        with pytest.raises(PlacementError, match="not served"):
+            solve_weighted(path_instance((0, 3, 2.0), (1, 2, 1.0), (0, 2, 5.0)))
+
+    def test_dropped_request_fails_validation(self, monkeypatch):
+        real = weighted.preprocess
+
+        def drop_last_kept(requests, fs, kappa):
+            prep = real(requests, fs, kappa)
+            prep.kept = prep.kept[:-1]
+            return prep
+
+        monkeypatch.setattr(weighted, "preprocess", drop_last_kept)
+        with pytest.raises(PlacementError, match="do not partition"):
+            solve_weighted(path_instance((0, 3, 2.0), (1, 2, 1.0), (0, 2, 5.0)))
