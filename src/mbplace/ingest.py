@@ -171,6 +171,8 @@ def parse_sndlib(data: str):
                     raise ParseError(
                         f"line {lineno}: demand references unknown node ({a!r}, {b!r})"
                     )
+                if a == b:
+                    raise ParseError(f"line {lineno}: demand from node {a!r} to itself")
                 close = tokens.index(")", i)
                 value = float(tokens[close + 2])
                 if value <= 0:

@@ -6,11 +6,10 @@ d(s,t)`` in stretch mode, or ``d(s,u) + d(u,t) <= limit`` in route-length
 mode. An infinite bound admits any finite detour, and a pair without a path
 has no finite detour at all. All downstream algorithms consume only the
 FeasibilitySets built here, so both constraint flavors share every code
-path. ``feasible`` is the one vectorised feasibility relation for pairs and
-weighted groups alike, and both builders and ``validate_assignment`` use it,
-so it alone decides whether a request can be served. ``FeasibilitySets``
-stores that relation once, as one pair bitset per candidate packed straight
-from the matrix.
+path. ``_detour_test`` is the one detour rule for pairs and weighted groups
+alike. ``feasible`` holds its relation only as ``FeasibilitySets``, one
+request bitset per candidate packed as soon as that candidate is tested, and
+``validate_assignment`` tests each request only at its own box.
 """
 
 from __future__ import annotations
@@ -110,13 +109,10 @@ def check_domain(num_nodes: int, nodes, candidates, stretch: float | None,
         raise DomainError(f"route limit must be a number >= 0, got {route_limit!r}")
 
 
-def feasible(members, dist: np.ndarray, candidates, stretch: float | None,
-             route_limit: float | None) -> np.ndarray:
-    """``ok[j, k]``: a middlebox at ``candidates[k]`` gives every member pair
-    of ``members[j]`` a finite detour within the bound. A pair is the
-    two-node case, and a group is served iff each of its member pairs is (the
-    conservative extension of the pairwise model). One numpy column per
-    candidate covers all member pairs."""
+def _detour_test(members, dist: np.ndarray, stretch: float | None, route_limit: float | None):
+    """``(counts, serves)``: ``counts[j]`` counts the member pairs of ``members[j]``, and
+    ``serves(at)[j]`` is whether a middlebox at ``at`` (one node, or one node per member
+    pair) gives each of them a finite detour within the bound."""
     spans = [list(combinations(nodes, 2)) for nodes in members]
     counts = np.array([len(s) for s in spans], dtype=np.intp)
     a, b = np.array([ab for s in spans for ab in s], dtype=np.intp).reshape(-1, 2).T
@@ -128,16 +124,29 @@ def feasible(members, dist: np.ndarray, candidates, stretch: float | None,
     else:
         with np.errstate(over="ignore"):  # past the largest float is inf, as it should be
             bound = stretch * dist[a, b]
-    ok = np.empty((len(spans), len(candidates)), dtype=bool)
-    # Exactly ``via < inf and (via <= bound or math.isclose(via, bound,
-    # rel_tol=REL_TOL))``: distances are >= 0, and an infinite detour is no
-    # route, also under an infinite bound.
-    with np.errstate(invalid="ignore"):
-        for k, u in enumerate(candidates):
-            via = dist[a, u] + dist[u, b]
+
+    def serves(at) -> np.ndarray:
+        # Exactly ``via < inf and (via <= bound or math.isclose(via, bound, rel_tol=REL_TOL))``:
+        # distances are >= 0, and an infinite detour is no route, also under an infinite bound.
+        with np.errstate(invalid="ignore"):
+            via = dist[a, at] + dist[at, b]
             fits = ((via <= bound) | (via - bound <= REL_TOL * via)) & (via < np.inf)
-            ok[:, k] = np.logical_and.reduceat(fits, starts)
-    return ok
+        return np.logical_and.reduceat(fits, starts)
+
+    return counts, serves
+
+
+def feasible(members, dist: np.ndarray, candidates, stretch: float | None,
+             route_limit: float | None) -> FeasibilitySets:
+    """The relation over the sorted ``candidates``: bit j of ``masks[u]`` is
+    set iff a middlebox at u gives every member pair of ``members[j]`` a
+    finite detour within the bound. A group is served iff each of its member
+    pairs is (the conservative extension of the pairwise model). Each
+    candidate's numpy pass is packed into its bitset at once."""
+    counts, serves = _detour_test(members, dist, stretch, route_limit)
+    return FeasibilitySets(len(counts), {
+        u: int.from_bytes(np.packbits(serves(u), bitorder="little").tobytes(), "little")
+        for u in sorted(set(candidates))})
 
 
 def set_bits(mask: int) -> list[int]:
@@ -163,13 +172,6 @@ class FeasibilitySets:
 
     num_pairs: int
     masks: dict[int, int]
-
-    @classmethod
-    def from_matrix(cls, ok: np.ndarray, candidates) -> "FeasibilitySets":
-        """The relation of a ``feasible`` matrix over sorted ``candidates``."""
-        rows = np.packbits(ok.T, axis=1, bitorder="little")
-        return cls(len(ok), {u: int.from_bytes(row.tobytes(), "little")
-                             for u, row in zip(candidates, rows)})
 
     @cached_property
     def candidates_of(self) -> list[tuple[int, ...]]:
@@ -200,9 +202,8 @@ def build_feasibility(inst: PlacementInstance) -> FeasibilitySets:
     Raises InfeasiblePair for any pair no candidate can serve, such as a
     pair whose endpoints are disconnected.
     """
-    ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
+    fs = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
                   inst.stretch, inst.route_limit)
-    fs = FeasibilitySets.from_matrix(ok, inst.candidates)
     missing = fs.uncovered()
     if missing:
         raise InfeasiblePair(inst.pairs[missing[0]], "no candidate satisfies the bound")
@@ -237,12 +238,11 @@ def validate_assignment(members, demands, assignment: dict, claimed_load: dict,
     for j in required:
         if j not in assignment:
             raise PlacementError(f"validation: request {j} {members[j]} is not served")
-    boxes = sorted(set(assignment.values()))
-    column = {u: k for k, u in enumerate(boxes)}
-    ok = feasible([members[j] for j in assignment], dist, boxes, stretch, route_limit)
+    counts, serves = _detour_test([members[j] for j in assignment], dist, stretch, route_limit)
+    ok = serves(np.repeat(np.array(list(assignment.values()), dtype=np.intp), counts))
     loads: dict = {}
-    for row, (j, u) in zip(ok, assignment.items()):
-        if not row[column[u]]:
+    for fits, (j, u) in zip(ok, assignment.items()):
+        if not fits:
             raise PlacementError(f"validation: request {j} {members[j]} infeasible at {u}")
         loads[u] = loads.get(u, 0) + demands[j]
     for u in sorted(loads.keys() | claimed_load.keys()):

@@ -72,9 +72,7 @@ def build_request_feasibility(requests, dist: np.ndarray, candidates, *,
     """
     if (stretch is None) == (route_limit is None):
         raise ValueError("exactly one of stretch / route_limit must be set")
-    universe = tuple(sorted(set(candidates)))
-    ok = feasible([r.nodes for r in requests], dist, universe, stretch, route_limit)
-    return FeasibilitySets.from_matrix(ok, universe)
+    return feasible([r.nodes for r in requests], dist, candidates, stretch, route_limit)
 
 
 @dataclass

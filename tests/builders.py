@@ -92,9 +92,8 @@ def feasible_instance(rng, **kwargs) -> tuple:
 def raw_feasibility(inst):
     """Feasibility sets without the empty-candidate-set error (pairs that no
     candidate can serve simply stay free)."""
-    ok = feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
-                  inst.stretch, inst.route_limit)
-    return FeasibilitySets.from_matrix(ok, inst.candidates)
+    return feasible([(p.s, p.t) for p in inst.pairs], inst.dist, inst.candidates,
+                    inst.stretch, inst.route_limit)
 
 
 def relation(num_pairs: int, pairs_of) -> FeasibilitySets:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import dataclasses
 import io
@@ -92,6 +93,16 @@ def empty_file(tmp_path):
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def self_demand_sndlib(tmp_path) -> tuple[Path, str]:
+    """The mini SNDlib file with demand D8 from node C to itself, and the
+    message of the ParseError it must raise."""
+    text = (DATA / "mini_sndlib.txt").read_text().replace("D8 ( C E )", "D8 ( C C )")
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if "D8 ( C C )" in line)
+    path = tmp_path / "self_demand.txt"
+    path.write_text(text)
+    return path, f"line {lineno}: demand from node 'C' to itself"
 
 
 class TestSolve:
@@ -1034,6 +1045,14 @@ class TestGen:
         assert err["error"] == "ParseError" and "--capacity" in err["message"]
         assert not out.exists()
 
+    def test_sndlib_self_demand_exit_3(self, tmp_path, capsys):
+        sndlib, message = self_demand_sndlib(tmp_path)
+        out = tmp_path / "w.json"
+        code, text = run(capsys, "gen", "--sndlib", str(sndlib), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and err["message"] == message
+        assert not out.exists()
 
 
 class TestBench:
@@ -1117,6 +1136,17 @@ class TestBench:
         for row in rows:
             assert row["p"] and row["stretch"] == "1.5" and row["wall_time_s"]
             assert not any(row[c] for c in BENCH_COLUMNS[10:18])
+
+    def test_sndlib_self_demand_exit_3(self, tmp_path, capsys):
+        sndlib, message = self_demand_sndlib(tmp_path)
+        cfg = tmp_path / "self.json"
+        cfg.write_text(json.dumps({"sndlib": [{"path": str(sndlib)}], "stretches": [1.5]}))
+        out = tmp_path / "self.csv"
+        code, text = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError" and err["message"] == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("algorithms", [["greedy", "bogus"], ["bogus"], [], "greedy"])
     def test_unknown_algorithms_exit_3(self, algorithms, tmp_path, capsys):
@@ -1310,11 +1340,20 @@ def _json_paths(node, path=()):
 
 
 def _mutate_json(data, text: str) -> tuple[str, str | None]:
-    """Drop or replace one value, or add a key of ``ADDED_KEYS`` that the
-    top level, a node entry or a request entry does not hold yet, which the
-    run must refuse by name."""
+    """Drop or replace one value; duplicate one entry of a top-level list or
+    one member of a group; or add a key of ``ADDED_KEYS`` that the top level,
+    a node entry or a request entry does not hold yet, which the run must
+    refuse by name."""
     doc = json.loads(text)
-    action = data.draw(st.sampled_from(["drop", "replace", "add"]), label="action")
+    action = data.draw(st.sampled_from(["drop", "replace", "duplicate", "add"]),
+                       label="action")
+    if action == "duplicate":
+        lists = [doc[k] for k in ("pairs", "requests", "nodes", "edges", "candidates")
+                 if doc.get(k)]
+        lists += [r["nodes"] for r in doc.get("requests", []) if r["kind"] == "group"]
+        entries = data.draw(st.sampled_from(lists), label="list")
+        entries.append(copy.deepcopy(data.draw(st.sampled_from(entries), label="entry")))
+        return json.dumps(doc), None
     if action == "add":
         entry = data.draw(st.sampled_from([doc, *doc["nodes"], *doc.get("requests", [])]),
                           label="entry")

@@ -1,9 +1,10 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from builders import (
     coverable_instance,
@@ -101,8 +102,15 @@ class TestIsFeasible:
         assert hits == 1000
 
 
+def masks_of(ok, candidates) -> dict[int, int]:
+    """``{u: S_u}`` of a bool ``ok[j, k]`` matrix, S_u as a bitset."""
+    return {u: sum(1 << j for j in np.flatnonzero(ok[:, k]).tolist())
+            for k, u in enumerate(candidates)}
+
+
 class TestFeasibleMatchesScalarReference:
-    """``feasible`` against the scalar ``math.isclose`` loop of tests/oracles.py."""
+    """``feasible``'s masks against the scalar ``math.isclose`` loop of
+    tests/oracles.py."""
 
     @staticmethod
     def tolerance_gadget():
@@ -121,10 +129,11 @@ class TestFeasibleMatchesScalarReference:
         dist = self.tolerance_gadget()
         members = [(0, 1), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3), (0, 4), (1, 2, 4)]
         got = feasible(members, dist, range(5), stretch, limit)
-        assert np.array_equal(got, feasible_reference(members, dist, range(5),
-                                                      stretch, limit))
+        assert got.num_pairs == len(members)
+        assert got.masks == masks_of(feasible_reference(members, dist, range(5), stretch,
+                                                        limit), range(5))
         # 1 + 5e-10 is within the tolerance, 1 + 2e-9 is not, inf never is.
-        assert got[0].tolist() == [True, True, True, False, False]
+        assert [u for u, mask in got.masks.items() if mask & 1] == [0, 1, 2]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", range(6))
@@ -134,13 +143,15 @@ class TestFeasibleMatchesScalarReference:
         dist = compute_apsp(Network.from_edges(10, net.edges))  # node 9 is isolated
         members = [tuple(rng.choice(10, size=int(rng.integers(2, 5)), replace=False).tolist())
                    for _ in range(30)]
-        candidates = sorted(rng.choice(10, size=7, replace=False).tolist())
+        candidates = rng.choice(10, size=7, replace=False).tolist()  # unsorted
         for stretch, limit in [(1.0, None), (1.3, None), (2.0, None), (1e308, None),
                                (math.inf, None), (None, 2.0), (None, math.inf),
                                (None, float(rng.uniform(1.0, 6.0)))]:
             got = feasible(members, dist, candidates, stretch, limit)
             want = feasible_reference(members, dist, candidates, stretch, limit)
-            assert np.array_equal(got, want)
+            assert got.num_pairs == len(members)
+            assert list(got.masks) == sorted(candidates)
+            assert got.masks == masks_of(want, candidates)
 
 
 class TestBuildFeasibility:
@@ -242,26 +253,46 @@ def test_manual_feasibility_sets_compute_reverse_direction():
 
 
 @st.composite
-def matrices(draw):
-    """A bool ``feasible`` matrix with its sorted candidates; the sizes reach
+def relations(draw):
+    """A number of pairs with one bitset per sorted candidate; the sizes reach
     0 pairs, 0 candidates and bitsets longer than one machine word."""
+    num_pairs = draw(st.integers(0, 140))
     candidates = sorted(draw(st.sets(st.integers(0, 60), max_size=8)))
-    shape = (draw(st.integers(0, 140)), len(candidates))
-    return draw(arrays(bool, shape)), candidates
+    masks = {u: draw(st.integers(0, (1 << num_pairs) - 1)) for u in candidates}
+    return num_pairs, masks
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_relation_matches_its_matrix(case):
-    ok, candidates = case
-    fs = FeasibilitySets.from_matrix(ok, candidates)
-    assert fs.num_pairs == len(ok)
-    assert list(fs.masks) == candidates
-    for k, u in enumerate(candidates):
-        assert fs.masks[u] == sum(1 << p for p in np.flatnonzero(ok[:, k]).tolist())
-    assert fs.candidates_of == [tuple(u for u, hit in zip(candidates, row) if hit) for row in ok]
-    assert fs.uncovered() == np.flatnonzero(~ok.any(axis=1)).tolist()
-    assert fs.edge_count() == int(ok.sum())
+@given(relations())
+def test_relation_views_match_its_bits(case):
+    num_pairs, masks = case
+    fs = FeasibilitySets(num_pairs, masks)
+    hits = [[u for u, mask in masks.items() if mask >> p & 1] for p in range(num_pairs)]
+    assert fs.candidates == tuple(masks)
+    assert fs.candidates_of == [tuple(us) for us in hits]
+    assert fs.uncovered() == [p for p, us in enumerate(hits) if not us]
+    assert fs.edge_count() == sum(map(len, hits))
+
+
+@st.composite
+def validation_cases(draw):
+    """Pairs and groups on a random 6-node network plus the isolated node
+    6, a stretch or route-limit bound (finite or not), and an assignment of
+    some requests to drawn boxes, repeated boxes included."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    net = random_connected_network(rng, 6, weights=draw(
+        st.sampled_from(["uniform", "integer", "dyadic"])))
+    dist = compute_apsp(Network.from_edges(7, net.edges))
+    node = st.integers(0, 6)
+    members = draw(st.lists(st.lists(node, min_size=2, max_size=4, unique=True).map(tuple),
+                            min_size=1, max_size=8))
+    stretch, limit = draw(st.one_of(
+        st.sampled_from([(1.0, None), (1.3, None), (2.0, None), (math.inf, None),
+                         (None, 0.0), (None, 2.0), (None, math.inf)]),
+        st.floats(1.0, 6.0).map(lambda limit: (None, limit))))
+    served = draw(st.lists(st.tuples(st.integers(0, len(members) - 1), node),
+                           min_size=1, unique_by=lambda entry: entry[0]))
+    return members, dict(served), dist, stretch, limit
 
 
 class TestValidateAssignment:
@@ -288,3 +319,40 @@ class TestValidateAssignment:
     def test_each_violation_raises(self, assignment, claimed, load_limit, message):
         with pytest.raises(PlacementError, match=message):
             self.check(assignment, claimed, load_limit)
+
+    @staticmethod
+    def check_against_reference(members, assignment, dist, stretch, limit):
+        """Validate ``assignment`` at unit demands with its own loads: it must
+        fail ``infeasible at u`` for the first assigned request the scalar
+        reference rejects at its own box u, and pass when there is none.
+        Returns the rejected (request, box) entries."""
+        rejected = [(j, u) for j, u in assignment.items()
+                    if not feasible_reference([members[j]], dist, [u], stretch, limit)[0, 0]]
+
+        def run():
+            validate_assignment(members, [1] * len(members), assignment,
+                                Counter(assignment.values()), dist, stretch, limit,
+                                required=assignment, load_limit=len(members))
+
+        if rejected:
+            j, u = rejected[0]
+            with pytest.raises(PlacementError,
+                               match=re.escape(f"request {j} {members[j]} infeasible at {u}")):
+                run()
+        else:
+            run()
+        return rejected
+
+    def test_request_checked_at_its_own_box_only(self):
+        net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        dist = compute_apsp(net)
+        # (1, 2) is infeasible at its own box 0, though box 1, deployed for
+        # (0, 3), would serve it.
+        assert feasible_reference([(1, 2)], dist, [1], 1.0, None)[0, 0]
+        assert self.check_against_reference(self.MEMBERS, {0: 1, 1: 0}, dist, 1.0, None) \
+            == [(1, 0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(validation_cases())
+    def test_infeasible_exactly_where_the_reference_rejects(self, case):
+        self.check_against_reference(*case)

@@ -1,31 +1,35 @@
-"""Metamorphic relations: the validated runs give the same answer on a
-renumbered input. phi and the fractional LP value do not depend on how the
-pairs or requests are numbered, and both greedy variants break ties by
-candidate id, so shuffling the pairs or requests must leave the middlebox
-sequence, its gains and the LP value unchanged. Neither relation needs an
-oracle, so both run at sizes the oracles cannot reach.
+"""Metamorphic relations: the validated runs give the same answer on an
+input changed in a way that cannot matter. phi and the fractional LP value
+do not depend on how the pairs or requests are numbered, and both greedy
+variants break ties by candidate id, so shuffling the pairs or requests must
+leave the middlebox sequence, its gains and the LP value unchanged. Doubling
+every edge weight (and a route limit) doubles every distance and bound
+exactly in floating point, and an isolated candidate serves no pair, so
+neither may change the unweighted run at all, its assignment included. No
+relation needs an oracle, so all run at sizes the oracles cannot reach.
 """
 
 import dataclasses
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from builders import coverable_instance, random_connected_network, rng_for
 
 from mbplace import PlacementError, solve_unweighted
 from mbplace.ingest import ScenarioConfig, generate_unweighted_scenario
 from mbplace.instance import build_feasibility
-from mbplace.netgraph import compute_apsp
+from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import Request, WeightedInstance, solve_weighted
 
 
 def _greedy_run(inst):
-    """(chosen, gain) per step, or the class of the error the run raised."""
+    """(chosen, gain) per step, or the class of the error the run raised, and
+    the pair -> middlebox assignment of a run that succeeded."""
     try:
         trace = solve_unweighted(inst, build_feasibility(inst))
     except PlacementError as exc:
-        return type(exc)
-    return [(s.chosen, s.gain) for s in trace.steps]
+        return type(exc), None
+    return [(s.chosen, s.gain) for s in trace.steps], trace.engine.assignment()
 
 
 def _weighted_run(winst):
@@ -60,7 +64,7 @@ class TestShuffledPairs:
                                      num_pairs=int(rng.integers(3, 16)),
                                      capacity=int(rng.integers(1, 5)))
         shuffled = dataclasses.replace(inst, pairs=data.draw(st.permutations(inst.pairs)))
-        assert _greedy_run(shuffled) == _greedy_run(inst)
+        assert _greedy_run(shuffled)[0] == _greedy_run(inst)[0]
 
     def test_same_middleboxes_and_gains_at_scale(self):
         rng = rng_for(120)
@@ -69,9 +73,9 @@ class TestShuffledPairs:
             ScenarioConfig(topology="random", p=0.3, stretch=1.5, seed=120, metric="weight"), net)
         order = rng.permutation(inst.num_pairs)
         shuffled = dataclasses.replace(inst, pairs=[inst.pairs[i] for i in order])
-        run = _greedy_run(inst)
+        run = _greedy_run(inst)[0]
         assert len(run) > 1
-        assert _greedy_run(shuffled) == run
+        assert _greedy_run(shuffled)[0] == run
 
 
 class TestShuffledRequests:
@@ -95,3 +99,44 @@ class TestShuffledRequests:
         run = _weighted_run(winst)
         assert isinstance(run, tuple) and len(run[0]) > 1
         assert _weighted_run(shuffled) == run
+
+
+def _unweighted_case(seed):
+    """A random instance whose pairs all have a candidate, under a stretch
+    bound or under a route limit no shorter than its longest pair."""
+    rng = rng_for(seed)
+    inst, _ = coverable_instance(rng, num_nodes=int(rng.integers(6, 13)),
+                                 num_pairs=int(rng.integers(3, 16)),
+                                 capacity=int(rng.integers(1, 5)))
+    if rng.random() < 0.5:
+        longest = max(float(inst.dist[p.s, p.t]) for p in inst.pairs)
+        inst = dataclasses.replace(inst, stretch=None,
+                                   route_limit=longest * float(rng.uniform(1.0, 2.0)))
+    return inst
+
+
+class TestDoubledWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_run_and_assignment(self, seed):
+        inst = _unweighted_case(seed)
+        net = Network.from_edges(inst.net.num_nodes, [(u, v, 2 * w) for u, v, w in inst.net.edges])
+        doubled = dataclasses.replace(
+            inst, net=net, dist=compute_apsp(net),
+            route_limit=None if inst.route_limit is None else 2 * inst.route_limit)
+        assert _greedy_run(doubled) == _greedy_run(inst)
+
+
+class TestIsolatedCandidate:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_run_and_assignment(self, seed):
+        inst = _unweighted_case(seed)
+        # One more candidate adds capacity, which could pass the pigeonhole check.
+        assume(inst.num_pairs <= inst.capacity * len(inst.candidates))
+        isolated = inst.net.num_nodes
+        net = Network.from_edges(isolated + 1, inst.net.edges)
+        extended = dataclasses.replace(inst, net=net, dist=compute_apsp(net),
+                                       candidates=inst.candidates + (isolated,))
+        assert build_feasibility(extended).masks[isolated] == 0
+        assert _greedy_run(extended) == _greedy_run(inst)
