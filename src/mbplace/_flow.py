@@ -29,13 +29,12 @@ class FlowNetwork:
         self.cost: list[Fraction] = []
         self.out: list[list[int]] = [[] for _ in range(num_nodes)]
 
-    def add_arc(self, u: int, v: int, cap, cost=ZERO) -> int:
-        """Adds u->v (capacity cap, unit cost >= 0) plus its residual twin;
-        returns the forward arc index (twin is index+1)."""
+    def add_arc(self, u: int, v: int, cap: Fraction, cost: Fraction = ZERO) -> int:
+        """Adds u->v (capacity cap, unit cost >= 0, both Fractions) plus its
+        residual twin; returns the forward arc index (twin is index+1)."""
         idx = len(self.arcs)
-        cost = Fraction(cost)
         self.arcs += (v, u)
-        self.residual += (Fraction(cap), ZERO)
+        self.residual += (cap, ZERO)
         self.cost += (cost, -cost)
         self.out[u].append(idx)
         self.out[v].append(idx + 1)

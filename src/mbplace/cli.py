@@ -133,12 +133,11 @@ def _oracle_limit(args, default: int) -> int | None:
 
 
 def _scenario(args, topology: str) -> ingest.ScenarioConfig:
-    """The unweighted scenario recipe the CLI arguments give a GraphML topology."""
-    return ingest.ScenarioConfig(
-        topology=topology, p=_given(args.p, 0.3), stretch=_given(args.stretch, 1.5),
-        capacity=args.capacity, seed=_given(args.seed, 0),
-        replication=_given(args.replication, 0), metric=args.metric or "geo",
-    )
+    """The scenario recipe the given options make of ``topology``;
+    ``ScenarioConfig`` holds the default of each option not given."""
+    given = {o: v for o in ("p", "stretch", "capacity", "seed", "replication", "metric")
+             if (v := getattr(args, o)) is not None}
+    return ingest.ScenarioConfig(topology, **given)
 
 
 def _from_json(raw: str, kind: type, name: str):
@@ -320,10 +319,7 @@ def cmd_gen(args) -> int:
         # An SNDlib instance's capacity is 4*D/|V| over the kept demand D.
         _refuse(args, "--topology", "capacity", "p")
         net, demands = ingest.parse_sndlib(Path(args.sndlib).read_text())
-        cfg = ingest.ScenarioConfig(
-            topology=args.sndlib, p=_given(args.keep_prob, 0.5), stretch=args.stretch,
-            seed=args.seed, replication=args.replication, metric=args.metric or "geo",
-        )
+        cfg = dataclasses.replace(_scenario(args, args.sndlib), p=_given(args.keep_prob, 0.5))
         inst = ingest.generate_weighted_scenario(cfg, net, demands)
         provenance = {"source": args.sndlib, "keep_probability": cfg.p}
     provenance.update(seed=cfg.seed, replication=cfg.replication)
@@ -378,28 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="GraphML only (default 0)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def add_oracle(sp, default: int):
+        sp.add_argument("--oracle", action="store_true", help="also run the exact oracle")
+        sp.add_argument("--oracle-limit", type=count, default=None,
+                        help=f"--oracle only: most candidates it enumerates (default {default})")
+
     sp = sub.add_parser("solve", help="greedy placement on an unweighted instance")
     add_common_solve(sp)
     sp.add_argument("--trace-csv", default=None, help="write the per-step trace CSV")
-    sp.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    sp.add_argument("--oracle-limit", type=count, default=None,
-                    help="--oracle only: most candidates it enumerates (default 16)")
+    add_oracle(sp, oracle.DEFAULT_LIMIT)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("solve-weighted", help="generalized greedy plus rounding")
     sp.add_argument("instance", help="weighted instance JSON")
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=count, default=None,
-                    help="--oracle only: most candidates it enumerates (default 12)")
+    add_oracle(sp, oracle.DEFAULT_WEIGHTED_LIMIT)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve_weighted)
 
     sp = sub.add_parser("incremental", help="per-step assignment series")
     add_common_solve(sp)
     sp.add_argument("--budget-steps", type=count, default=None)
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-limit", type=count, default=None,
-                    help="--oracle only: most candidates it enumerates (default 16)")
+    add_oracle(sp, oracle.DEFAULT_LIMIT)
     sp.set_defaults(func=cmd_incremental)
 
     sp = sub.add_parser("gen", help="generate a scenario instance file")
@@ -409,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=probability, default=None, help="--topology only (default 0.3)")
     sp.add_argument("--keep-prob", type=probability, default=None,
                     help="--sndlib only (default 0.5)")
-    sp.add_argument("--stretch", type=float, default=1.5)
+    sp.add_argument("--stretch", type=float, default=None)
     sp.add_argument("--capacity", type=int, default=None)
-    sp.add_argument("--seed", type=count, default=0)
-    sp.add_argument("--replication", type=count, default=0)
+    sp.add_argument("--seed", type=count, default=None)
+    sp.add_argument("--replication", type=count, default=None)
     sp.add_argument("--metric", choices=METRICS, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_gen)

@@ -225,15 +225,14 @@ def generate_unweighted_scenario(cfg: ScenarioConfig, net: Network) -> Placement
 
     All nodes may host middleboxes; capacity follows the ceil-formula unless
     overridden. One uniform draw is consumed per potential pair in
-    lexicographic order, so the stream is stable across parameter changes.
+    lexicographic order, so the stream is stable across parameter changes;
+    the draws come in one call, which yields the same doubles as one call
+    per pair.
     """
-    rng = scenario_rng(cfg.seed, cfg.replication)
     n = net.num_nodes
-    pairs = []
-    for s in range(n):
-        for t in range(s + 1, n):
-            if rng.random() < cfg.p:
-                pairs.append(Pair(s, t))
+    s, t = np.triu_indices(n, k=1)
+    keep = scenario_rng(cfg.seed, cfg.replication).random(len(s)) < cfg.p
+    pairs = [Pair(a, b) for a, b in zip(s[keep].tolist(), t[keep].tolist())]
     capacity = cfg.capacity if cfg.capacity is not None else formula_capacity(n, cfg.p)
     dist = compute_apsp(net, cfg.metric)
     return PlacementInstance(
@@ -248,13 +247,10 @@ def generate_weighted_scenario(cfg: ScenarioConfig, net: Network,
     as 4 * D / |V|.
 
     D is the cumulative demand of the kept requests; one uniform draw is
-    consumed per original demand. ``p=1`` keeps everything.
+    consumed per original demand, all in one call. ``p=1`` keeps everything.
     """
-    rng = scenario_rng(cfg.seed, cfg.replication)
-    kept: list[Request] = []
-    for s, t, value in demands:
-        if rng.random() < cfg.p:
-            kept.append(Request.pair(s, t, value))
+    keep = scenario_rng(cfg.seed, cfg.replication).random(len(demands)) < cfg.p
+    kept = [Request.pair(*demand) for demand, k in zip(demands, keep) if k]
     total = sum(r.demand for r in kept)
     if total <= 0:
         raise Infeasible("subsample kept no demand; cannot size capacity")

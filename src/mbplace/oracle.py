@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .exceptions import Infeasible, TooLarge
 from .instance import FeasibilitySets, PlacementInstance
-from .matching import Assignment
+from .matching import Assignment, phi
 
 DEFAULT_LIMIT = 16
 #: How a TooLarge names the limit it met; a front end names its own setting.
@@ -51,23 +51,15 @@ def exact_min_middleboxes(inst: PlacementInstance, fs: FeasibilitySets,
     with |P| - 1 as the best so far). Raises TooLarge beyond ``limit``
     candidates and Infeasible when even the full candidate set falls short.
     """
-    universe = _check_limit(fs, limit)
+    universe = _check_limit(fs.candidates, limit)
     target = inst.num_pairs
-    explored = 0
     if target == 0:
         return ExactResult(0, (), {}, 0)
-
-    full = Assignment(fs, inst.capacity)
-    for u in universe:
-        full.add_middlebox(u)
-    explored += 1
-    if full.num_assigned < target:
-        raise Infeasible(
-            f"only {full.num_assigned} of {target} pairs coverable with all candidates"
-        )
-    for k in range(1, len(universe) + 1):
-        if k * inst.capacity < target:
-            continue
+    served = phi(universe, fs, inst.capacity)
+    if served < target:
+        raise Infeasible(f"only {served} of {target} pairs coverable with all candidates")
+    explored = 1
+    for k in range(math.ceil(target / inst.capacity), len(universe) + 1):
         hit, count = _best_of_size(fs, inst.capacity, universe, k, target - 1, target)
         explored += count
         if hit is not None:
@@ -113,10 +105,10 @@ def _best_of_size(fs: FeasibilitySets, capacity: int, universe, n: int, floor: i
     return best_state, explored
 
 
-def _check_limit(fs: FeasibilitySets, limit: int, over: str = ENUMERATION_LIMIT) -> list[int]:
-    """The candidates, ascending; TooLarge, naming the limit as ``over`` does,
-    if there are more than ``limit``."""
-    universe = list(fs.candidates)
+def _check_limit(candidates, limit: int, over: str = ENUMERATION_LIMIT) -> list[int]:
+    """The ascending ``candidates`` as a list; TooLarge, naming the limit as
+    ``over`` does, if there are more than ``limit``."""
+    universe = list(candidates)
     if len(universe) > limit:
         raise TooLarge(f"{len(universe)} candidates exceed {over.format(limit)}")
     return universe
@@ -130,7 +122,7 @@ def max_assignment_for_n(inst: PlacementInstance, fs: FeasibilitySets, n: int,
     A caller that knows the maximum lies above ``floor`` and at most ``cap``
     may pass them: the search is shorter and finds the same value and the
     same witness, the lexicographically first maximum."""
-    universe = _check_limit(fs, limit)
+    universe = _check_limit(fs.candidates, limit)
     if n < 0:
         raise ValueError("n must be >= 0")
     n = min(n, len(universe))
@@ -159,7 +151,7 @@ def max_served_series(inst: PlacementInstance, fs: FeasibilitySets, steps,
     unless there is no step, naming the limit as ``over`` does.
     """
     if steps:
-        _check_limit(fs, limit, over)
+        _check_limit(fs.candidates, limit, over)
     # (phi_t, g_(t+1)) for every step t + 1 of the trace
     starts = [(step.phi_after - step.gain, step.gain) for step in steps]
     series = [0]
@@ -195,39 +187,38 @@ def compare_to_greedy(inst: PlacementInstance, fs: FeasibilitySets, steps, limit
 def _weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> dict | None:
     """Exhaustive assignment search with a residual-capacity bound.
 
-    ``members`` are request indices sorted by descending demand so the
+    ``members`` are request indices, placed by descending demand so the
     hardest requests branch first. The search fails at once when the
     candidates' total capacity cannot hold the total demand; placing a
     request lowers the capacity left and the demand left alike, so that
-    bound is the same at every depth and is checked once. Depth-first on an
-    explicit stack: ``stack[k]`` is the index of the next candidate to try
-    for the k-th request.
+    bound is the same at every depth and is checked once.
     """
-    residual = {m: kappa for m in {u for j in members for u in candidates_of[j]}}
+    residual = {u: kappa for j in members for u in candidates_of[j]}
     if len(residual) * kappa < sum(demands[j] for j in members):
         return None
     order = sorted(members, key=lambda j: (-demands[j], j))
     chosen: dict[int, int] = {}
-    stack = [0]
-    while stack:
-        k = len(stack) - 1
-        if k == len(order):
-            return dict(chosen)
-        j, i = order[k], stack[k]
-        us = candidates_of[j]
-        while i < len(us) and not (us[i] in residual and residual[us[i]] >= demands[j]):
-            i += 1
-        if i == len(us):
-            stack.pop()
-            if stack:  # undo the choice of the request before
-                q = order[k - 1]
-                residual[chosen.pop(q)] += demands[q]
-            continue
-        residual[us[i]] -= demands[j]
-        chosen[j] = us[i]
-        stack[k] = i + 1
-        stack.append(0)
-    return None
+    return chosen if _place(order, demands, candidates_of, residual, chosen) else None
+
+
+def _place(order, demands, candidates_of, residual, chosen: dict) -> bool:
+    """Place the requests of ``order`` from index ``len(chosen)`` on, each on
+    a candidate with room left, trying its candidates in their listed order.
+    True leaves the placement in ``chosen``; False leaves ``residual`` and
+    ``chosen`` as they were. One frame per request: at most
+    ``WEIGHTED_REQUEST_LIMIT`` deep."""
+    if len(chosen) == len(order):
+        return True
+    j = order[len(chosen)]
+    for u in candidates_of[j]:
+        if residual[u] >= demands[j]:
+            residual[u] -= demands[j]
+            chosen[j] = u
+            if _place(order, demands, candidates_of, residual, chosen):
+                return True
+            residual[u] += demands[j]
+            del chosen[j]
+    return False
 
 
 def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
@@ -238,9 +229,7 @@ def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
     Unlike the rounded approximation there is no augmentation: each request
     fits within ``kappa`` on its box, so sizes start at total demand / kappa.
     """
-    universe = sorted({u for cands in candidates_of for u in cands})
-    if len(universe) > limit:
-        raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
+    universe = _check_limit(sorted({u for cands in candidates_of for u in cands}), limit)
     if len(candidates_of) > WEIGHTED_REQUEST_LIMIT:
         raise TooLarge(f"{len(candidates_of)} requests exceed the weighted oracle's "
                        f"fixed limit of {WEIGHTED_REQUEST_LIMIT}")

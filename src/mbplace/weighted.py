@@ -231,7 +231,7 @@ def _build_slots(frac: FractionalAssignment, prep: Preprocessed):
     return slot_owner, job_slots
 
 
-def _match_slot(j: int, job_slots, matched_slot: dict, matched_job: dict) -> bool:
+def _match_slot(j: int, job_slots, matched_slot: dict) -> bool:
     """Kuhn's augmenting search from request j over the slot graph: a
     depth-first search, each slot tried at most once, that re-matches the
     requests on the found path (each to the slot it was reached through).
@@ -256,7 +256,6 @@ def _match_slot(j: int, job_slots, matched_slot: dict, matched_job: dict) -> boo
             continue
         for (job, _), slot in zip(stack, taken):
             matched_slot[slot] = job
-            matched_job[job] = slot
         return True
     return False
 
@@ -269,15 +268,14 @@ def round_solution(frac: FractionalAssignment, active, prep: Preprocessed) -> Ro
     load <= fractional load + largest touching demand <= 2 * kappa.
     """
     slot_owner, job_slots = _build_slots(frac, prep)
-    matched_slot: dict[int, int] = {}
-    matched_job: dict[int, int] = {}
+    matched_slot: dict[int, int] = {}  # slot -> request
     for j in prep.kept:
-        if not _match_slot(j, job_slots, matched_slot, matched_job):
+        if not _match_slot(j, job_slots, matched_slot):
             raise RoundingFailed(
                 f"request {j} cannot be matched to a slot; fractional objective "
                 f"{float(frac.objective):.6g} must exceed {len(prep.kept) - 1}"
             )
-    assignment = {j: slot_owner[slot] for j, slot in matched_job.items()}
+    assignment = dict(sorted((j, slot_owner[slot]) for slot, j in matched_slot.items()))
     load: dict[int, Fraction] = {u: ZERO for u in sorted(set(active))}
     for j, u in assignment.items():
         load[u] = load.get(u, ZERO) + prep.demands[j]

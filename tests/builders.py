@@ -79,14 +79,27 @@ def coverable_instance(rng, **kwargs) -> tuple:
     return inst, build_feasibility(inst)
 
 
+#: Draws ``feasible_instance`` makes before it gives up on its kwargs.
+MAX_DRAWS = 100
+
+
 def feasible_instance(rng, **kwargs) -> tuple:
-    """Coverable instance that is also fully servable (phi(U) == |P|)."""
+    """Coverable instance that is also fully servable (phi(U) == |P|),
+    drawn again until it is.
+
+    Raises ValueError, naming the kwargs, at the first draw when its pairs
+    outnumber what every node together can serve, and after ``MAX_DRAWS``
+    draws that all fall short."""
     from mbplace.matching import phi
 
-    while True:
+    for _ in range(MAX_DRAWS):
         inst, fs = coverable_instance(rng, **kwargs)
+        if inst.num_pairs > inst.capacity * inst.net.num_nodes:
+            raise ValueError(f"feasible_instance({kwargs}): {inst.num_pairs} pairs exceed "
+                             f"capacity {inst.capacity} x {inst.net.num_nodes} nodes")
         if phi(fs.candidates, fs, inst.capacity) == inst.num_pairs:
             return inst, fs
+    raise ValueError(f"feasible_instance({kwargs}): no fully servable draw in {MAX_DRAWS}")
 
 
 def raw_feasibility(inst):

@@ -37,6 +37,14 @@ It offers the interface of ``mbplace._flow.FlowNetwork`` that
 fractional LP's network on it with the unshifted source-arc costs
 ``-1/demand``, where ``mbplace.weighted.solve_fractional`` adds one constant
 to every source arc so that ``_flow`` sees no negative cost.
+
+``weighted_cover_exists`` is the weighted oracle's assignment search on an
+explicit stack, where ``mbplace.oracle._weighted_cover_exists`` recurses.
+
+``scenario_pairs`` and ``scenario_kept`` are the documented scenario
+streams drawn one scalar ``random()`` at a time: one per potential pair in
+lexicographic order, or one per SNDlib demand, where ``mbplace.ingest``
+draws each stream in one call.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import numpy as np
 from builders import pairs_of
 from mbplace import matching
 from mbplace.exceptions import AlreadyActive, Infeasible, PlacementError, Stalled
+from mbplace.ingest import scenario_rng
 from mbplace.netgraph import geo_distance
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
@@ -521,3 +530,49 @@ def max_assignment_for_n(inst, fs, n: int):
 def max_served_series(inst, fs, steps) -> list[int]:
     """phi_opt(n) for every step n of a greedy trace, one search per step."""
     return [max_assignment_for_n(inst, fs, n)[0] for n in range(1, len(steps) + 1)]
+
+
+def weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> dict | None:
+    """Exhaustive assignment search with a residual-capacity bound, hardest
+    request first. Depth-first on an explicit stack: ``stack[k]`` is the
+    index of the next candidate to try for the k-th request."""
+    residual = {m: kappa for m in {u for j in members for u in candidates_of[j]}}
+    if len(residual) * kappa < sum(demands[j] for j in members):
+        return None
+    order = sorted(members, key=lambda j: (-demands[j], j))
+    chosen: dict[int, int] = {}
+    stack = [0]
+    while stack:
+        k = len(stack) - 1
+        if k == len(order):
+            return dict(chosen)
+        j, i = order[k], stack[k]
+        us = candidates_of[j]
+        while i < len(us) and not (us[i] in residual and residual[us[i]] >= demands[j]):
+            i += 1
+        if i == len(us):
+            stack.pop()
+            if stack:  # undo the choice of the request before
+                q = order[k - 1]
+                residual[chosen.pop(q)] += demands[q]
+            continue
+        residual[us[i]] -= demands[j]
+        chosen[j] = us[i]
+        stack[k] = i + 1
+        stack.append(0)
+    return None
+
+
+def scenario_pairs(seed: int, replication: int, n: int, p: float) -> list[tuple[int, int]]:
+    """The pairs (s, t), s < t, of n nodes whose draw is below p: one
+    ``random()`` of ``scenario_rng(seed, replication)`` per pair, in
+    lexicographic order."""
+    rng = scenario_rng(seed, replication)
+    return [(s, t) for s in range(n) for t in range(s + 1, n) if rng.random() < p]
+
+
+def scenario_kept(seed: int, replication: int, demands, p: float) -> list:
+    """The demands whose draw is below p: one ``random()`` of
+    ``scenario_rng(seed, replication)`` per demand, in order."""
+    rng = scenario_rng(seed, replication)
+    return [d for d in demands if rng.random() < p]

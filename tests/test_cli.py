@@ -1339,14 +1339,27 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-def _mutate_json(data, text: str) -> tuple[str, str | None]:
+JSON_ACTIONS = ("drop", "replace", "duplicate", "add", "out_of_range")
+
+
+def _mutate_json(data, text: str, actions=JSON_ACTIONS) -> tuple[str, str | None]:
     """Drop or replace one value; duplicate one entry of a top-level list or
-    one member of a group; or add a key of ``ADDED_KEYS`` that the top level,
-    a node entry or a request entry does not hold yet, which the run must
-    refuse by name."""
+    one member of a group; add a key of ``ADDED_KEYS`` that the top level, a
+    node entry or a request entry does not hold yet, which the run must
+    refuse by name; or put -1, n or 2**63 for one node id of ``pairs``,
+    ``requests``, ``candidates`` or ``edges`` (n nodes), which the run must
+    refuse naming the id."""
     doc = json.loads(text)
-    action = data.draw(st.sampled_from(["drop", "replace", "duplicate", "add"]),
-                       label="action")
+    action = data.draw(st.sampled_from(actions), label="action")
+    if action == "out_of_range":
+        slots = [(pair, i) for pair in doc.get("pairs", []) for i in (0, 1)]
+        slots += [(r["nodes"], i) for r in doc.get("requests", []) for i in range(len(r["nodes"]))]
+        slots += [(doc["candidates"], i) for i in range(len(doc["candidates"]))]
+        slots += [(edge, i) for edge in doc["edges"] for i in (0, 1)]
+        entry, i = data.draw(st.sampled_from(slots), label="slot")
+        bad = data.draw(st.sampled_from([-1, len(doc["nodes"]), 2**63]), label="id")
+        entry[i] = bad
+        return json.dumps(doc), rf"(?<!\d){bad}(?!\d)"
     if action == "duplicate":
         lists = [doc[k] for k in ("pairs", "requests", "nodes", "edges", "candidates")
                  if doc.get(k)]
@@ -1359,7 +1372,7 @@ def _mutate_json(data, text: str) -> tuple[str, str | None]:
                           label="entry")
         key = data.draw(st.sampled_from([k for k in ADDED_KEYS if k not in entry]), label="key")
         entry[key] = data.draw(st.sampled_from(JSON_MUTANTS), label="value")
-        return json.dumps(doc), key
+        return json.dumps(doc), re.escape(f'key "{key}"') + r"\Z"
     path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
     parent = doc
     for key in path[:-1]:
@@ -1400,7 +1413,8 @@ def _mutate_tokens(data, text: str) -> tuple[str, None]:
     return "".join(parts), None
 
 
-# kind -> mutator(data, text) -> (mutated text, the added key a run must refuse or None)
+# kind -> mutator(data, text) -> (mutated text, None or a pattern the error message of a
+# run that must exit 3 matches)
 MUTATORS = {"unweighted": _mutate_json, "weighted": _mutate_json,
             "graphml": _mutate_graphml, "sndlib": _mutate_tokens}
 
@@ -1434,49 +1448,63 @@ def _check_report(report: dict, doc: dict) -> None:
     assert all(v <= load_limit for v in load.values())
 
 
+def _check_contract(data, command: str, kind: str, text: str, refusal, work) -> None:
+    """Run ``command`` on ``text`` in ``work``: it exits by the contract, a
+    report it writes passes ``_check_report``, and a run given a ``refusal``
+    pattern exits 3 with an error message that matches it."""
+    src, out = work / f"input.{kind}", work / "out"
+    src.write_text(text)
+    if command == "gen":
+        argv = ["gen", "--topology" if kind == "graphml" else "--sndlib", str(src)]
+    else:
+        argv = [command, str(src)]
+        if data.draw(st.booleans(), label="oracle"):
+            argv.append("--oracle")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    # The one warning a run may give: a repeated pair is dropped.
+    assert all("duplicate pair" in str(w.message) for w in caught)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        if command.startswith("solve"):
+            report = json.loads(out.read_text())
+            assert report["validated"] is True
+            if kind in ("unweighted", "weighted"):
+                _check_report(report, json.loads(text))
+        else:
+            assert out.exists()
+    else:
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == code
+        assert not out.exists()
+    if refusal is not None:
+        assert code == 3 and re.search(refusal, json.loads(lines[0])["message"])
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("command", list(CONTRACT_INPUTS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_mutated_input_exits_by_contract(self, command, data, tmp_path_factory):
         kind = data.draw(st.sampled_from(CONTRACT_INPUTS[command]), label="kind")
-        text, added = FIXTURES[kind], None
+        text, refusal = FIXTURES[kind], None
         if data.draw(st.booleans(), label="truncate"):
             text = text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
         else:
-            text, added = MUTATORS[kind](data, text)
-        work = tmp_path_factory.mktemp("contract")
-        src, out = work / f"input.{kind}", work / "out"
-        src.write_text(text)
-        if command == "gen":
-            argv = ["gen", "--topology" if kind == "graphml" else "--sndlib", str(src)]
-        else:
-            argv = [command, str(src)]
-            if data.draw(st.booleans(), label="oracle"):
-                argv.append("--oracle")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([*argv, "--out", str(out)])
-        # The one warning a run may give: a repeated pair is dropped.
-        assert all("duplicate pair" in str(w.message) for w in caught)
-        assert code in (0, 2, 3, 4)
-        if code == 0:
-            if command.startswith("solve"):
-                report = json.loads(out.read_text())
-                assert report["validated"] is True
-                if kind in ("unweighted", "weighted"):
-                    _check_report(report, json.loads(text))
-            else:
-                assert out.exists()
-        else:
-            lines = stdout.getvalue().splitlines()
-            assert len(lines) == 1
-            assert json.loads(lines[0])["exit_code"] == code
-            assert not out.exists()
-        if added is not None:
-            assert code == 3 and json.loads(lines[0])["message"].endswith(f'key "{added}"')
+            text, refusal = MUTATORS[kind](data, text)
+        _check_contract(data, command, kind, text, refusal, tmp_path_factory.mktemp("contract"))
+
+    @pytest.mark.parametrize("command", ["solve", "incremental", "solve-weighted"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_id_exits_3(self, command, data, tmp_path_factory):
+        kind = CONTRACT_INPUTS[command][0]
+        text, refusal = _mutate_json(data, FIXTURES[kind], ["out_of_range"])
+        _check_contract(data, command, kind, text, refusal, tmp_path_factory.mktemp("range"))
 
     @settings(max_examples=25, deadline=None)
     @given(p=st.sampled_from([0.2, 0.3, 0.5, 0.75, 1.0]), seed=st.integers(0, 50),

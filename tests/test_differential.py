@@ -23,7 +23,10 @@ The per-step oracle series, which certifies a step from the greedy trace's
 submodular bounds and prunes its searches by coverage, must give the values
 of one plain branch and bound per step; its searches must find the same
 witness in no more subsets, and the bounds it certifies from must hold on
-the plain values.
+the plain values. The weighted oracle's recursive assignment search must
+find the same witness, in the same order, as the explicit-stack one, and
+the weighted oracle through either the same value, witness and count of
+subsets explored.
 """
 
 from __future__ import annotations
@@ -367,8 +370,66 @@ class TestOracles:
         fast = run_both()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "Assignment", reference.Assignment)
+            mp.setattr(oracle, "phi", reference.phi)  # the full-set check
             ref = run_both()
         assert fast == ref
+
+
+#: Demands and capacities of a few round values, so ties are common and small
+#: capacities leave many subsets that cannot cover.
+ORACLE_DEMANDS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+@st.composite
+def weighted_oracle_problems(draw):
+    """(requests, candidates_of, kappa) over ids 0..7: pairs and groups,
+    candidate lists in any order, some of them empty."""
+    demands = draw(st.lists(st.sampled_from(ORACLE_DEMANDS), max_size=9))
+    requests = [draw(st.sampled_from([Request.pair(0, 1, float(d)),
+                                      Request.group((0, 1, 2), float(d))])) for d in demands]
+    candidates_of = [tuple(draw(st.lists(st.integers(0, 7), max_size=4, unique=True)))
+                     for _ in demands]
+    return requests, candidates_of, draw(st.sampled_from([1, 1.5, 2, 3, 4.5]))
+
+
+@st.composite
+def weighted_oracle_networks(draw):
+    """(requests, candidates_of, kappa) of a seeded random network, pairs and groups."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    requests, rfs, _, kappa, _ = coverable_weighted_problem(
+        rng, num_nodes=draw(st.integers(4, 8)), num_requests=draw(st.integers(1, 9)),
+        group_prob=0.4, kappa=draw(st.sampled_from([2.0, 3.0, 4.5])))
+    return requests, rfs.candidates_of, kappa
+
+
+class TestWeightedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=4, unique=True), max_size=8),
+           st.lists(st.sampled_from(ORACLE_DEMANDS), min_size=8, max_size=8),
+           st.sampled_from([Fraction(1), Fraction(2), Fraction(3)]))
+    def test_cover_search_finds_the_stack_searchs_witness(self, allowed, demands, kappa):
+        members = list(range(len(allowed)))
+        got = oracle._weighted_cover_exists(members, demands, allowed, kappa)
+        want = reference.weighted_cover_exists(members, demands, allowed, kappa)
+        assert got == want
+        assert got is None or list(got) == list(want)  # placed in the same order
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_oracle_problems(), weighted_oracle_networks()))
+    def test_same_value_witness_and_explored(self, problem):
+        requests, candidates_of, kappa = problem
+
+        def run():
+            try:
+                r = oracle.exact_weighted_min_middleboxes(requests, candidates_of, kappa)
+            except Infeasible:
+                return Infeasible
+            return r.value, r.witness_set, list(r.witness_assignment.items()), r.explored
+
+        fast = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_weighted_cover_exists", reference.weighted_cover_exists)
+            assert run() == fast
 
 
 def greedy_trace(sizes: Sizes, fs, budget: int | None) -> GreedyTrace:

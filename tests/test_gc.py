@@ -1,6 +1,7 @@
 """The exact searches and the rounding leave no reference cycles behind: their
-search state lives on explicit stacks, not in recursive closures, so it is
-freed when the call returns, without the cycle collector."""
+search state lives on explicit stacks or in a module-level recursion
+(the weighted oracle's assignment search), not in recursive closures, so it
+is freed when the call returns, without the cycle collector."""
 
 import gc
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+
 from mbplace.exceptions import Infeasible, MissingEndpoint, NegativeDemand, ParseError
 from mbplace.ingest import (
     ScenarioConfig,
@@ -23,7 +25,7 @@ from mbplace.ingest import (
 )
 from mbplace.instance import PlacementInstance
 from mbplace.netgraph import Network, Node
-from mbplace.weighted import WeightedInstance
+from mbplace.weighted import Request, WeightedInstance
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,6 +265,41 @@ class TestGenerateWeighted:
                 totals.append(0.0)
         full = sum(v for _, _, v in demands)
         assert abs(float(np.mean(totals)) - full / 2) < 0.75  # ~3 sigma
+
+
+#: Keep probabilities: never, always, and anything in between.
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestScenarioStream:
+    """The generators draw each stream in one call; the documented stream is
+    one scalar ``random()`` per potential pair, or per SNDlib demand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 20), st.integers(1, 24), PROBABILITIES)
+    def test_pairs_are_the_scalar_draws(self, seed, rep, n, p):
+        net = Network.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        # p = 0 or one node make the formula capacity 0, which no instance takes.
+        cfg = ScenarioConfig("path", p=p, capacity=1, seed=seed, replication=rep, metric="hops")
+        pairs = [(pair.s, pair.t) for pair in generate_unweighted_scenario(cfg, net).pairs]
+        assert pairs == reference.scenario_pairs(seed, rep, n, p)
+        assert all(type(u) is int for pair in pairs for u in pair)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 20),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([0.5, 1.0, 2.5])).filter(lambda d: d[0] != d[1]),
+                    max_size=30),
+           PROBABILITIES)
+    def test_requests_are_the_scalar_draws(self, seed, rep, demands, p):
+        net = Network.from_edges(6, [(i, i + 1, 1.0) for i in range(5)])
+        cfg = ScenarioConfig("path", p=p, seed=seed, replication=rep, metric="hops")
+        kept = [Request.pair(*d) for d in reference.scenario_kept(seed, rep, demands, p)]
+        if not kept:
+            with pytest.raises(Infeasible):
+                generate_weighted_scenario(cfg, net, demands)
+            return
+        assert generate_weighted_scenario(cfg, net, demands).requests == kept
 
 
 class TestInstanceJson:
