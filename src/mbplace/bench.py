@@ -5,7 +5,9 @@ per instance.
 commands do not load the batch runner. A row makes the same validated runs
 as the per-instance commands (``greedy.solve_unweighted``,
 ``weighted.solve_weighted``) and the same per-step oracle comparison; from
-``cli`` it takes only the CSV and output plumbing.
+``cli`` it takes only the CSV and output plumbing. An absent config key takes
+its owner's default, as in those commands: ``ingest.ScenarioConfig``'s,
+``ingest.KEEP_PROBABILITY`` or ``oracle.DEFAULT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,17 @@ from functools import partial
 from pathlib import Path
 
 from . import greedy, ingest, oracle, weighted
-from .cli import BENCH_COLUMNS, EXIT_OK, _csv_text, _is_count, _is_probability, _write
+from .cli import EXIT_OK, _csv_text, _is_count, _is_probability, _write
 from .exceptions import ParseError, PlacementError
 from .instance import build_feasibility
 from .netgraph import METRICS, is_number
+
+BENCH_COLUMNS = [
+    "topology", "kind", "nodes", "edges", "p", "stretch", "replication", "seed",
+    "algorithm", "status", "middlebox_count", "assigned", "total",
+    "oracle_optimum", "approximation_ratio", "relative_difference_max",
+    "max_relative_load", "capacity_violations", "wall_time_s", "error",
+]
 
 CONFIG_LIMIT = 'the config\'s "oracle_limit" {}; raise it or set "oracle" to false'
 
@@ -70,10 +79,11 @@ def _measure_weighted(parsed, cfg):
 
 
 #: Every key a bench config may hold, with the value an absent key takes.
-DEFAULTS = {"seed": 0, "metric": "geo", "topologies": [], "p_values": [0.3],
-            "stretches": "grid", "replications": 1, "algorithms": ["greedy"],
-            "oracle": False, "oracle_limit": 16, "sndlib": []}
-SNDLIB_DEFAULTS = {"path": None, "keep_probability": 0.5}
+DEFAULTS = {"seed": ingest.ScenarioConfig.seed, "metric": ingest.ScenarioConfig.metric,
+            "topologies": [], "p_values": [ingest.ScenarioConfig.p], "stretches": "grid",
+            "replications": 1, "algorithms": ["greedy"], "oracle": False,
+            "oracle_limit": oracle.DEFAULT_LIMIT, "sndlib": []}
+SNDLIB_DEFAULTS = {"path": None, "keep_probability": ingest.KEEP_PROBABILITY}
 
 
 def _is_list_of(valid, value) -> bool:
@@ -103,7 +113,7 @@ def _resolve_config(config) -> dict:
         ("replications", _is_count(cfg["replications"]), "an int >= 0"),
         ("oracle", type(cfg["oracle"]) is bool, "true or false"),
         ("oracle_limit", _is_count(cfg["oracle_limit"]), "an int >= 0"),
-        ("metric", cfg["metric"] in METRICS, 'one of "weight", "hops", "geo"'),
+        ("metric", cfg["metric"] in METRICS, "one of " + ", ".join(map(json.dumps, METRICS))),
         ("stretches", cfg["stretches"] == "grid" or _is_list_of(is_number, cfg["stretches"]),
          '"grid" or a list of numbers'),
         ("topologies", _is_list_of(lambda path: isinstance(path, str), cfg["topologies"]),

@@ -14,6 +14,9 @@ wrapping this module's ``build_feasibility``. The per-step oracle series
 (``oracle.greedy_gap_series``) starts after the run, so a failed run decides
 the exit code before an oracle limit can. ``--oracle-limit`` is read only
 with ``--oracle``. The batch runner ``bench`` is imported only when it runs.
+Each default an option's help names is read from its owner (``ingest``'s
+``ScenarioConfig`` and ``KEEP_PROBABILITY``, ``oracle``'s limits), and a step
+of the report's ``trace`` and of ``--trace-csv`` is a ``GreedyStep``'s fields.
 
 Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse, usage or
 read error, 4 oracle too large, 1 a failed validation or a broken engine
@@ -44,16 +47,9 @@ EXIT_PARSE = 3
 
 REPORT_VERSION = 1
 
-BENCH_COLUMNS = [
-    "topology", "kind", "nodes", "edges", "p", "stretch", "replication", "seed",
-    "algorithm", "status", "middlebox_count", "assigned", "total",
-    "oracle_optimum", "approximation_ratio", "relative_difference_max",
-    "max_relative_load", "capacity_violations", "wall_time_s", "error",
-]
-
 INCREMENTAL_COLUMNS = ["n", "phi_greedy", "phi_opt", "relative_difference"]
 
-TRACE_COLUMNS = ["iteration", "chosen", "gain", "phi_after"]
+TRACE_COLUMNS = [field.name for field in dataclasses.fields(greedy.GreedyStep)]
 
 #: How an oracle limit is named: the flag that sets it.
 FLAG_LIMIT = "--oracle-limit {}; re-run without --oracle"
@@ -210,11 +206,7 @@ def cmd_solve(args) -> int:
         "assigned_pairs": trace.engine.num_assigned,
         "assignment": [[inst.pairs[i].s, inst.pairs[i].t, m]
                        for i, m in trace.engine.assignment().items()],
-        "trace": [
-            {"iteration": s.iteration, "chosen": s.chosen, "gain": s.gain,
-             "phi_after": s.phi_after}
-            for s in trace.steps
-        ],
+        "trace": [vars(s) for s in trace.steps],
         "oracle_optimum": oracle_opt,
         "approximation_ratio": ratio,
         "relative_difference": rel_series,
@@ -223,7 +215,7 @@ def cmd_solve(args) -> int:
     }
     outputs = [(args.out, ingest.dumps(report) + "\n")]
     if args.trace_csv:
-        rows = [[s.iteration, s.chosen, s.gain, s.phi_after] for s in trace.steps]
+        rows = [vars(s).values() for s in trace.steps]
         outputs.append((args.trace_csv, _csv_text(TRACE_COLUMNS, rows)))
     _write(*outputs)
     return EXIT_OK
@@ -319,7 +311,8 @@ def cmd_gen(args) -> int:
         # An SNDlib instance's capacity is 4*D/|V| over the kept demand D.
         _refuse(args, "--topology", "capacity", "p")
         net, demands = ingest.parse_sndlib(Path(args.sndlib).read_text())
-        cfg = dataclasses.replace(_scenario(args, args.sndlib), p=_given(args.keep_prob, 0.5))
+        cfg = dataclasses.replace(_scenario(args, args.sndlib),
+                                  p=_given(args.keep_prob, ingest.KEEP_PROBABILITY))
         inst = ingest.generate_weighted_scenario(cfg, net, demands)
         provenance = {"source": args.sndlib, "keep_probability": cfg.p}
     provenance.update(seed=cfg.seed, replication=cfg.replication)
@@ -361,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacitated, stretch-constrained middlebox placement solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = ingest.ScenarioConfig  # its field defaults are the options' defaults
 
     def add_common_solve(sp):
         sp.add_argument("instance", help="instance JSON or GraphML file")
@@ -368,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--stretch", type=float, default=None)
         sp.add_argument("--capacity", type=int, default=None)
         sp.add_argument("--p", type=probability, default=None,
-                        help="pair probability for GraphML inputs (default 0.3)")
-        sp.add_argument("--seed", type=count, default=None, help="GraphML only (default 0)")
+                        help=f"pair probability for GraphML inputs (default {scenario.p})")
+        sp.add_argument("--seed", type=count, default=None,
+                        help=f"GraphML only (default {scenario.seed})")
         sp.add_argument("--replication", type=count, default=None,
-                        help="GraphML only (default 0)")
+                        help=f"GraphML only (default {scenario.replication})")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_oracle(sp, default: int):
@@ -401,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--topology", default=None, help="GraphML topology")
     source.add_argument("--sndlib", default=None, help="SNDlib native file")
-    sp.add_argument("--p", type=probability, default=None, help="--topology only (default 0.3)")
+    sp.add_argument("--p", type=probability, default=None,
+                    help=f"--topology only (default {scenario.p})")
     sp.add_argument("--keep-prob", type=probability, default=None,
-                    help="--sndlib only (default 0.5)")
+                    help=f"--sndlib only (default {ingest.KEEP_PROBABILITY})")
     sp.add_argument("--stretch", type=float, default=None)
     sp.add_argument("--capacity", type=int, default=None)
     sp.add_argument("--seed", type=count, default=None)

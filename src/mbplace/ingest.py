@@ -31,6 +31,8 @@ from .weighted import Request, WeightedInstance
 
 INSTANCE_FORMAT = "mbplace-instance"
 INSTANCE_VERSION = 1
+#: The share of an SNDlib file's demands a weighted scenario keeps by default.
+KEEP_PROBABILITY = 0.5
 
 # The keys an instance document may hold; each kind adds its demand list.
 _DOC_KEYS = frozenset(("format", "version", "kind", "metric", "nodes", "edges", "candidates",

@@ -62,17 +62,12 @@ class Request:
         return cls("group", tuple(sorted(nodes)), demand)
 
 
-def build_request_feasibility(requests, dist: np.ndarray, candidates, *,
-                              stretch: float | None = None,
-                              route_limit: float | None = None) -> FeasibilitySets:
-    """The request/candidate feasibility relation over the sorted candidates.
-
-    A candidate serves a group iff it serves every member pair of the group
-    under the same bound as plain pairs (``instance.feasible``).
-    """
-    if (stretch is None) == (route_limit is None):
-        raise ValueError("exactly one of stretch / route_limit must be set")
-    return feasible([r.nodes for r in requests], dist, candidates, stretch, route_limit)
+def build_request_feasibility(winst: WeightedInstance) -> FeasibilitySets:
+    """The request/candidate relation of ``winst``, as ``build_feasibility`` is
+    the pairs': a candidate serves a group iff it serves every member pair of
+    the group under the same bound as plain pairs (``instance.feasible``)."""
+    return feasible([r.nodes for r in winst.requests], winst.dist, winst.candidates,
+                    winst.stretch, winst.route_limit)
 
 
 @dataclass
@@ -311,11 +306,7 @@ def solve_weighted(winst: WeightedInstance):
 
     Returns (prep, chosen set, fractional solution, rounded solution).
     """
-    rfs = build_request_feasibility(
-        winst.requests, winst.dist, winst.candidates,
-        stretch=winst.stretch, route_limit=winst.route_limit,
-    )
-    prep = preprocess(winst.requests, rfs, winst.capacity)
+    prep = preprocess(winst.requests, build_request_feasibility(winst), winst.capacity)
     chosen, frac = generalized_greedy(prep)
     rounded = round_solution(frac, chosen, prep)
     demands = [Fraction(r.demand) for r in winst.requests]

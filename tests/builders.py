@@ -15,7 +15,7 @@ from mbplace.instance import (
     feasible,
 )
 from mbplace.netgraph import Network, compute_apsp
-from mbplace.weighted import Request, build_request_feasibility, preprocess
+from mbplace.weighted import Request, preprocess
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -238,7 +238,7 @@ def random_weighted_problem(rng, *, num_nodes=8, num_requests=6, group_prob=0.25
             requests.append(Request.pair(s, t, float(rng.uniform(0.5, 3.0))))
     if kappa is None:
         kappa = float(rng.uniform(2.5, 6.0))
-    rfs = build_request_feasibility(requests, dist, range(num_nodes), stretch=stretch)
+    rfs = feasible([r.nodes for r in requests], dist, range(num_nodes), stretch, None)
     try:
         prep = preprocess(requests, rfs, kappa)
     except Infeasible:

@@ -246,8 +246,7 @@ def _weighted_problem_stream(rng, sndlib_data):
             winst = generate_weighted_scenario(cfg, net, demands)
         except Infeasible:
             continue
-        rfs = build_request_feasibility(winst.requests, winst.dist, winst.candidates,
-                                        stretch=winst.stretch)
+        rfs = build_request_feasibility(winst)
         try:
             prep = preprocess(winst.requests, rfs, winst.capacity)
         except Infeasible:

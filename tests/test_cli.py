@@ -19,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 import reference
 from builders import star_instance
 
-from mbplace import exceptions, greedy, weighted
-from mbplace.cli import BENCH_COLUMNS, INCREMENTAL_COLUMNS, TRACE_COLUMNS, build_parser, main
+from mbplace import exceptions, greedy, oracle, weighted
+from mbplace.bench import BENCH_COLUMNS
+from mbplace.cli import INCREMENTAL_COLUMNS, TRACE_COLUMNS, build_parser, main
 from mbplace.exceptions import Stalled
 from mbplace.ingest import (
+    KEEP_PROBABILITY,
     ScenarioConfig,
     generate_unweighted_scenario,
     generate_weighted_scenario,
@@ -712,6 +714,23 @@ class TestMalformedDocument:
         assert err["error"] == "ParseError" and err["message"] == f"unknown {named}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("solve-weighted", _path3("weighted", requests=[
+            {"kind": "pair", "nodes": [0, 1, 2], "demand": 1.0}]),
+         "pair request needs exactly two nodes"),
+        ("solve", _path3("unweighted", nodes=[], edges=[]), "network is empty"),
+    ], ids=["pair-of-three-nodes", "no-nodes"])
+    def test_exit_3_names_the_fault(self, command, doc, message, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        code, text = run(capsys, command, str(f), "--out", str(out))
+        assert code == 3 and text.count("\n") == 1
+        err = json.loads(text)
+        assert err["error"] == "ParseError"
+        assert err["message"] == f"invalid instance document: ValueError: {message}"
+        assert not out.exists()
+
 
 def _refuse_read(path, *args, **kwargs):
     raise PermissionError(13, "Permission denied", str(path))
@@ -774,10 +793,14 @@ class TestMalformedTopology:
         (["solve"], "dup.graphml",
          '<graphml><graph><node id="a"/><node id="a"/></graph></graphml>',
          "duplicate node id 'a'"),
+        (["solve"], "north.graphml",
+         '<graphml><key id="lat" for="node" attr.name="Latitude"/>'
+         '<graph><node id="a"><data key="lat">north</data></node></graph></graphml>',
+         "node 'a': bad coordinate: could not convert string to float: 'north'"),
         (["gen", "--sndlib"], "ghost.txt",
          (DATA / "mini_sndlib.txt").read_text().replace("D1 ( A C )", "D1 ( A Z )"),
          "demand references unknown node ('A', 'Z')"),
-    ], ids=["graphml-duplicate-node", "sndlib-demand-unknown-node"])
+    ], ids=["graphml-duplicate-node", "graphml-bad-latitude", "sndlib-demand-unknown-node"])
     def test_parse_error_exit_3_names_the_fault(self, argv, name, text, message, tmp_path,
                                                 capsys):
         path = tmp_path / name
@@ -1088,6 +1111,30 @@ class TestBench:
                 assert ratio == pytest.approx(count / opt)
             else:
                 assert float(row[by_col["max_relative_load"]]) <= 2.0
+
+    def test_absent_keys_take_the_owners_defaults(self, tmp_path, capsys):
+        # Mirrors test_gen_records_the_resolved_defaults: leaving a key out and
+        # spelling out the value its owner gives it write the same rows.
+        topology, sndlib = str(DATA / "mini.graphml"), str(DATA / "mini_sndlib.txt")
+        # At stretch 1.2 the metrics "geo" and "hops" give different rows.
+        omitted = {"topologies": [topology], "stretches": [1.2, 2.0], "oracle": True,
+                   "sndlib": [{"path": sndlib}]}
+        spelled = {**omitted, "seed": ScenarioConfig.seed, "metric": ScenarioConfig.metric,
+                   "p_values": [ScenarioConfig.p], "oracle_limit": oracle.DEFAULT_LIMIT,
+                   "sndlib": [{"path": sndlib, "keep_probability": KEEP_PROBABILITY}]}
+        tables = []
+        for name, config in (("omitted", omitted), ("spelled", spelled)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"{name}.csv"
+            code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
+            assert code == 0
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            for row in rows:
+                assert row.pop("wall_time_s") and row["status"] == "ok"
+            tables.append(rows)
+        assert len(tables[0]) == 2 + 2  # unweighted and weighted rows
+        assert tables[0] == tables[1]
 
     def test_two_runs_give_identical_rows(self, tmp_path, capsys):
         config = {

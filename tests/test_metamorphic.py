@@ -67,6 +67,17 @@ def _weighted_instance(rng, num_nodes, num_requests, *, extra_edge_prob, kappa, 
                             stretch=stretch)
 
 
+def _scale_case(num_nodes):
+    """An at-scale instance: a random ``num_nodes``-node network with the
+    scenario's pairs at p 0.3 and stretch 1.5 under the weight metric, and
+    the generator that drew the network, for further draws."""
+    rng = rng_for(num_nodes)
+    net = random_connected_network(rng, num_nodes, extra_edge_prob=0.03)
+    return rng, generate_unweighted_scenario(
+        ScenarioConfig(topology="random", p=0.3, stretch=1.5, seed=num_nodes, metric="weight"),
+        net)
+
+
 class TestShuffledPairs:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -79,10 +90,7 @@ class TestShuffledPairs:
         assert _greedy_run(shuffled)[0] == _greedy_run(inst)[0]
 
     def test_same_middleboxes_and_gains_at_scale(self):
-        rng = rng_for(120)
-        net = random_connected_network(rng, 120, extra_edge_prob=0.03)
-        inst = generate_unweighted_scenario(
-            ScenarioConfig(topology="random", p=0.3, stretch=1.5, seed=120, metric="weight"), net)
+        rng, inst = _scale_case(120)
         order = rng.permutation(inst.num_pairs)
         shuffled = dataclasses.replace(inst, pairs=[inst.pairs[i] for i in order])
         run = _greedy_run(inst)[0]
@@ -127,16 +135,36 @@ def _unweighted_case(seed):
     return inst
 
 
+def _doubled(inst):
+    """``inst`` with every edge weight, and a route limit, times 2."""
+    net = Network.from_edges(inst.net.num_nodes, [(u, v, 2 * w) for u, v, w in inst.net.edges])
+    return dataclasses.replace(
+        inst, net=net, dist=compute_apsp(net, inst.metric),
+        route_limit=None if inst.route_limit is None else 2 * inst.route_limit)
+
+
+def _with_isolated_candidate(inst):
+    """``inst`` with one more node, linked to nothing, as its last candidate."""
+    isolated = inst.net.num_nodes
+    net = Network.from_edges(isolated + 1, inst.net.edges)
+    extended = dataclasses.replace(inst, net=net, dist=compute_apsp(net, inst.metric),
+                                   candidates=inst.candidates + (isolated,))
+    assert build_feasibility(extended).masks[isolated] == 0
+    return extended
+
+
 class TestDoubledWeights:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_same_run_and_assignment(self, seed):
         inst = _unweighted_case(seed)
-        net = Network.from_edges(inst.net.num_nodes, [(u, v, 2 * w) for u, v, w in inst.net.edges])
-        doubled = dataclasses.replace(
-            inst, net=net, dist=compute_apsp(net),
-            route_limit=None if inst.route_limit is None else 2 * inst.route_limit)
-        assert _greedy_run(doubled) == _greedy_run(inst)
+        assert _greedy_run(_doubled(inst)) == _greedy_run(inst)
+
+    def test_same_run_and_assignment_at_scale(self):
+        _, inst = _scale_case(110)
+        run = _greedy_run(inst)
+        assert len(run[0]) > 1
+        assert _greedy_run(_doubled(inst)) == run
 
 
 class TestIsolatedCandidate:
@@ -146,12 +174,13 @@ class TestIsolatedCandidate:
         inst = _unweighted_case(seed)
         # One more candidate adds capacity, which could pass the pigeonhole check.
         assume(inst.num_pairs <= inst.capacity * len(inst.candidates))
-        isolated = inst.net.num_nodes
-        net = Network.from_edges(isolated + 1, inst.net.edges)
-        extended = dataclasses.replace(inst, net=net, dist=compute_apsp(net),
-                                       candidates=inst.candidates + (isolated,))
-        assert build_feasibility(extended).masks[isolated] == 0
-        assert _greedy_run(extended) == _greedy_run(inst)
+        assert _greedy_run(_with_isolated_candidate(inst)) == _greedy_run(inst)
+
+    def test_same_run_and_assignment_at_scale(self):
+        _, inst = _scale_case(100)
+        run = _greedy_run(inst)
+        assert len(run[0]) > 1
+        assert _greedy_run(_with_isolated_candidate(inst)) == run
 
 
 def _dyadic_case(rng, num_nodes, pair_prob, num_candidates, capacity, stretch, extra_edge_prob):

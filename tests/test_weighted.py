@@ -19,13 +19,12 @@ from oracles import (
 
 from mbplace import weighted
 from mbplace.exceptions import Infeasible, PlacementError, RoundingFailed
-from mbplace.instance import Pair, PlacementInstance, build_feasibility
+from mbplace.instance import Pair, PlacementInstance, build_feasibility, feasible
 from mbplace.netgraph import Network, compute_apsp
 from mbplace.weighted import (
     Request,
     RoundedSolution,
     WeightedInstance,
-    build_request_feasibility,
     generalized_greedy,
     preprocess,
     round_solution,
@@ -60,9 +59,7 @@ class TestGroupFeasibility:
         # Path a-b-c-d: node b serves group {a,b,c} but not {a,c,d} at rho=1.
         net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         dist = compute_apsp(net)
-        rfs = build_request_feasibility(
-            [Request.group([0, 1, 2], 1.0), Request.group([0, 2, 3], 1.0)],
-            dist, range(4), stretch=1.0)
+        rfs = feasible([(0, 1, 2), (0, 2, 3)], dist, range(4), 1.0, None)
         assert 1 in rfs.candidates_of[0]
         # only node 2 lies on a shortest path of every member pair of {0,2,3}
         assert rfs.candidates_of[1] == (2,)
@@ -73,7 +70,7 @@ class TestGroupFeasibility:
         dist = compute_apsp(net)
         reqs = [Request.pair(0, 3, 1.0), Request.group([0, 3], 1.0)]
         for stretch in (1.0, 1.2, 1.4, 2.0):
-            both = build_request_feasibility(reqs, dist, range(7), stretch=stretch)
+            both = feasible([r.nodes for r in reqs], dist, range(7), stretch, None)
             assert both.candidates_of[0] == both.candidates_of[1]
             inst = PlacementInstance(net=net, dist=dist, pairs=[Pair(0, 3)],
                                      candidates=range(7), capacity=1, stretch=stretch)
