@@ -6,12 +6,14 @@ Submodularity of the assignment function makes the greedy count at most
 earlier step an upper bound on the gain now, so ``lazy_pick`` (Minoux's
 accelerated greedy, shared with the weighted generalized greedy) keeps the
 candidates in a heap keyed on their upper bound and re-evaluates only the
-top one until a candidate whose gain is current stays on top. A gain is
-counted by ``matching.count_gain`` on copies of the engine's pair bitsets,
-applying each one-level handover search as a batch; only the winner is
-deployed, one canonical path at a time, through ``Assignment.add_middlebox``.
-Both reach a maximum flow from the winner, so the deployed gain must equal
-the counted one.
+top one until a candidate whose gain is current stays on top. Before a
+count, the top key is cut to the free pairs the candidate's augmenting paths
+could end at (``free_pair_bound``), and a candidate that bound puts below
+the top is not counted at all. A gain is counted by ``matching.count_gain``
+on copies of the engine's pair bitsets, applying each one-level handover
+search as a batch; only the winner is deployed, one canonical path at a
+time, through ``Assignment.add_middlebox``. Both reach a maximum flow from
+the winner, so the deployed gain must equal the counted one.
 One location is committed per step, so deployed locations are never
 revisited and served pairs never drop out. ``solve_unweighted`` is the
 validated run that every front end reports.
@@ -73,19 +75,35 @@ def candidate_heap(engine: Assignment) -> list[tuple[int, int, int]]:
                       for m, mask in engine.fs.masks.items() if m not in engine.load)
 
 
-def lazy_pick(heap: list, step: int, evaluate):
+def lazy_pick(heap: list, step: int, evaluate, bound=None):
     """Pop the largest gain, ties to the smallest id, from a ``bound_heap`` of
-    ``(-bound, id, stamp)``: refresh the top entry with ``evaluate(id) ->
-    gain`` and stamp it ``step``, or drop it for good at gain 0, until a fresh
-    entry is on top (no stale bound of a submodular objective beats it).
-    Returns ``(id, gain)``, or None if the heap runs empty.
+    ``(-key, id, stamp)``, every key an upper bound on its candidate's gain.
+    Until a fresh entry is on top (no upper bound beats it), take the top
+    entry: if ``bound(id)``, a cheap upper bound on the gain now, is below
+    its key, re-key it and leave its stamp, so it stays stale; otherwise
+    refresh it with ``evaluate(id) -> gain`` and stamp it ``step``. An entry
+    whose bound or gain is 0 is dropped for good. Returns ``(id, gain)``, or
+    None if the heap runs empty.
+
+    Raises PlacementError if a gain exceeds its key: a stale gain or a bound
+    that does not bound, as when the objective is not submodular.
     """
     while heap:
-        neg_bound, i, stamp = heap[0]
+        neg_key, i, stamp = heap[0]
         if stamp == step:
             heapq.heappop(heap)
-            return i, -neg_bound
+            return i, -neg_key
+        if bound is not None:
+            cap = bound(i)
+            if cap < -neg_key:
+                if cap == 0:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (-cap, i, stamp))
+                continue
         gained = evaluate(i)
+        if gained > -neg_key:
+            raise PlacementError(f"candidate {i} gained {gained}, above its bound {-neg_key}")
         if gained == 0:
             heapq.heappop(heap)
             continue
@@ -93,13 +111,26 @@ def lazy_pick(heap: list, step: int, evaluate):
     return None
 
 
+def free_pair_bound(engine: Assignment):
+    """``m -> |free & (S_m | S_y of every deployed y)|``, an upper bound on
+    ``count_gain(engine, m)``: each augmenting path from m ends at a free pair
+    of its own, which the last box on the path, m or a deployed y, serves."""
+    masks, free = engine.fs.masks, engine.free
+    reach = 0
+    for y in engine.load:
+        reach |= masks[y]
+    reach &= free
+    return lambda m: (free & masks[m] | reach).bit_count()
+
+
 def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = None):
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
     Picks the largest gain, ties to the smallest id, through ``lazy_pick``
-    with gains from ``count_gain``. ``heap`` comes from ``candidate_heap``
-    (built afresh when omitted) and is updated in place. The winner is
-    deployed by ``engine.add_middlebox``.
+    with gains from ``count_gain``, skipping the counts that
+    ``free_pair_bound`` already rules out. ``heap`` comes from
+    ``candidate_heap`` (built afresh when omitted) and is updated in place.
+    The winner is deployed by ``engine.add_middlebox``.
 
     Raises Stalled when no candidate improves the assignment although free
     pairs remain (e.g. |P| > capacity * |U|), and PlacementError if the
@@ -109,7 +140,8 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
     heap = candidate_heap(engine) if heap is None else heap
-    picked = lazy_pick(heap, len(engine.load), lambda m: count_gain(engine, m))
+    picked = lazy_pick(heap, len(engine.load), lambda m: count_gain(engine, m),
+                       free_pair_bound(engine))
     if picked is None:
         raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
     m, gained = picked

@@ -8,13 +8,14 @@ feasibility sets of seeded random networks. Every greedy step must choose
 the same middlebox with the same gain and leave the same assignment and
 loads, and a stall must come at the same step. After every greedy step the
 counter must give every undeployed candidate the gain the reference would
-deploy it with. The weighted greedy must
-open the same locations with the same fractional objective and ``x``, and
-fail with Infeasible on the same problems. The fractional LP must give the
-same ``x`` and objective on the residual-list flow network as on the
-arc-object reference network, the same ``x`` as with the unshifted source
-costs ``-1/demand``, and its objective (the sum of ``x``) must be the
-reference flow's profit. The slot graph read off cumulative loads must
+deploy it with, at most its free-pair bound; without that bound the greedy
+must take the same steps, or stall at the same one, with more gain counts.
+The weighted greedy must open the same locations with the same fractional
+objective and ``x``, and fail with Infeasible on the same problems. The
+fractional LP must give the same ``x`` and objective on the residual-list
+flow network as on the arc-object reference network, the same ``x`` as with
+the unshifted source costs ``-1/demand``, and its objective (the sum of
+``x``) must be the reference flow's profit. The slot graph read off cumulative loads must
 equal the one built share piece by piece. The all-source shortest-path
 relaxation must give a distance matrix bit-identical to one Dijkstra run per
 source.
@@ -43,9 +44,10 @@ from hypothesis import given, settings, strategies as st
 import reference
 from builders import coverable_instance, coverable_weighted_problem, relation, rng_for
 
-from mbplace import oracle, weighted
+from mbplace import greedy, oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
-from mbplace.greedy import GreedyTrace, greedy_place, greedy_step, incremental_extend
+from mbplace.greedy import (GreedyTrace, free_pair_bound, greedy_place, greedy_step,
+                            incremental_extend)
 from mbplace.matching import Assignment, count_gain, phi
 from mbplace.netgraph import METRICS, Network, Node, compute_apsp
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n, max_served_series
@@ -291,15 +293,22 @@ class TestCountGain:
         assert engine.mu == [13, 13, 12, None, None, 10, 11, None, 10, 11, 12]
 
 
+#: (seed, num_nodes, num_pairs, capacity) of seeded networks larger than the
+#: hypothesis draws, where counting meets both batched handovers and deeper paths.
+AT_SCALE = [(1, 60, 180, 8), (2, 80, 240, 10), (4, 100, 200, 8)]
+
+
+def at_scale(seed, num_nodes, num_pairs, capacity):
+    return coverable_instance(rng_for(seed), num_nodes=num_nodes, num_pairs=num_pairs,
+                              capacity=capacity, stretch=1.5)
+
+
 class TestGreedy:
-    @pytest.mark.parametrize("seed, num_nodes, num_pairs, capacity", [
-        (1, 60, 180, 8), (2, 80, 240, 10), (4, 100, 200, 8)])
+    @pytest.mark.parametrize("seed, num_nodes, num_pairs, capacity", AT_SCALE)
     def test_greedy_place_at_scale(self, seed, num_nodes, num_pairs, capacity):
-        """Larger seeded networks than the hypothesis draws, where counting
-        meets both batched handovers and deeper paths: the same middlebox
-        sequence and the same final assignment as the eager reference."""
-        inst, fs = coverable_instance(rng_for(seed), num_nodes=num_nodes, num_pairs=num_pairs,
-                                      capacity=capacity, stretch=1.5)
+        """The same middlebox sequence and the same final assignment as the
+        eager reference."""
+        inst, fs = at_scale(seed, num_nodes, num_pairs, capacity)
         states, stalled = reference.greedy_run(fs, capacity)
         assert not stalled
         trace = greedy_place(inst, fs)
@@ -345,6 +354,77 @@ class TestGreedy:
             with pytest.raises(Stalled):
                 incremental_extend(trace, 1)
             assert (trace.steps, state(trace.engine), trace.heap) == snapshot
+
+
+def run_greedy(sizes, fs, bounded=True):
+    """(steps, mu, load, stalled) of greedy steps from scratch until every
+    pair is served or a step stalls; with ``bounded`` False, ``lazy_pick``
+    gets no ``free_pair_bound`` and counts the top every time."""
+    pick = greedy.lazy_pick
+    trace = greedy_place(sizes, fs, 0)
+    steps, stalled = [], False
+    with pytest.MonkeyPatch.context() as mp:
+        if not bounded:
+            mp.setattr(greedy, "lazy_pick",
+                       lambda heap, step, evaluate, bound=None: pick(heap, step, evaluate))
+        while not trace.complete and not stalled:
+            try:
+                steps.append(greedy_step(trace.engine, trace.heap))
+            except Stalled:
+                stalled = True
+    return steps, trace.engine.mu, trace.engine.load, stalled
+
+
+def gain_counts(sizes, fs, bounded: bool) -> int:
+    """How many ``count_gain`` calls ``run_greedy`` makes."""
+    calls = []
+    count = greedy.count_gain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "count_gain", lambda engine, m: calls.append(m) or count(engine, m))
+        run_greedy(sizes, fs, bounded)
+    return len(calls)
+
+
+class TestFreePairBound:
+    @staticmethod
+    def check_every_step(fs, capacity):
+        """Greedy from scratch; before each step and after the last one,
+        every undeployed candidate's gain is at most its free-pair bound."""
+        engine = Assignment(fs, capacity)
+        while True:
+            bound = free_pair_bound(engine)
+            for m in fs.candidates:
+                if m not in engine.load:
+                    assert count_gain(engine, m) <= bound(m), m
+            if engine.num_assigned == fs.num_pairs:
+                break
+            try:
+                greedy_step(engine)
+            except Stalled:
+                break
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_relation)
+    def test_bounds_every_gain(self, relation):
+        self.check_every_step(*relation)
+
+    @pytest.mark.parametrize("seed, num_nodes, num_pairs, capacity", AT_SCALE)
+    def test_bounds_every_gain_at_scale(self, seed, num_nodes, num_pairs, capacity):
+        inst, fs = at_scale(seed, num_nodes, num_pairs, capacity)
+        self.check_every_step(fs, capacity)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_relation)
+    def test_same_run_without_the_bound(self, relation):
+        """The same steps, assignment and loads, or the same stall."""
+        fs, capacity = relation
+        sizes = Sizes(fs.num_pairs, capacity)
+        assert run_greedy(sizes, fs) == run_greedy(sizes, fs, bounded=False)
+
+    def test_fewer_gain_counts(self):
+        inst, fs = at_scale(4, 100, 200, 8)
+        bounded, unbounded = gain_counts(inst, fs, True), gain_counts(inst, fs, False)
+        assert bounded < unbounded, (bounded, unbounded)
 
 
 class TestOracles:

@@ -16,10 +16,12 @@ import mbplace
 from mbplace import greedy
 from mbplace.exceptions import PlacementError, Stalled
 from mbplace.greedy import (
+    bound_heap,
     greedy_place,
     greedy_step,
     incremental_extend,
     greedy_approximation_bound,
+    lazy_pick,
 )
 from mbplace.instance import Pair, PlacementInstance, build_feasibility
 from mbplace.matching import Assignment, phi
@@ -104,6 +106,37 @@ class TestGreedyStep:
         best = max(gains.values())
         assert gain == best
         assert chosen == min(m for m, g in gains.items() if g == best)
+
+
+class TestLazyPick:
+    def test_bound_below_the_key_skips_the_evaluation(self):
+        # 0's bound 1 puts it below 1's gain 2, so 0 is never evaluated;
+        # 2's bound 0 drops it for good.
+        heap = bound_heap([(0, 3), (1, 3), (2, 3)])
+        evaluated = []
+
+        def evaluate(i):
+            evaluated.append(i)
+            return 2
+
+        assert lazy_pick(heap, 0, evaluate, {0: 1, 1: 3, 2: 0}.__getitem__) == (1, 2)
+        assert evaluated == [1]
+        assert heap == [(-1, 0, -1)]  # re-keyed, still stale
+
+    @pytest.mark.parametrize("gains, bound, key", [
+        ([{0: 4}], None, 3),  # above its first bound
+        ([{0: 2, 1: 1}, {1: 2}], None, 1),  # a later gain above a stale gain
+        ([{0: 2}], {0: 1, 1: 0}.__getitem__, 1),  # above the cheap bound
+    ])
+    def test_gain_above_its_key_is_refused(self, gains, bound, key):
+        """A non-submodular evaluate: the step whose gain exceeds its
+        candidate's key raises instead of picking."""
+        heap = bound_heap([(0, 3), (1, 3)])
+        for step, gain in enumerate(gains[:-1]):
+            assert lazy_pick(heap, step, gain.__getitem__, bound)[0] == 0
+        with pytest.raises(PlacementError, match=f"gained {max(gains[-1].values())}, "
+                                                 f"above its bound {key}"):
+            lazy_pick(heap, len(gains) - 1, gains[-1].__getitem__, bound)
 
 
 class TestTraceInvariants:
