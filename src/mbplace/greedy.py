@@ -9,14 +9,11 @@ candidates in a heap keyed on their upper bound and re-evaluates only the
 top one until a candidate whose gain is current stays on top. Before a
 count, the top key is cut to the free pairs the candidate's augmenting paths
 could end at (``free_pair_bound``), and a candidate that bound puts below
-the top is not counted at all. A gain is counted by ``matching.count_gain``
-on copies of the engine's pair bitsets, applying each one-level handover
-search as a batch; only the winner is deployed, one canonical path at a
-time, through ``Assignment.add_middlebox``. Both reach a maximum flow from
-the winner, so the deployed gain must equal the counted one.
-One location is committed per step, so deployed locations are never
-revisited and served pairs never drop out. ``solve_unweighted`` is the
-validated run that every front end reports.
+the top is not counted at all. A gain is counted by deploying the candidate
+on a clone of the engine, through the same ``Assignment.add_middlebox`` that
+then deploys the winner on the engine itself. One location is committed per
+step, so deployed locations are never revisited and served pairs never drop
+out. ``solve_unweighted`` is the validated run that every front end reports.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 
 from .exceptions import PlacementError, Stalled
 from .instance import FeasibilitySets, PlacementInstance, check_total_capacity, validate_assignment
-from .matching import Assignment, count_gain
+from .matching import Assignment
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def lazy_pick(heap: list, step: int, evaluate, bound=None):
 
 def free_pair_bound(engine: Assignment):
     """``m -> |free & (S_m | S_y of every deployed y)|``, an upper bound on
-    ``count_gain(engine, m)``: each augmenting path from m ends at a free pair
+    m's gain on ``engine``: each augmenting path from m ends at a free pair
     of its own, which the last box on the path, m or a deployed y, serves."""
     masks, free = engine.fs.masks, engine.free
     reach = 0
@@ -127,28 +124,24 @@ def greedy_step(engine: Assignment, heap: list[tuple[int, int, int]] | None = No
     """One greedy iteration: returns (chosen, gain) and mutates the engine.
 
     Picks the largest gain, ties to the smallest id, through ``lazy_pick``
-    with gains from ``count_gain``, skipping the counts that
-    ``free_pair_bound`` already rules out. ``heap`` comes from
-    ``candidate_heap`` (built afresh when omitted) and is updated in place.
-    The winner is deployed by ``engine.add_middlebox``.
+    with each gain counted by ``add_middlebox`` on a clone of the engine,
+    skipping the counts that ``free_pair_bound`` already rules out. ``heap``
+    comes from ``candidate_heap`` (built afresh when omitted) and is updated
+    in place. The winner is deployed by ``engine.add_middlebox``.
 
     Raises Stalled when no candidate improves the assignment although free
-    pairs remain (e.g. |P| > capacity * |U|), and PlacementError if the
-    deployed gain differs from the counted one.
+    pairs remain (e.g. |P| > capacity * |U|).
     """
     num_free = engine.fs.num_pairs - engine.num_assigned
     if num_free == 0:
         raise ValueError("all pairs are already assigned")
     heap = candidate_heap(engine) if heap is None else heap
-    picked = lazy_pick(heap, len(engine.load), lambda m: count_gain(engine, m),
+    picked = lazy_pick(heap, len(engine.load), lambda m: engine.clone().add_middlebox(m),
                        free_pair_bound(engine))
     if picked is None:
         raise Stalled(f"no candidate can serve any of the {num_free} remaining pairs")
-    m, gained = picked
-    deployed = engine.add_middlebox(m)
-    if deployed != gained:
-        raise PlacementError(f"middlebox {m} gained {deployed} pairs, {gained} were counted")
-    return m, gained
+    engine.add_middlebox(picked[0])
+    return picked
 
 
 def _run(trace: GreedyTrace, budget: int | None) -> None:

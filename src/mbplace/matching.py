@@ -10,21 +10,26 @@ The state is held on pair bitsets, one Python int each: ``owned[y]`` has
 bit p set iff pair p is assigned to box y, ``free`` has the unassigned
 pairs, and ``FeasibilitySets.masks[x]`` is S_x. Adding a box m first takes
 the lowest free pairs of S_m up to capacity (the length-1 paths), then
-runs level-by-level searches from m until capacity or the first search
-that fails.
+applies the depth-2 paths (m -> y -> free pair) in closed form, then runs
+level-by-level searches from m until capacity or the first search that
+fails.
 
-Deployment flips one path per search, with each level sorted into
-breadth-first discovery order, which makes the flip apply exactly the path
-a pair-by-pair breadth-first search in ascending pair index would return.
-This canonical order fixes the reported assignment. ``count_gain`` needs
-only the gain, ``phi(M + m) - phi(M)``, which every maximum flow from m
-reaches whatever its paths, as in the phase counting of Hopcroft & Karp
-(1973). It runs on copies, skips the sort, and applies a search that ends
-one level below m (the handovers m -> y -> free pair) as one batch on
-bitsets instead of one search per pair.
+Every path applied is the one a pair-by-pair breadth-first search in
+ascending pair index would return next. This canonical order fixes the
+reported assignment. A deeper search's levels are sorted into breadth-first
+discovery order before its one path is flipped. The depth-2 paths need no
+search: the next one hands m the lowest pair of S_m held by a box that still
+reaches a free pair, and that box takes its own lowest free pair. The pairs
+of S_m that other boxes hold only shrink, a box never regains a free pair,
+and shortest augmenting paths never get shorter (Hopcroft & Karp 1973), so
+one ascending scan over a heap of those boxes applies them all, before any
+deeper path. Counting a gain, ``phi(M + m) - phi(M)``, is the same
+deployment on a ``clone``.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .exceptions import AlreadyActive
 from .instance import FeasibilitySets, set_bits
@@ -154,15 +159,6 @@ class Assignment:
         owned[x] |= bit
         return free
 
-    def _take_free(self, m: int, owned: dict[int, int], free: int) -> tuple[int, int]:
-        """Open m on ``owned`` (updated in place) with the lowest free pairs
-        of S_m up to capacity, each the length-1 path a search would return
-        next; returns their number and the new ``free``. Taking them creates
-        no free pair, so every later path is a handover."""
-        take = _lowest(self.fs.masks[m] & free, self.capacity)
-        owned[m] = take
-        return take.bit_count(), free ^ take
-
     # -- incremental growth -------------------------------------------------
 
     def add_middlebox(self, m: int) -> int:
@@ -171,18 +167,44 @@ class Assignment:
 
         Only paths starting at m are needed: the previous assignment was
         maximum, so after exhausting them the new one is maximum as well.
-        Each search's levels are sorted, from the first on, into
-        breadth-first discovery order (box y by the position of the first
-        box x of the level before whose S_x meets ``owned[y]``, then by the
-        lowest pair of that meet) before its path is flipped.
+        The depth-2 scan keeps the boxes y holding pairs of S_m in a heap on
+        their lowest such pair, which is how a sorted depth-2 search orders
+        its first level; its flip takes the first of them that reaches a
+        free pair. So the top y, if it reaches one, hands that pair to m and
+        takes its own lowest free pair; if not, it never will again and
+        leaves the heap. Each deeper search's levels are sorted, from the
+        first on, into breadth-first discovery order (box y by the position
+        of the first box x of the level before whose S_x meets
+        ``owned[y]``, then by the lowest pair of that meet) before its path
+        is flipped.
         """
         if m in self.load:
             raise AlreadyActive(f"middlebox {m} is already deployed")
         if m not in self.fs.masks:
             raise ValueError(f"{m} is not a candidate location")
-        masks, owned = self.fs.masks, self.owned
-        gained, free = self._take_free(m, owned, self.free)
-        while gained < self.capacity:
+        masks, owned, capacity = self.fs.masks, self.owned, self.capacity
+        s_m = masks[m]
+        take = _lowest(s_m & self.free, capacity)
+        free = self.free ^ take
+        gained = take.bit_count()
+        heap = [] if gained == capacity else sorted(
+            (held & -held, y) for y, pairs in owned.items() if (held := pairs & s_m))
+        owned[m] = take
+        while heap and gained < capacity:
+            via, y = heap[0]
+            bit = masks[y] & free
+            if bit:
+                bit &= -bit
+                free ^= bit
+                owned[y] ^= via | bit
+                owned[m] |= via
+                gained += 1
+                held = owned[y] & s_m
+                if held:
+                    heapq.heapreplace(heap, (held & -held, y))
+                    continue
+            heapq.heappop(heap)
+        while gained < capacity:
             levels = self.find_augmenting_path(m, owned, free)
             if levels is None:
                 break
@@ -194,42 +216,6 @@ class Assignment:
         self.load[m] = gained
         self.num_assigned += gained
         return gained
-
-
-def count_gain(engine: Assignment, m: int) -> int:
-    """What ``engine.add_middlebox(m)`` would gain, leaving the engine as is.
-
-    Once the free pairs of S_m are taken and m still has room, S_m meets no
-    free pair, so a search that ends one level below m holds boxes y that
-    can each hand pairs of S_m to m and take free pairs of S_y in their
-    place. Each y in turn hands over k = min(capacity left,
-    |S_m & owned[y]|, |S_y & free|) pairs at once: k augmenting paths, none
-    of which uses a pair another one does. A deeper search flips one path.
-    """
-    masks, capacity = engine.fs.masks, engine.capacity
-    owned = dict(engine.owned)
-    gained, free = engine._take_free(m, owned, engine.free)
-    s_m = masks[m]
-    while gained < capacity:
-        levels = engine.find_augmenting_path(m, owned, free)
-        if levels is None:
-            break
-        if len(levels) > 2:
-            free = engine._flip(levels, owned, free)
-            gained += 1
-            continue
-        for y in levels[1]:
-            held, free_y = s_m & owned[y], masks[y] & free
-            k = min(capacity - gained, held.bit_count(), free_y.bit_count())
-            if k:
-                handed, taken = _lowest(held, k), _lowest(free_y, k)
-                owned[y] ^= handed | taken
-                owned[m] |= handed
-                free ^= taken
-                gained += k
-                if gained == capacity:
-                    break
-    return gained
 
 
 def phi(M, fs: FeasibilitySets, capacity: int) -> int:

@@ -1,13 +1,13 @@
-"""Differential tests: the lazy greedy of both variants, the bitset engine
-and its gain counter against the eager greedy and the list-based, BFS-only
-reference engine in ``reference.py``.
+"""Differential tests: the lazy greedy of both variants and the bitset
+engine, deployed and counting gains on clones, against the eager greedy and
+the list-based, BFS-only reference engine in ``reference.py``.
 
 Relations are drawn two ways: as arbitrary pair/candidate relations (pairs
 no candidate serves and capacity shortfalls make greedy stall) and as
 feasibility sets of seeded random networks. Every greedy step must choose
 the same middlebox with the same gain and leave the same assignment and
-loads, and a stall must come at the same step. After every greedy step the
-counter must give every undeployed candidate the gain the reference would
+loads, and a stall must come at the same step. After every greedy step a
+clone must give every undeployed candidate the gain the reference would
 deploy it with, at most its free-pair bound; without that bound the greedy
 must take the same steps, or stall at the same one, with more gain counts.
 The weighted greedy must open the same locations with the same fractional
@@ -48,7 +48,7 @@ from mbplace import greedy, oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
 from mbplace.greedy import (GreedyTrace, free_pair_bound, greedy_place, greedy_step,
                             incremental_extend)
-from mbplace.matching import Assignment, count_gain, phi
+from mbplace.matching import Assignment, phi
 from mbplace.netgraph import METRICS, Network, Node, compute_apsp
 from mbplace.oracle import exact_min_middleboxes, max_assignment_for_n, max_served_series
 from mbplace.weighted import (FractionalAssignment, Request, _build_slots, generalized_greedy,
@@ -191,14 +191,15 @@ class TestAddMiddlebox:
         assert phi(members, fs, capacity) == reference.phi(members, fs, capacity)
 
 
-class TestCountGain:
+class TestGainOnClone:
     @settings(max_examples=200, deadline=None)
     @given(any_relation)
     def test_every_candidate_after_every_step(self, relation):
         """Greedy from scratch; before each step and after the last one,
-        count every undeployed candidate (gains of 0 included) on an
-        untouched engine and compare with the reference deployment on a
-        reference engine holding the same assignment."""
+        count every undeployed candidate (gains of 0 included) by
+        ``engine.clone().add_middlebox(m)`` and compare with the reference
+        deployment on a reference engine holding the same assignment. The
+        engine itself stays untouched."""
         fs, capacity = relation
         engine = Assignment(fs, capacity)
         while True:
@@ -206,7 +207,7 @@ class TestCountGain:
             for m in fs.candidates:
                 if m not in engine.load:
                     want = reference.Assignment.of(engine).add_middlebox(m)
-                    assert count_gain(engine, m) == want, m
+                    assert engine.clone().add_middlebox(m) == want, m
             assert (state(engine), engine.owned, engine.free) == before
             if engine.num_assigned == fs.num_pairs:
                 break
@@ -229,55 +230,68 @@ class TestCountGain:
             engine = Assignment(fs, capacity)
             for m in deployed:
                 engine.add_middlebox(m)
-            assert {m: count_gain(engine, m) for m in want} == want
+            before = state(engine), dict(engine.owned), engine.free
+            assert {m: engine.clone().add_middlebox(m) for m in want} == want
+            assert (state(engine), engine.owned, engine.free) == before
             assert {m: reference.Assignment.of(engine).add_middlebox(m) for m in want} == want
 
     @staticmethod
-    def _count(engine, m):
-        """(gain, levels of each search) of ``count_gain(engine, m)``, with
-        None for a failed search. The engine must be left as it was, and
-        the gain must be the reference deployment's."""
+    def _add(engine, m):
+        """(gain, levels of each search, mu) of ``add_middlebox(m)`` on a
+        clone of ``engine``, with None for a failed search. The engine must
+        be left as it was, and the gain and mu must be the reference
+        deployment's."""
         before = state(engine), dict(engine.owned), engine.free
         depths = []
-        find = engine.find_augmenting_path
+        find = Assignment.find_augmenting_path
 
         def search(*args):
             levels = find(*args)
             depths.append(None if levels is None else len(levels))
             return levels
 
-        engine.find_augmenting_path = search
-        try:
-            gained = count_gain(engine, m)
-        finally:
-            del engine.find_augmenting_path
+        clone = engine.clone()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Assignment, "find_augmenting_path", search)
+            gained = clone.add_middlebox(m)
         assert (state(engine), engine.owned, engine.free) == before
-        assert gained == reference.Assignment.of(engine).add_middlebox(m)
-        return gained, depths
+        ref = reference.Assignment.of(engine)
+        assert (gained, clone.mu) == (ref.add_middlebox(m), ref.mu)
+        return gained, depths, clone.mu
 
     def test_one_box_hands_over_several_pairs(self):
         # Box 10 holds pairs 0-2 of S_11 and can take the free pairs 3-5
-        # instead: one search, three handovers.
+        # instead: three handovers from the scan, no search.
         fs = relation(6, {10: (0, 1, 2, 3, 4, 5), 11: (0, 1, 2)})
         engine = Assignment(fs, 3)
         engine.add_middlebox(10)
         assert engine.mu == [10, 10, 10, None, None, None]
-        assert self._count(engine, 11) == (3, [2])
+        assert self._add(engine, 11) == (3, [], [11, 11, 11, 10, 10, 10])
 
-    def test_capacity_cuts_a_batch_short(self):
+    def test_capacity_cuts_a_scan_short(self):
         # 11 takes the free pair 3 first; then box 10 could hand over three
         # pairs, but 11 has room for two.
         fs = relation(8, {10: (0, 1, 2, 5, 6, 7), 11: (0, 1, 2, 3)})
         engine = Assignment(fs, 3)
         engine.add_middlebox(10)
         assert engine.mu == [10, 10, 10, None, None, None, None, None]
-        assert self._count(engine, 11) == (3, [2])
+        assert self._add(engine, 11) == (3, [], [11, 11, 10, 11, None, 10, 10, None])
         fs = relation(7, {10: (0, 1, 5), 12: (2, 3, 6), 11: (0, 1, 2, 3)})
         engine = Assignment(fs, 2)
         engine.add_middlebox(10)
         engine.add_middlebox(12)
-        # Both boxes of the level can hand a pair over; the second fills 11.
-        assert self._count(engine, 11) == (2, [2])
+        # Box 10 hands pair 0 over and has no free pair left for pair 1;
+        # box 12 hands pair 2 over and fills 11.
+        assert self._add(engine, 11) == (2, [], [11, 10, 11, 12, None, 10, 12])
+
+    def test_free_pairs_run_out_mid_scan(self):
+        # Box 10 hands pair 0 over for the free pair 3, then reaches no free
+        # pair for pair 1; the one search after the scan fails.
+        fs = relation(5, {10: (0, 1, 3), 11: (0, 1)})
+        engine = Assignment(fs, 2)
+        engine.add_middlebox(10)
+        assert engine.mu == [10, 10, None, None, None]
+        assert self._add(engine, 11) == (1, [None], [11, 10, None, 10, None])
 
     def test_level_mixing_handovers_and_deeper_paths(self):
         # From 13 the first level is boxes 10 and 11. Box 10 hands pair 0
@@ -288,13 +302,12 @@ class TestCountGain:
         for m in (10, 11, 12):
             engine.add_middlebox(m)
         assert engine.mu == [10, 11, 12, None, None, 10, 11, None, None, 12, None]
-        assert self._count(engine, 13) == (2, [2, 3])
-        engine.add_middlebox(13)
-        assert engine.mu == [13, 13, 12, None, None, 10, 11, None, 10, 11, 12]
+        assert self._add(engine, 13) == (
+            2, [3], [13, 13, 12, None, None, 10, 11, None, 10, 11, 12])
 
 
 #: (seed, num_nodes, num_pairs, capacity) of seeded networks larger than the
-#: hypothesis draws, where counting meets both batched handovers and deeper paths.
+#: hypothesis draws, where gains meet both depth-2 handover scans and deeper paths.
 AT_SCALE = [(1, 60, 180, 8), (2, 80, 240, 10), (4, 100, 200, 8)]
 
 
@@ -376,11 +389,13 @@ def run_greedy(sizes, fs, bounded=True):
 
 
 def gain_counts(sizes, fs, bounded: bool) -> int:
-    """How many ``count_gain`` calls ``run_greedy`` makes."""
+    """How many gains ``run_greedy`` counts: each is one ``Assignment.clone``,
+    which nothing else in its greedy steps or its empty ``greedy_place``
+    calls."""
     calls = []
-    count = greedy.count_gain
+    clone = Assignment.clone
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(greedy, "count_gain", lambda engine, m: calls.append(m) or count(engine, m))
+        mp.setattr(Assignment, "clone", lambda engine: calls.append(1) or clone(engine))
         run_greedy(sizes, fs, bounded)
     return len(calls)
 
@@ -395,7 +410,7 @@ class TestFreePairBound:
             bound = free_pair_bound(engine)
             for m in fs.candidates:
                 if m not in engine.load:
-                    assert count_gain(engine, m) <= bound(m), m
+                    assert engine.clone().add_middlebox(m) <= bound(m), m
             if engine.num_assigned == fs.num_pairs:
                 break
             try:
