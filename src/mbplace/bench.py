@@ -161,5 +161,5 @@ def run(args) -> int:
                     "weighted", "generalized_greedy", entry["path"], keep, stretch, rep,
                     seed, metric, partial(_measure_weighted, parsed[entry["path"]]),
                 ))
-    _write((args.out, _csv_text(BENCH_COLUMNS, rows)))
+    _write(out=(args.out, _csv_text(BENCH_COLUMNS, rows)))
     return EXIT_OK

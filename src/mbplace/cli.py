@@ -8,9 +8,10 @@ series vs. the exact oracle), ``gen`` (scenario generation) and ``bench``
 
 The runs validate themselves: ``greedy.solve_unweighted`` (``solve``,
 ``incremental``, whose series is the run's steps, and ``bench``) and
-``weighted.solve_weighted``. A command builds the pairs' feasibility itself,
-as the oracle reads it too and ``perfbench/spans.py`` times that layer by
-wrapping this module's ``build_feasibility``. The per-step oracle series
+``weighted.solve_weighted``, whose preprocessing the weighted oracle reads
+as it is. A command builds the pairs' feasibility itself, as the oracle
+reads it too and ``perfbench/spans.py`` times that layer by wrapping this
+module's ``build_feasibility``. The per-step oracle series
 (``oracle.greedy_gap_series``) starts after the run, so a failed run decides
 the exit code before an oracle limit can. ``--oracle-limit`` is read only
 with ``--oracle``. The batch runner ``bench`` is imported only when it runs.
@@ -21,7 +22,8 @@ of the report's ``trace`` and of ``--trace-csv`` is a ``GreedyStep``'s fields.
 Exit codes are a stable contract: 0 success, 2 infeasible, 3 parse, usage or
 read error, 4 oracle too large, 1 a failed validation or a broken engine
 invariant. Each error class carries its code as ``exit_code``, so ``main``
-has one handler for them and one for unreadable files. On failure a
+has one handler for them and one for unreadable files. Two outputs aimed at
+one file, or both at stdout, exit 3 before anything is written. On failure a
 machine-readable error JSON is printed.
 """
 
@@ -32,13 +34,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 import time
 from functools import cache
 from pathlib import Path
 
 from . import greedy, ingest, oracle, weighted
-from .exceptions import ParseError, PlacementError, TooLarge
+from .exceptions import ParseError, PlacementError
 from .instance import PlacementInstance, build_feasibility
 from .netgraph import METRICS, is_number
 
@@ -59,15 +62,22 @@ FLAG_LIMIT = "--oracle-limit {}; re-run without --oracle"
 # helpers
 
 
-def _write(*outputs: tuple[str | None, str]) -> None:
-    """Write each ``(path, text)``; a path of None or ``-`` is stdout.
+def _write(**outputs: tuple[str | None, str]) -> None:
+    """Write each option's ``(path, text)``; a path of None or ``-`` is stdout.
 
-    Files come before stdout, and a file that cannot be written removes the
-    files written before it, so a failed run leaves no output.
+    Two options aimed at one destination, the same file or stdout, raise
+    ParseError before anything is written. Files come before stdout, and a
+    file that cannot be written removes the files written before it, so a
+    failed run leaves no output.
     """
+    if len(outputs) > 1:  # realpath costs a stat per path part; one output meets no other
+        dests = [None if path in (None, "-") else os.path.realpath(path)
+                 for path, _ in outputs.values()]
+        if len(set(dests)) < len(dests):
+            raise ParseError(f"{' and '.join(map(_flag, outputs))} write to one destination")
     written: list[Path] = []
     try:
-        for path, text in sorted(outputs, key=lambda out: out[0] in (None, "-")):
+        for path, text in sorted(outputs.values(), key=lambda out: out[0] in (None, "-")):
             if path is None or path == "-":
                 sys.stdout.write(text)
             else:
@@ -77,6 +87,11 @@ def _write(*outputs: tuple[str | None, str]) -> None:
         for path in written:
             path.unlink(missing_ok=True)
         raise
+
+
+def _flag(dest: str) -> str:
+    """The option an argparse dest names: ``trace_csv`` is ``--trace-csv``."""
+    return "--" + dest.replace("_", "-")
 
 
 def _is_count(value) -> bool:
@@ -114,7 +129,7 @@ def _given(value, default):
 def _refuse(args, reader: str, *options: str) -> None:
     """ParseError naming each of ``options`` (argparse dests) that was given,
     since only ``reader`` reads them: an option never goes silently unused."""
-    given = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is not None]
+    given = [_flag(o) for o in options if getattr(args, o) is not None]
     if given:
         raise ParseError(f"{args.command}: only {reader} reads {', '.join(given)}")
 
@@ -213,11 +228,11 @@ def cmd_solve(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    outputs = [(args.out, ingest.dumps(report) + "\n")]
+    outputs = {"out": (args.out, ingest.dumps(report) + "\n")}
     if args.trace_csv:
         rows = [vars(s).values() for s in trace.steps]
-        outputs.append((args.trace_csv, _csv_text(TRACE_COLUMNS, rows)))
-    _write(*outputs)
+        outputs["trace_csv"] = (args.trace_csv, _csv_text(TRACE_COLUMNS, rows))
+    _write(**outputs)
     return EXIT_OK
 
 
@@ -234,19 +249,7 @@ def cmd_solve_weighted(args) -> int:
     rel_load, violations = weighted.relative_loads(prep, rounded)
     oracle_opt = ratio = None
     if limit is not None:
-        # The oracle sees the kept requests only: a rejected one (demand above
-        # kappa) has no integral placement at all.
-        candidates_of = [prep.fs.candidates_of[j] for j in prep.kept]
-        try:
-            result = oracle.exact_weighted_min_middleboxes(
-                [winst.requests[j] for j in prep.kept], candidates_of, winst.capacity,
-                limit=limit,
-            )
-        except TooLarge as exc:  # the candidates are checked first, then the requests
-            universe = len({u for us in candidates_of for u in us})
-            raise TooLarge(f"{universe} candidates exceed {FLAG_LIMIT.format(limit)}"
-                           if universe > limit
-                           else f"{exc}; re-run without --oracle") from None
+        result = oracle.exact_weighted_min_middleboxes(prep, limit, FLAG_LIMIT)
         oracle_opt = result.value
         ratio = len(chosen) / result.value if result.value else None
     report = {
@@ -274,7 +277,7 @@ def cmd_solve_weighted(args) -> int:
         "validated": True,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
-    _write((args.out, ingest.dumps(report) + "\n"))
+    _write(out=(args.out, ingest.dumps(report) + "\n"))
     return EXIT_OK
 
 
@@ -292,7 +295,7 @@ def cmd_incremental(args) -> int:
               if limit is not None else [(None, None)] * len(trace.steps))
     rows += [[s.iteration + 1, s.phi_after, opt, rel]
              for s, (opt, rel) in zip(trace.steps, series)]
-    _write((args.out, _csv_text(INCREMENTAL_COLUMNS, rows)))
+    _write(out=(args.out, _csv_text(INCREMENTAL_COLUMNS, rows)))
     return EXIT_OK
 
 
@@ -316,7 +319,7 @@ def cmd_gen(args) -> int:
         inst = ingest.generate_weighted_scenario(cfg, net, demands)
         provenance = {"source": args.sndlib, "keep_probability": cfg.p}
     provenance.update(seed=cfg.seed, replication=cfg.replication)
-    _write((args.out, ingest.instance_to_json(inst, provenance)))
+    _write(out=(args.out, ingest.instance_to_json(inst, provenance)))
     return EXIT_OK
 
 

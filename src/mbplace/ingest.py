@@ -212,9 +212,9 @@ def scenario_rng(seed: int, replication: int) -> np.random.Generator:
 
 
 def formula_capacity(num_nodes: int, p: float) -> int:
-    """ceil(2 * (|V|-1) * p), evaluated in exact decimal arithmetic."""
-    exact = 2 * (num_nodes - 1) * Fraction(str(p))
-    return int(math.ceil(exact))
+    """ceil(2 * (|V|-1) * p), evaluated in exact decimal arithmetic, and at
+    least 1: a box holds a pair also where p is 0 or the topology has one node."""
+    return max(1, math.ceil(2 * (num_nodes - 1) * Fraction(str(p))))
 
 
 def stretch_grid() -> list[float]:

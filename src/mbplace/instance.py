@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -166,20 +165,12 @@ class FeasibilitySets:
 
     ``masks[u]`` is S_u as one Python int: bit p is set iff candidate u may
     serve pair (or weighted request) p. Its keys are the candidates in
-    ascending order. ``candidates_of[p]``, the candidates that may serve p,
-    is derived from ``masks`` on first use.
+    ascending order. Every reader, the oracles included, tests these bits;
+    no per-request form of the relation is kept.
     """
 
     num_pairs: int
     masks: dict[int, int]
-
-    @cached_property
-    def candidates_of(self) -> list[tuple[int, ...]]:
-        rev: list[list[int]] = [[] for _ in range(self.num_pairs)]
-        for u, mask in self.masks.items():
-            for p in set_bits(mask):
-                rev[p].append(u)
-        return [tuple(us) for us in rev]
 
     def uncovered(self) -> list[int]:
         """The indices no candidate may serve, ascending."""

@@ -11,7 +11,9 @@ trace's gain g_(t+1) bounds every marginal gain over S_t and
 ``phi_opt(n) <= phi_t + n * g_(t+1)`` (Nemhauser, Wolsey & Fisher 1978);
 a step whose bounds meet is certified without a search.
 ``greedy_gap_series`` and ``compare_to_greedy`` turn that series into what
-the front ends report of a greedy run.
+the front ends report of a greedy run. ``exact_weighted_min_middleboxes``
+reads a weighted run's own ``Preprocessed``: its kept requests, Fraction
+demands and the bitset relation, which decides each subset's coverage.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .exceptions import Infeasible, TooLarge
 from .instance import FeasibilitySets, PlacementInstance
 from .matching import Assignment, phi
+from .weighted import Preprocessed
 
 DEFAULT_LIMIT = 16
 #: How a TooLarge names the limit it met; a front end names its own setting.
@@ -221,35 +226,33 @@ def _place(order, demands, candidates_of, residual, chosen: dict) -> bool:
     return False
 
 
-def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
-                                   limit: int = DEFAULT_WEIGHTED_LIMIT) -> ExactResult:
-    """Minimum middlebox count for an integral assignment at true capacity.
+def exact_weighted_min_middleboxes(prep: Preprocessed, limit: int = DEFAULT_WEIGHTED_LIMIT,
+                                   over: str = ENUMERATION_LIMIT) -> ExactResult:
+    """Minimum middlebox count for an integral assignment at true capacity,
+    of ``prep``'s kept requests (the witness maps request indices to boxes).
 
-    ``candidates_of[j]`` lists the feasible locations of ``requests[j]``.
-    Unlike the rounded approximation there is no augmentation: each request
-    fits within ``kappa`` on its box, so sizes start at total demand / kappa.
+    The candidates serving a kept request are enumerated; a subset whose boxes
+    cover every kept request is searched. No augmentation, unlike the rounded
+    approximation: sizes start at total demand / kappa. TooLarge names the
+    candidate limit as ``over`` does, and appends ``over``'s advice to the
+    request limit's.
     """
-    universe = _check_limit(sorted({u for cands in candidates_of for u in cands}), limit)
-    if len(candidates_of) > WEIGHTED_REQUEST_LIMIT:
-        raise TooLarge(f"{len(candidates_of)} requests exceed the weighted oracle's "
-                       f"fixed limit of {WEIGHTED_REQUEST_LIMIT}")
-    kappa = Fraction(kappa)
-    demands = [Fraction(r.demand) for r in requests]
-    members = list(range(len(requests)))
-    if not members:
+    masks, kappa = prep.fs.masks, prep.kappa
+    kept = sum(1 << j for j in prep.kept)
+    universe = _check_limit([u for u, mask in masks.items() if mask & kept], limit, over)
+    if len(prep.kept) > WEIGHTED_REQUEST_LIMIT:
+        raise TooLarge(f"{len(prep.kept)} requests exceed the weighted oracle's fixed limit "
+                       f"of {WEIGHTED_REQUEST_LIMIT}{over.partition('{}')[2]}")
+    if not prep.kept:
         return ExactResult(0, (), {}, 0)
-    for j in members:
-        if demands[j] > kappa or not candidates_of[j]:
-            raise Infeasible(f"request {j} cannot be served by any middlebox")
     explored = 0
-    for k in range(max(1, math.ceil(sum(demands) / kappa)), len(universe) + 1):
+    for k in range(max(1, math.ceil(sum(prep.demands.values()) / kappa)), len(universe) + 1):
         for subset in combinations(universe, k):
             explored += 1
-            allowed = [tuple(u for u in candidates_of[j] if u in subset)
-                       for j in members]
-            if any(not a for a in allowed):
+            if kept & ~reduce(or_, map(masks.get, subset)):
                 continue
-            witness = _weighted_cover_exists(members, demands, allowed, kappa)
+            allowed = {j: tuple(u for u in subset if masks[u] >> j & 1) for j in prep.kept}
+            witness = _weighted_cover_exists(prep.kept, prep.demands, allowed, kappa)
             if witness is not None:
                 return ExactResult(k, subset, witness, explored)
     raise Infeasible("no candidate subset admits a feasible integral assignment")

@@ -122,10 +122,24 @@ def relation_of(candidates_of) -> FeasibilitySets:
         u: [j for j, c in enumerate(candidates_of) if u in c] for u in universe})
 
 
+def manual_problem(candidates_of, demands, kappa):
+    """Preprocessed weighted problem straight from explicit per-request
+    candidate lists: request j is a pair of demand ``demands[j]``."""
+    return preprocess([Request.pair(0, 1, d) for d in demands], relation_of(candidates_of),
+                      kappa)
+
+
 def pairs_of(fs: FeasibilitySets) -> dict[int, tuple[int, ...]]:
     """``{u: S_u}`` of a relation, each S_u as an ascending tuple."""
     return {u: tuple(p for p in range(fs.num_pairs) if mask >> p & 1)
             for u, mask in fs.masks.items()}
+
+
+def candidates_of(fs: FeasibilitySets) -> list[tuple[int, ...]]:
+    """The relation per request: ``candidates_of(fs)[p]`` is the ascending
+    tuple of candidates whose S_u holds p."""
+    return [tuple(u for u, mask in fs.masks.items() if mask >> p & 1)
+            for p in range(fs.num_pairs)]
 
 
 def star_instance(num_pairs: int, c: int, *, capacity: int, stretch: float) -> PlacementInstance:

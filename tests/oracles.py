@@ -47,7 +47,7 @@ def exhaustive_phi(members, fs, capacity: int) -> int:
     members = sorted(set(members))
     pos = {m: i for i, m in enumerate(members)}
     options = [
-        tuple(u for u in fs.candidates_of[p] if u in pos)
+        tuple(u for u, mask in fs.masks.items() if u in pos and mask >> p & 1)
         for p in range(fs.num_pairs)
     ]
     memo: dict[tuple[int, tuple[int, ...]], int] = {}

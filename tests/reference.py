@@ -40,6 +40,10 @@ to every source arc so that ``_flow`` sees no negative cost.
 
 ``weighted_cover_exists`` is the weighted oracle's assignment search on an
 explicit stack, where ``mbplace.oracle._weighted_cover_exists`` recurses.
+``exact_weighted_min_middleboxes`` is the weighted oracle on explicit
+per-request candidate lists, with its own demand and coverage guards, where
+``mbplace.oracle.exact_weighted_min_middleboxes`` reads a run's
+``Preprocessed`` and its bitset relation.
 
 ``scenario_pairs`` and ``scenario_kept`` are the documented scenario
 streams drawn one scalar ``random()`` at a time: one per potential pair in
@@ -52,6 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import combinations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,9 +64,10 @@ import numpy as np
 
 from builders import pairs_of
 from mbplace import matching
-from mbplace.exceptions import AlreadyActive, Infeasible, PlacementError, Stalled
+from mbplace.exceptions import AlreadyActive, Infeasible, PlacementError, Stalled, TooLarge
 from mbplace.ingest import scenario_rng
 from mbplace.netgraph import geo_distance
+from mbplace.oracle import DEFAULT_WEIGHTED_LIMIT, WEIGHTED_REQUEST_LIMIT, ExactResult
 from mbplace.weighted import ZERO, FractionalAssignment, Preprocessed, solve_fractional
 
 UNASSIGNED = None
@@ -471,7 +477,7 @@ def solve_fractional_unshifted(active, prep: Preprocessed) -> FractionalAssignme
     node numbering as ``mbplace.weighted.solve_fractional``: source, the
     kept requests some active box serves, the boxes ascending, then the sink."""
     active = tuple(sorted(set(active)))
-    jobs = [j for j in prep.kept if any(u in prep.fs.candidates_of[j] for u in active)]
+    jobs = [j for j in prep.kept if any(prep.fs.masks.get(u, 0) >> j & 1 for u in active)]
     if not jobs:
         return FractionalAssignment({})
     net = FlowNetwork(2 + len(jobs) + len(active))
@@ -481,7 +487,7 @@ def solve_fractional_unshifted(active, prep: Preprocessed) -> FractionalAssignme
         p = prep.demands[j]
         net.add_arc(0, 1 + pos, p, -1 / p)
         for i, u in enumerate(active):
-            if u in prep.fs.candidates_of[j]:
+            if prep.fs.masks.get(u, 0) >> j & 1:
                 edge_arcs[(u, j)] = net.add_arc(1 + pos, 1 + len(jobs) + i, p)
     for i in range(len(active)):
         net.add_arc(1 + len(jobs) + i, sink, prep.kappa)
@@ -561,6 +567,41 @@ def weighted_cover_exists(members, demands, candidates_of, kappa: Fraction) -> d
         stack[k] = i + 1
         stack.append(0)
     return None
+
+
+def exact_weighted_min_middleboxes(requests, candidates_of, kappa,
+                                   limit: int = DEFAULT_WEIGHTED_LIMIT) -> ExactResult:
+    """Minimum middlebox count for an integral assignment at true capacity.
+
+    ``candidates_of[j]`` lists the feasible locations of ``requests[j]``, and
+    the witness maps positions in ``requests`` to boxes. Sizes start at total
+    demand / kappa; a subset is tried when each request keeps a candidate in it.
+    """
+    universe = sorted({u for cands in candidates_of for u in cands})
+    if len(universe) > limit:
+        raise TooLarge(f"{len(universe)} candidates exceed enumeration limit {limit}")
+    if len(candidates_of) > WEIGHTED_REQUEST_LIMIT:
+        raise TooLarge(f"{len(candidates_of)} requests exceed the weighted oracle's "
+                       f"fixed limit of {WEIGHTED_REQUEST_LIMIT}")
+    kappa = Fraction(kappa)
+    demands = [Fraction(r.demand) for r in requests]
+    members = list(range(len(requests)))
+    if not members:
+        return ExactResult(0, (), {}, 0)
+    for j in members:
+        if demands[j] > kappa or not candidates_of[j]:
+            raise Infeasible(f"request {j} cannot be served by any middlebox")
+    explored = 0
+    for k in range(max(1, math.ceil(sum(demands) / kappa)), len(universe) + 1):
+        for subset in combinations(universe, k):
+            explored += 1
+            allowed = [tuple(u for u in candidates_of[j] if u in subset) for j in members]
+            if any(not a for a in allowed):
+                continue
+            witness = weighted_cover_exists(members, demands, allowed, kappa)
+            if witness is not None:
+                return ExactResult(k, subset, witness, explored)
+    raise Infeasible("no candidate subset admits a feasible integral assignment")
 
 
 def scenario_pairs(seed: int, replication: int, n: int, p: float) -> list[tuple[int, int]]:

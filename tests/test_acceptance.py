@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from builders import (
+    candidates_of,
     coverable_instance,
     feasible_instance,
     random_connected_network,
@@ -275,7 +276,7 @@ def test_criterion_5_weighted_bicriteria():
         if len(rfs.candidates) <= 12 and len(requests) <= 14 and \
                 prep.kept == tuple(range(len(requests))):
             try:
-                opt = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa).value
+                opt = exact_weighted_min_middleboxes(prep).value
             except Infeasible:
                 continue
             n = len(prep.kept)
@@ -304,8 +305,7 @@ def test_criterion_6_lp_flow_reduction_matches_oracle():
             continue
         got = float(solve_fractional(active, prep).objective)
         demands = [float(prep.demands.get(j, prep.kappa + 1)) for j in range(len(requests))]
-        cands = [rfs.candidates_of[j] if j in prep.demands else ()
-                 for j in range(len(requests))]
+        cands = [us if j in prep.demands else () for j, us in enumerate(candidates_of(rfs))]
         want = lp_max_fractional(active, demands, cands, kappa)
         assert got == pytest.approx(want, abs=1e-6), f"flow {got} vs LP {want}"
         checked += 1

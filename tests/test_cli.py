@@ -151,6 +151,33 @@ class TestSolve:
         assert [json.loads(line)["error"] for line in text.splitlines()] == ["FileNotFoundError"]
         assert not out.exists() and not trace.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--out", "r", "--trace-csv", "r"],
+        ["--out", "r", "--trace-csv", "sub/../r"],
+        ["--trace-csv", "-"],
+        ["--out", "-", "--trace-csv", "-"],
+    ])
+    def test_two_outputs_at_one_destination_exit_3(self, argv, star_file, tmp_path,
+                                                   monkeypatch, capsys):
+        """Two outputs aimed at one file, or both at stdout, exit 3 with one
+        error line naming both options, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, text = run(capsys, "solve", str(star_file), *argv)
+        assert code == 3
+        error = json.loads(text)
+        assert error["error"] == "ParseError"
+        assert error["message"] == "--out and --trace-csv write to one destination"
+        assert not (tmp_path / "r").exists()
+
+    def test_p_0_on_graphml_solves_without_pairs(self, capsys):
+        code, text = run(capsys, "solve", str(DATA / "mini.graphml"), "--p", "0",
+                         "--metric", "hops")
+        assert code == 0
+        report = json.loads(text)
+        assert report["capacity"] == 1
+        assert report["pairs"] == report["middlebox_count"] == 0
+
     def test_repeated_pair_dropped_with_a_warning(self, tmp_path, capsys):
         f = tmp_path / "repeated.json"
         f.write_text(json.dumps(_path3("unweighted", pairs=[[0, 2], [2, 0]])))
@@ -1154,6 +1181,17 @@ class TestBench:
             texts.append(rows)  # strip wall_time / error columns
         assert len(texts[0]) == 1 + 4 + 4  # header, unweighted and weighted rows
         assert texts[0] == texts[1]
+
+    def test_p_0_row_is_ok(self, tmp_path, capsys):
+        config = {"topologies": [str(DATA / "mini.graphml")], "p_values": [0.0],
+                  "stretches": [1.5]}
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "b.csv"
+        code, _ = run(capsys, "bench", str(cfg), "--out", str(out))
+        assert code == 0
+        [row] = csv.DictReader(out.read_text().splitlines())
+        assert (row["status"], row["total"], row["middlebox_count"]) == ("ok", "0", "0")
 
     def test_error_rows_of_both_kinds(self, tmp_path, monkeypatch, capsys):
         def stalled(inst, fs, budget=None):

@@ -25,9 +25,10 @@ submodular bounds and prunes its searches by coverage, must give the values
 of one plain branch and bound per step; its searches must find the same
 witness in no more subsets, and the bounds it certifies from must hold on
 the plain values. The weighted oracle's recursive assignment search must
-find the same witness, in the same order, as the explicit-stack one, and
-the weighted oracle through either the same value, witness and count of
-subsets explored.
+find the same witness, in the same order, as the explicit-stack one. The
+weighted oracle on a run's preprocessing and bitset relation must find the
+same value, witness set and count of subsets explored as the list-based
+reference on the kept requests, or fail with Infeasible alike.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from builders import coverable_instance, coverable_weighted_problem, relation, rng_for
+from builders import (candidates_of, coverable_instance, coverable_weighted_problem, relation,
+                      relation_of, rng_for)
 
 from mbplace import greedy, oracle, weighted
 from mbplace.exceptions import Infeasible, Stalled
@@ -482,9 +484,9 @@ def weighted_oracle_problems(draw):
     demands = draw(st.lists(st.sampled_from(ORACLE_DEMANDS), max_size=9))
     requests = [draw(st.sampled_from([Request.pair(0, 1, float(d)),
                                       Request.group((0, 1, 2), float(d))])) for d in demands]
-    candidates_of = [tuple(draw(st.lists(st.integers(0, 7), max_size=4, unique=True)))
-                     for _ in demands]
-    return requests, candidates_of, draw(st.sampled_from([1, 1.5, 2, 3, 4.5]))
+    cands = [tuple(draw(st.lists(st.integers(0, 7), max_size=4, unique=True)))
+             for _ in demands]
+    return requests, cands, draw(st.sampled_from([1, 1.5, 2, 3, 4.5]))
 
 
 @st.composite
@@ -494,7 +496,7 @@ def weighted_oracle_networks(draw):
     requests, rfs, _, kappa, _ = coverable_weighted_problem(
         rng, num_nodes=draw(st.integers(4, 8)), num_requests=draw(st.integers(1, 9)),
         group_prob=0.4, kappa=draw(st.sampled_from([2.0, 3.0, 4.5])))
-    return requests, rfs.candidates_of, kappa
+    return requests, candidates_of(rfs), kappa
 
 
 class TestWeightedOracle:
@@ -512,19 +514,28 @@ class TestWeightedOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(weighted_oracle_problems(), weighted_oracle_networks()))
     def test_same_value_witness_and_explored(self, problem):
-        requests, candidates_of, kappa = problem
-
-        def run():
-            try:
-                r = oracle.exact_weighted_min_middleboxes(requests, candidates_of, kappa)
-            except Infeasible:
-                return Infeasible
-            return r.value, r.witness_set, list(r.witness_assignment.items()), r.explored
-
-        fast = run()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_weighted_cover_exists", reference.weighted_cover_exists)
-            assert run() == fast
+        """The oracle on a run's ``preprocess`` output against the list-based
+        reference on the kept requests' candidate lists."""
+        requests, cands, kappa = problem
+        kept = [j for j, r in enumerate(requests) if Fraction(r.demand) <= Fraction(kappa)]
+        try:
+            want = reference.exact_weighted_min_middleboxes(
+                [requests[j] for j in kept], [cands[j] for j in kept], kappa)
+        except Infeasible:
+            want = Infeasible
+        try:
+            got = oracle.exact_weighted_min_middleboxes(
+                weighted.preprocess(requests, relation_of(cands), kappa))
+        except Infeasible:
+            got = Infeasible
+        if Infeasible in (got, want):
+            assert got is want
+            return
+        assert (got.value, got.witness_set, got.explored) == \
+            (want.value, want.witness_set, want.explored)
+        if all(list(c) == sorted(c) for c in cands):  # each request tries its boxes ascending
+            assert list(got.witness_assignment.items()) == \
+                [(kept[i], u) for i, u in want.witness_assignment.items()]
 
 
 def greedy_trace(sizes: Sizes, fs, budget: int | None) -> GreedyTrace:
@@ -615,7 +626,7 @@ class TestSolveFractional:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weighted, "FlowNetwork", Costed)
             frac = solve_fractional(active, prep)
-        jobs = [j for j in prep.kept if set(prep.fs.candidates_of[j]) & set(active)]
+        jobs = [j for j in prep.kept if any(prep.fs.masks.get(u, 0) >> j & 1 for u in active)]
         top = 1 / min(prep.demands[j] for j in jobs) if jobs else Fraction(0)
         assert frac.objective == sum((top * out - cost for out, cost in flows), Fraction(0))
 

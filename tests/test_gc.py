@@ -24,14 +24,13 @@ def calls():
     steps = greedy_place(sinst, sfs).steps
     _, _, prep, _, _ = coverable_weighted_problem(rng_for(6), num_nodes=8, num_requests=8)
     chosen, frac = generalized_greedy(prep)
-    requests, rfs, _, kappa, _ = random_weighted_problem(rng_for(3), num_nodes=7,
-                                                         num_requests=5, kappa=6.0)
+    _, _, wprep, _, _ = random_weighted_problem(rng_for(3), num_nodes=7, num_requests=5,
+                                                kappa=6.0)
     return {
         "exact_min_middleboxes": lambda: exact_min_middleboxes(inst, fs),
         "max_assignment_for_n": lambda: max_assignment_for_n(inst, fs, 3),
         "max_served_series": lambda: max_served_series(sinst, sfs, steps),
-        "exact_weighted_min_middleboxes":
-            lambda: exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa),
+        "exact_weighted_min_middleboxes": lambda: exact_weighted_min_middleboxes(wprep),
         "round_solution": lambda: round_solution(frac, chosen, prep),
     }
 

@@ -180,6 +180,11 @@ class TestScenarioFormulas:
     def test_capacity_formula_exact_decimal(self, n, p, want):
         assert formula_capacity(n, p) == want
 
+    def test_capacity_formula_gives_at_least_one(self):
+        # 2 * (|V|-1) * p is 0 at p = 0 and on one node; a box still holds a pair.
+        assert formula_capacity(5, 0) == 1
+        assert formula_capacity(1, 0.3) == 1
+
     def test_stretch_grid_is_exactly_31_values(self):
         grid = stretch_grid()
         assert len(grid) == 31

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builders import (
+    candidates_of,
     coverable_instance,
     pairs_of,
     random_connected_network,
@@ -158,7 +159,7 @@ class TestBuildFeasibility:
     def test_star_center_serves_every_pair(self):
         inst = star_instance(5, 3, capacity=10, stretch=3.0)
         fs = build_feasibility(inst)
-        for cands in fs.candidates_of:
+        for cands in candidates_of(fs):
             assert 0 in cands
 
     def test_stretch_one_limits_to_shortest_path_nodes(self):
@@ -166,7 +167,7 @@ class TestBuildFeasibility:
         inst = PlacementInstance(net=net, dist=compute_apsp(net), pairs=[Pair(0, 2)],
                                  candidates=(0, 1, 2, 3), capacity=1, stretch=1.0)
         fs = build_feasibility(inst)
-        assert fs.candidates_of[0] == (0, 1, 2)  # node 3 is off the unique shortest path
+        assert candidates_of(fs)[0] == (0, 1, 2)  # node 3 is off the unique shortest path
 
     def test_matches_exhaustive_triple_loop(self):
         rng = rng_for(23)
@@ -192,11 +193,11 @@ class TestBuildFeasibility:
         rng = rng_for(31)
         for _ in range(25):
             inst, fs = coverable_instance(rng, num_nodes=9, num_pairs=6)
-            assert sum(len(v) for v in pairs_of(fs).values()) == \
-                sum(len(c) for c in fs.candidates_of)
+            cands = candidates_of(fs)
+            assert sum(len(v) for v in pairs_of(fs).values()) == sum(len(c) for c in cands)
             for u, ps in pairs_of(fs).items():
                 for p in ps:
-                    assert u in fs.candidates_of[p]
+                    assert u in cands[p]
 
     def test_monotone_in_stretch(self):
         rng = rng_for(37)
@@ -218,7 +219,7 @@ class TestRouteLimitPredicate:
                                  candidates=(0, 1, 2), capacity=1,
                                  stretch=None, route_limit=4.0)
         fs = build_feasibility(inst)
-        assert fs.candidates_of[0] == (0, 1, 2)
+        assert candidates_of(fs)[0] == (0, 1, 2)
         tighter = PlacementInstance(net=net, dist=compute_apsp(net), pairs=[Pair(0, 2)],
                                     candidates=(0, 1, 2), capacity=1,
                                     stretch=None, route_limit=3.9)
@@ -247,7 +248,7 @@ class TestTotalCapacityCheck:
 
 def test_manual_feasibility_sets_compute_reverse_direction():
     fs = relation(3, {5: (0, 2), 7: (1,)})
-    assert fs.candidates_of == [(5,), (7,), (5,)]
+    assert candidates_of(fs) == [(5,), (7,), (5,)]
     assert fs.masks[5] >> 2 & 1 and not fs.masks[7] >> 2 & 1
     assert fs.edge_count() == 3
 
@@ -269,7 +270,7 @@ def test_relation_views_match_its_bits(case):
     fs = FeasibilitySets(num_pairs, masks)
     hits = [[u for u, mask in masks.items() if mask >> p & 1] for p in range(num_pairs)]
     assert fs.candidates == tuple(masks)
-    assert fs.candidates_of == [tuple(us) for us in hits]
+    assert candidates_of(fs) == [tuple(us) for us in hits]
     assert fs.uncovered() == [p for p, us in enumerate(hits) if not us]
     assert fs.edge_count() == sum(map(len, hits))
 

@@ -22,7 +22,8 @@ import itertools
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from builders import coverable_instance, random_connected_network, raw_feasibility, rng_for
+from builders import (candidates_of, coverable_instance, random_connected_network, raw_feasibility,
+                      rng_for)
 
 from mbplace import PlacementError, solve_unweighted
 from mbplace.exceptions import Infeasible
@@ -192,7 +193,7 @@ def _dyadic_case(rng, num_nodes, pair_prob, num_candidates, capacity, stretch, e
     candidates = rng.choice(num_nodes, size=num_candidates, replace=False).tolist()
     inst = PlacementInstance(net=net, dist=compute_apsp(net), pairs=pairs,
                              candidates=candidates, capacity=capacity, stretch=stretch)
-    served = [p for p, us in zip(inst.pairs, raw_feasibility(inst).candidates_of) if us]
+    served = [p for p, us in zip(inst.pairs, candidates_of(raw_feasibility(inst))) if us]
     return dataclasses.replace(inst, pairs=served)
 
 

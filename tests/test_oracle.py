@@ -3,8 +3,10 @@ from types import SimpleNamespace
 import pytest
 
 from builders import (
+    candidates_of,
     coverable_instance,
     feasible_instance,
+    manual_problem,
     random_weighted_problem,
     relation,
     rng_for,
@@ -27,7 +29,6 @@ from mbplace.oracle import (
     exact_weighted_min_middleboxes,
     max_assignment_for_n,
 )
-from mbplace.weighted import Request
 
 
 class TestExactMinMiddleboxes:
@@ -134,30 +135,37 @@ class TestMaxAssignmentForN:
 
 class TestExactWeightedMinMiddleboxes:
     def test_single_request_single_box(self):
-        requests = [Request.pair(0, 1, 2.0)]
-        assert exact_weighted_min_middleboxes(requests, [(3,)], 2.0).value == 1
+        assert exact_weighted_min_middleboxes(manual_problem([(3,)], [2.0], 2.0)).value == 1
 
     def test_capacity_pigeonhole_needs_second_box(self):
-        requests = [Request.pair(0, 1, 2.0), Request.pair(1, 2, 2.0)]
         with pytest.raises(Infeasible):
-            exact_weighted_min_middleboxes(requests, [(3,), (3,)], 2.0)
-        assert exact_weighted_min_middleboxes(requests, [(3, 4), (3, 4)], 2.0).value == 2
+            exact_weighted_min_middleboxes(manual_problem([(3,), (3,)], [2.0, 2.0], 2.0))
+        prep = manual_problem([(3, 4), (3, 4)], [2.0, 2.0], 2.0)
+        assert exact_weighted_min_middleboxes(prep).value == 2
 
     def test_too_large_guards(self):
-        requests = [Request.pair(0, 1, 1.0)]
-        with pytest.raises(TooLarge):
-            exact_weighted_min_middleboxes(requests, [tuple(range(20))], 5.0)
-        many = [Request.pair(0, 1, 1.0)] * 15
-        with pytest.raises(TooLarge):
-            exact_weighted_min_middleboxes(many, [(1,)] * 15, 50.0)
+        with pytest.raises(TooLarge, match="^20 candidates exceed enumeration limit 12$"):
+            exact_weighted_min_middleboxes(manual_problem([tuple(range(20))], [1.0], 5.0))
+        many = manual_problem([(1,)] * 15, [1.0] * 15, 50.0)
+        with pytest.raises(TooLarge, match="^15 requests exceed the weighted oracle's fixed "
+                                           "limit of 14$"):
+            exact_weighted_min_middleboxes(many)
+        with pytest.raises(TooLarge, match="fixed limit of 14; raise it$"):
+            exact_weighted_min_middleboxes(many, over="the setting {}; raise it")
+
+    def test_candidates_of_rejected_requests_are_not_enumerated(self):
+        # Request 1 (demand 5 > kappa 2) is rejected: its 19 candidates stay
+        # out of the enumeration, so the limit of 12 is not met.
+        prep = manual_problem([(0,), tuple(range(1, 20))], [1.0, 5.0], 2.0)
+        assert exact_weighted_min_middleboxes(prep) == ExactResult(1, (0,), {0: 0}, 1)
 
     def test_sizes_below_total_demand_over_kappa_are_skipped(self):
         # Demand 7.5 at kappa 3 needs 3 boxes, so the 5 + 10 subsets of sizes
         # 1 and 2 are not enumerated: (0, 2, 3), the first 3-subset that
         # fits, is the 4th subset explored.
-        requests = [Request.pair(0, 1, d) for d in (2.0, 2.0, 1.5, 1.0, 1.0)]
-        candidates_of = [(0, 1, 4), (1, 2), (0, 2, 3), (3, 4), (2, 3, 4)]
-        result = exact_weighted_min_middleboxes(requests, candidates_of, 3.0)
+        prep = manual_problem([(0, 1, 4), (1, 2), (0, 2, 3), (3, 4), (2, 3, 4)],
+                              [2.0, 2.0, 1.5, 1.0, 1.0], 3.0)
+        result = exact_weighted_min_middleboxes(prep)
         assert result == ExactResult(3, (0, 2, 3), {0: 0, 1: 2, 2: 3, 3: 3, 4: 2}, 4)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -168,17 +176,15 @@ class TestExactWeightedMinMiddleboxes:
         requests, rfs, prep, kappa, _ = random_weighted_problem(
             rng, num_nodes=6, num_requests=4, kappa=4.0)
         demands = [r.demand for r in requests]
-        if any(not c for c in rfs.candidates_of):
-            with pytest.raises(Infeasible):
-                exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa)
+        cands = candidates_of(rfs)
+        if prep is None:  # preprocess raised Infeasible on a request no candidate serves
+            assert any(not c for c in cands)
             return
-        result = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa)
-        assert weighted_integral_feasible(result.witness_set, demands,
-                                          rfs.candidates_of, kappa)
+        result = exact_weighted_min_middleboxes(prep)
+        assert weighted_integral_feasible(result.witness_set, demands, cands, kappa)
         for size in range(1, result.value):
             for sub in combinations(rfs.candidates, size):
-                assert not weighted_integral_feasible(sub, demands,
-                                                      rfs.candidates_of, kappa)
+                assert not weighted_integral_feasible(sub, demands, cands, kappa)
 
 
 def test_explored_counter_populated():

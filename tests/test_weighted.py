@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from builders import (
+    candidates_of,
     coverable_weighted_problem,
+    manual_problem,
     random_connected_network,
     random_weighted_problem,
-    relation_of,
     rng_for,
 )
 from oracles import (
@@ -26,17 +27,10 @@ from mbplace.weighted import (
     RoundedSolution,
     WeightedInstance,
     generalized_greedy,
-    preprocess,
     round_solution,
     solve_fractional,
     solve_weighted,
 )
-
-
-def manual_problem(candidates_of, demands, kappa):
-    """Preprocessed problem straight from explicit feasibility sets."""
-    requests = [Request.pair(0, 1, d) for d in demands]
-    return preprocess(requests, relation_of(candidates_of), kappa)
 
 
 class TestRequest:
@@ -60,9 +54,9 @@ class TestGroupFeasibility:
         net = Network.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         dist = compute_apsp(net)
         rfs = feasible([(0, 1, 2), (0, 2, 3)], dist, range(4), 1.0, None)
-        assert 1 in rfs.candidates_of[0]
+        assert 1 in candidates_of(rfs)[0]
         # only node 2 lies on a shortest path of every member pair of {0,2,3}
-        assert rfs.candidates_of[1] == (2,)
+        assert candidates_of(rfs)[1] == (2,)
 
     def test_two_member_group_equals_pair(self):
         # The pair builder and the group builder share one feasibility test.
@@ -71,10 +65,10 @@ class TestGroupFeasibility:
         reqs = [Request.pair(0, 3, 1.0), Request.group([0, 3], 1.0)]
         for stretch in (1.0, 1.2, 1.4, 2.0):
             both = feasible([r.nodes for r in reqs], dist, range(7), stretch, None)
-            assert both.candidates_of[0] == both.candidates_of[1]
+            assert candidates_of(both)[0] == candidates_of(both)[1]
             inst = PlacementInstance(net=net, dist=dist, pairs=[Pair(0, 3)],
                                      candidates=range(7), capacity=1, stretch=stretch)
-            assert build_feasibility(inst).candidates_of == [both.candidates_of[0]]
+            assert candidates_of(build_feasibility(inst)) == [candidates_of(both)[0]]
 
 
 class TestPreprocess:
@@ -98,11 +92,11 @@ class TestPreprocess:
                 1
                 for j in prep.kept
                 for u in rfs.candidates
-                if u not in rfs.candidates_of[j]
+                if not rfs.masks[u] >> j & 1
             )
             assert len(deleted_entries(prep)) == expected
             for u, j in deleted_entries(prep):
-                assert u not in prep.fs.candidates_of[j]
+                assert not prep.fs.masks[u] >> j & 1
 
 
 class TestSolveFractional:
@@ -141,7 +135,7 @@ class TestSolveFractional:
         want = lp_max_fractional(
             active,
             [demands.get(j, 1.0) for j in range(len(requests))],
-            [rfs.candidates_of[j] if j in demands else () for j in range(len(requests))],
+            [us if j in demands else () for j, us in enumerate(candidates_of(rfs))],
             kappa,
         )
         assert float(got.objective) == pytest.approx(want, abs=1e-6)
@@ -155,7 +149,7 @@ class TestSolveFractional:
             per_box: dict[int, Fraction] = {}
             for (u, j), v in frac.x.items():
                 assert 0 <= v <= 1
-                assert u in prep.fs.candidates_of[j]
+                assert prep.fs.masks[u] >> j & 1
                 per_request[j] = per_request.get(j, Fraction(0)) + v
                 per_box[u] = per_box.get(u, Fraction(0)) + v * prep.demands[j]
             assert all(v <= 1 for v in per_request.values())
@@ -218,12 +212,11 @@ class TestGeneralizedGreedy:
         from mbplace.oracle import exact_weighted_min_middleboxes
 
         rng = rng_for(17_000 + seed)
-        requests, rfs, prep, kappa, _ = random_weighted_problem(
-            rng, num_nodes=7, num_requests=5, kappa=6.0)
+        _, _, prep, _, _ = random_weighted_problem(rng, num_nodes=7, num_requests=5, kappa=6.0)
         if prep is None or not prep.kept:
             return
         try:
-            opt = exact_weighted_min_middleboxes(requests, rfs.candidates_of, kappa).value
+            opt = exact_weighted_min_middleboxes(prep).value
         except Infeasible:
             return
         chosen, _ = generalized_greedy(prep)
@@ -271,7 +264,7 @@ class TestRounding:
         assert set(rounded.assignment) == set(prep.kept)
         assert max_load(rounded) <= 2 * prep.kappa
         for j, u in rounded.assignment.items():
-            assert u in prep.fs.candidates_of[j]
+            assert prep.fs.masks[u] >> j & 1
 
     def test_relaxation_dominates_integral_optimum(self):
         # An integral packing of all kept requests on S is a feasible LP
@@ -285,7 +278,7 @@ class TestRounding:
                 continue
             active = list(rfs.candidates)[:3]
             if not weighted_integral_feasible(active, [r.demand for r in requests],
-                                              rfs.candidates_of, kappa):
+                                              candidates_of(rfs), kappa):
                 continue
             frac = solve_fractional(active, prep)
             assert frac.objective == len(prep.kept)
